@@ -64,22 +64,15 @@ from .losses import (
     BatchLoss,
     GradCheckResult,
     IwlConfig,
-    LossOutput,
-    PredictionVector,
     canonical_loss_name,
-    class_balanced_loss,
-    cross_entropy,
     effective_number_weights,
     finite_difference_grad,
-    focal_loss,
     gradient_check,
-    iwl_loss,
     iwl_point_value,
     iwl_weight,
-    ldam_loss,
     ldam_margins,
+    loss_config,
     make_loss,
-    one_hot,
     relative_gradient_error,
     softmax,
 )
@@ -91,9 +84,7 @@ from .trainer import (
     TrainConfig,
     adam_init,
     adam_step,
-    backward,
     evaluate,
-    forward,
     init_model,
     load_model,
     metrics_from_confusion,

@@ -47,10 +47,12 @@ from .losses import (
     GRADCHECK_LOSSES,
     BaselineLossConfig,
     IwlConfig,
-    canonical_loss_name,
+    LossConfig,
     gradient_check,
+    loss_config,
 )
 from .trainer import (
+    ENCODE_KINDS,
     EncoderSpec,
     TrainConfig,
     evaluate,
@@ -71,60 +73,82 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _loss_config_from_args(args) -> IwlConfig | BaselineLossConfig:
-    kind = canonical_loss_name(args.loss)
-    if kind == "iwl":
-        return IwlConfig(
-            beta=args.beta,
-            epsilon=args.epsilon,
-            log_base=10.0 if args.log_base == "10" else math.e,
-            stop_weight_gradient=args.stop_weight_gradient,
-        )
-    return BaselineLossConfig(
-        kind=kind,
+_LOG_BASES = {"e": math.e, "10": 10.0}
+
+
+def _loss_config_from_args(args, name: str) -> LossConfig:
+    return loss_config(
+        name,
+        beta=args.beta,
+        epsilon=args.epsilon,
+        log_base=_LOG_BASES[args.log_base],
+        stop_weight_gradient=args.stop_weight_gradient,
         gamma=args.gamma,
         cb_beta=args.cb_beta,
         ldam_mu=args.ldam_mu,
         ldam_s=args.ldam_s,
-        class_counts=None,
     )
 
 
 def _add_loss_flags(p: argparse.ArgumentParser, default: str = "iwl") -> None:
-    p.add_argument("--loss", default=default, help="iwl, ce, focal, cb, cb_focal, or ldam")
-    p.add_argument("--beta", type=float, default=0.3, help="IWL temperature")
-    p.add_argument("--epsilon", type=float, default=1e-12, help="IWL weight denominator guard")
-    p.add_argument("--log-base", choices=("e", "10"), default="e", help="base of both IWL logarithms")
+    log_base = next(k for k, v in _LOG_BASES.items() if v == IwlConfig.log_base)
+    p.add_argument("--loss", default=default, help=f"iwl, ce, focal, cb, cb_focal, or ldam (default: {default})")
+    p.add_argument("--beta", type=float, default=IwlConfig.beta, help="IWL temperature")
+    p.add_argument("--epsilon", type=float, default=IwlConfig.epsilon, help="IWL weight denominator guard")
+    p.add_argument("--log-base", choices=tuple(_LOG_BASES), default=log_base, help="base of both IWL logarithms")
     p.add_argument(
         "--stop-weight-gradient",
         action="store_true",
         help="treat the IWL weight as a constant during differentiation",
     )
-    p.add_argument("--gamma", type=float, default=2.0, help="focal exponent")
-    p.add_argument("--cb-beta", type=float, default=0.999, help="class-balanced effective-number parameter")
-    p.add_argument("--ldam-mu", type=float, default=0.2, help="LDAM maximum margin")
-    p.add_argument("--ldam-s", type=float, default=20.0, help="LDAM logit scale")
+    p.add_argument("--gamma", type=float, default=BaselineLossConfig.gamma, help="focal exponent")
+    p.add_argument(
+        "--cb-beta", type=float, default=BaselineLossConfig.cb_beta, help="class-balanced effective-number parameter"
+    )
+    p.add_argument("--ldam-mu", type=float, default=BaselineLossConfig.ldam_mu, help="LDAM maximum margin")
+    p.add_argument("--ldam-s", type=float, default=BaselineLossConfig.ldam_s, help="LDAM logit scale")
+
+
+def _add_image_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--height", type=int, default=EncoderSpec.height, help="image height (cme)")
+    p.add_argument("--width", type=int, default=EncoderSpec.width, help="image width (cme)")
+    p.add_argument("--skip", type=int, default=EncoderSpec.skip, help="samples dropped from the start (cme)")
+    p.add_argument("--take", type=int, default=EncoderSpec.take, help="samples kept after the skip (cme)")
+    p.add_argument(
+        "--mode", choices=MAGNITUDE_MODES, default=EncoderSpec.magnitude_mode, help="channel magnitude statistic"
+    )
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encode", choices=("cme", "raw"), default="cme", help="input representation")
-    p.add_argument("--height", type=int, default=128, help="image height (cme)")
-    p.add_argument("--width", type=int, default=128, help="image width (cme)")
-    p.add_argument("--skip", type=int, default=500, help="samples dropped from the start (cme)")
-    p.add_argument("--take", type=int, default=2500, help="samples kept after the skip (cme)")
-    p.add_argument("--raw-take", type=int, default=3000, help="samples kept from the start (raw)")
-    p.add_argument("--mode", choices=MAGNITUDE_MODES, default="rms", help="channel magnitude statistic")
+    p.add_argument("--encode", choices=ENCODE_KINDS, default=EncoderSpec.kind, help="input representation")
+    _add_image_flags(p)
+    p.add_argument("--raw-take", type=int, default=EncoderSpec.raw_take, help="samples kept from the start (raw)")
 
 
-def _encoder_from_args(args) -> EncoderSpec:
-    return EncoderSpec(
-        kind=args.encode,
-        height=args.height,
-        width=args.width,
-        skip=args.skip,
-        take=args.take,
-        raw_take=args.raw_take,
-        magnitude_mode=args.mode,
+def _hidden_sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(h) for h in text.split(",") if h.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _train_config_from_args(args) -> TrainConfig:
+    return TrainConfig(
+        epochs=args.epochs,
+        learning_rate=args.learning_rate,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        loss=_loss_config_from_args(args, args.loss),
+        encode=EncoderSpec(
+            kind=args.encode,
+            height=args.height,
+            width=args.width,
+            skip=args.skip,
+            take=args.take,
+            raw_take=args.raw_take,
+            magnitude_mode=args.mode,
+        ),
+        hidden=args.hidden,
     )
 
 
@@ -202,34 +226,17 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    names = GRADCHECK_LOSSES if args.loss == "all" else (canonical_loss_name(args.loss),)
-    results = []
-    for name in names:
-        if name == "iwl":
-            cfg = IwlConfig(
-                beta=args.beta,
-                epsilon=args.epsilon,
-                log_base=10.0 if args.log_base == "10" else math.e,
-                stop_weight_gradient=args.stop_weight_gradient,
-            )
-        else:
-            cfg = BaselineLossConfig(
-                kind=name,
-                gamma=args.gamma,
-                cb_beta=args.cb_beta,
-                ldam_mu=args.ldam_mu,
-                ldam_s=args.ldam_s,
-                class_counts=None,
-            )
-        results.append(
-            gradient_check(
-                cfg,
-                trials=args.trials,
-                seed=args.seed,
-                threshold=args.threshold,
-                num_classes=args.classes,
-            )
+    names = GRADCHECK_LOSSES if args.loss == "all" else (args.loss,)
+    results = [
+        gradient_check(
+            _loss_config_from_args(args, name),
+            trials=args.trials,
+            seed=args.seed,
+            threshold=args.threshold,
+            num_classes=args.classes,
         )
+        for name in names
+    ]
     for res in results:
         status = "pass" if res.passed else "FAIL"
         print(
@@ -251,15 +258,7 @@ def _cmd_train(args) -> int:
     d = _load_dataset(args)
     if args.train_fraction < 1.0:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss=_loss_config_from_args(args),
-        encode=_encoder_from_args(args),
-        hidden=tuple(int(h) for h in args.hidden.split(",") if h.strip()),
-    )
+    cfg = _train_config_from_args(args)
     model, log = train(d, cfg)
     save_model(model, args.out)
     if args.log:
@@ -335,11 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--record", default=None, help="encode only this record id")
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--skip", type=int, default=500)
-    p.add_argument("--take", type=int, default=2500)
-    p.add_argument("--mode", choices=MAGNITUDE_MODES, default="rms")
+    _add_image_flags(p)
     p.add_argument("--no-equalize", action="store_true", help="skip channel magnitude equalization")
     p.add_argument("--format", choices=("csv", "raw", "both"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
@@ -355,19 +350,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("gradcheck", help="verify analytical gradients against finite differences")
-    p.add_argument("--loss", default="all", help="a loss name or 'all'")
+    _add_loss_flags(p, default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--classes", type=int, default=9)
-    p.add_argument("--beta", type=float, default=0.3)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    p.add_argument("--log-base", choices=("e", "10"), default="e")
-    p.add_argument("--stop-weight-gradient", action="store_true")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--cb-beta", type=float, default=0.999)
-    p.add_argument("--ldam-mu", type=float, default=0.2)
-    p.add_argument("--ldam-s", type=float, default=20.0)
     p.add_argument("--out", default=None, help="write the report as CSV")
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -376,11 +363,16 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", default=None, help="per-epoch loss CSV")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", default="64,32", help="comma-separated hidden layer sizes")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument(
+        "--hidden",
+        type=_hidden_sizes,
+        default=",".join(str(h) for h in TrainConfig.hidden),
+        help="comma-separated hidden layer sizes",
+    )
     p.add_argument(
         "--train-fraction",
         type=float,

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +25,8 @@ import numpy as np
 from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split
 from .errors import SpecError
 from .imbalance import longtail_counts, resample
-from .losses import BaselineLossConfig, IwlConfig, canonical_loss_name
-from .trainer import EncoderSpec, TrainConfig, evaluate, train
+from .losses import IwlConfig, canonical_loss_name, loss_config
+from .trainer import ENCODE_KINDS, TrainConfig, evaluate, train
 
 RESULT_COLUMNS = (
     "loss",
@@ -56,37 +55,6 @@ SYNTH_KEYS = (
     "amplitude",
     "base_frequency",
     "frequency_spacing",
-)
-_SCALAR_KEYS = (
-    "epochs",
-    "learning_rate",
-    "batch_size",
-    "hidden",
-    "train_fraction",
-    "image.height",
-    "image.width",
-    "window.skip",
-    "window.take",
-    "raw.take",
-    "iwl.epsilon",
-    "focal.gamma",
-    "cb.beta",
-    "ldam.mu",
-    "ldam.s",
-    "data.dir",
-    "data.classes",
-    "data.class_names",
-    "data.counts",
-    "data.head_count",
-    "data.channels",
-    "data.length",
-    "data.sample_rate",
-    "data.noise_sd",
-    "data.amplitude",
-    "data.channel_gain",
-    "data.base_frequency",
-    "data.frequency_spacing",
-    "data.seed",
 )
 
 
@@ -126,30 +94,48 @@ def _parse_int(key: str, raw: str) -> int:
         raise SpecError(f"key {key!r}: {raw!r} is not an integer") from exc
 
 
+def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
+    return tuple(_parse_int(key, v) for v in _split_list(raw))
+
+
+# Scalar spec key -> (the part of the spec it sets, field name, parser).
+_SCALAR_FIELDS = {
+    "epochs": ("train", "epochs", _parse_int),
+    "learning_rate": ("train", "learning_rate", _parse_float),
+    "batch_size": ("train", "batch_size", _parse_int),
+    "hidden": ("train", "hidden", _parse_int_list),
+    "train_fraction": ("spec", "train_fraction", _parse_float),
+    "image.height": ("encode", "height", _parse_int),
+    "image.width": ("encode", "width", _parse_int),
+    "window.skip": ("encode", "skip", _parse_int),
+    "window.take": ("encode", "take", _parse_int),
+    "raw.take": ("encode", "raw_take", _parse_int),
+    "iwl.epsilon": ("loss", "epsilon", _parse_float),
+    "focal.gamma": ("loss", "gamma", _parse_float),
+    "cb.beta": ("loss", "cb_beta", _parse_float),
+    "ldam.mu": ("loss", "ldam_mu", _parse_float),
+    "ldam.s": ("loss", "ldam_s", _parse_float),
+}
+_SCALAR_KEYS = (*_SCALAR_FIELDS, "data.dir", *("data." + k for k in SYNTH_KEYS))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved grid plus shared training and data settings."""
+    """Fully resolved grid plus shared training and data settings.
+
+    ``train`` is the recipe every cell starts from; each run replaces its
+    seed, its loss and its encoder kind. ``loss_params`` holds the
+    loss settings given by the spec, passed to :func:`loss_config`.
+    """
 
     losses: tuple[str, ...] = ("iwl",)
-    betas: tuple[float, ...] = (0.3,)
+    betas: tuple[float, ...] = (IwlConfig.beta,)
     alphas: tuple[Optional[float], ...] = (None,)
     encodes: tuple[str, ...] = ("cme",)
     seeds: tuple[int, ...] = (0,)
-    epochs: int = 30
-    learning_rate: float = 0.001
-    batch_size: int = 64
-    hidden: tuple[int, ...] = (64, 32)
     train_fraction: float = 0.9
-    image_height: int = 128
-    image_width: int = 128
-    window_skip: int = 500
-    window_take: int = 2500
-    raw_take: int = 3000
-    iwl_epsilon: float = 1e-12
-    focal_gamma: float = 2.0
-    cb_beta: float = 0.999
-    ldam_mu: float = 0.2
-    ldam_s: float = 20.0
+    train: TrainConfig = TrainConfig(epochs=30)
+    loss_params: dict = field(default_factory=dict)
     data_dir: Optional[str] = None
     synth: Optional[SynthSpec] = None
 
@@ -157,9 +143,9 @@ class ExperimentSpec:
         if self.data_dir is None and self.synth is None:
             raise SpecError("an experiment needs either data.dir or synthetic data settings")
         for name in self.losses:
-            canonical_loss_name(name)
+            loss_config(name, **self.loss_params)
         for enc in self.encodes:
-            if enc not in ("cme", "raw"):
+            if enc not in ENCODE_KINDS:
                 raise SpecError(f"unknown encode {enc!r}; expected cme or raw")
         for a in self.alphas:
             if a is not None and not 0.0 < a <= 1.0:
@@ -188,6 +174,8 @@ class ResultRow:
 
 def parse_experiment_spec(path) -> ExperimentSpec:
     mapping = parse_kv_file(path)
+    if not mapping:
+        raise SpecError(f"{path}: the experiment spec sets no keys")
     unknown = set(mapping) - set(_GRID_KEYS) - set(_SCALAR_KEYS)
     if unknown:
         raise SpecError(f"unknown experiment keys: {sorted(unknown)}")
@@ -204,34 +192,34 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     if "encode" in mapping:
         kwargs["encodes"] = tuple(_split_list(mapping["encode"]))
     if "seeds" in mapping:
-        kwargs["seeds"] = tuple(_parse_int("seeds", v) for v in _split_list(mapping["seeds"]))
+        kwargs["seeds"] = _parse_int_list("seeds", mapping["seeds"])
 
-    for key, attr, conv in (
-        ("epochs", "epochs", _parse_int),
-        ("batch_size", "batch_size", _parse_int),
-        ("image.height", "image_height", _parse_int),
-        ("image.width", "image_width", _parse_int),
-        ("window.skip", "window_skip", _parse_int),
-        ("window.take", "window_take", _parse_int),
-        ("raw.take", "raw_take", _parse_int),
-        ("learning_rate", "learning_rate", _parse_float),
-        ("train_fraction", "train_fraction", _parse_float),
-        ("iwl.epsilon", "iwl_epsilon", _parse_float),
-        ("focal.gamma", "focal_gamma", _parse_float),
-        ("cb.beta", "cb_beta", _parse_float),
-        ("ldam.mu", "ldam_mu", _parse_float),
-        ("ldam.s", "ldam_s", _parse_float),
-    ):
+    parts: dict[str, dict] = {"spec": kwargs, "train": {}, "encode": {}, "loss": {}}
+    for key, (part, name, conv) in _SCALAR_FIELDS.items():
         if key in mapping:
-            kwargs[attr] = conv(key, mapping[key])
-    if "hidden" in mapping:
-        kwargs["hidden"] = tuple(_parse_int("hidden", v) for v in _split_list(mapping["hidden"]))
+            parts[part][name] = conv(key, mapping[key])
+    base = ExperimentSpec.train
+    kwargs["train"] = dataclasses.replace(
+        base, encode=dataclasses.replace(base.encode, **parts["encode"]), **parts["train"]
+    )
+    kwargs["loss_params"] = parts["loss"]
 
     if "data.dir" in mapping:
         kwargs["data_dir"] = mapping["data.dir"]
     else:
         kwargs["synth"] = synth_spec_from_mapping(mapping, prefix="data.")
     return ExperimentSpec(**kwargs)
+
+
+# SynthSpec fields a mapping may set, each left at SynthSpec's default when absent.
+_SYNTH_OPTIONAL = (
+    ("noise_sd", _parse_float),
+    ("seed", _parse_int),
+    ("sample_rate", _parse_float),
+    ("amplitude", _parse_float),
+    ("base_frequency", _parse_float),
+    ("frequency_spacing", _parse_float),
+)
 
 
 def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthSpec:
@@ -248,7 +236,7 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
     classes = _parse_int("classes", get("classes", "9"))
     counts_raw = get("counts")
     if counts_raw is not None:
-        counts = tuple(_parse_int("counts", v) for v in _split_list(counts_raw))
+        counts = _parse_int_list("counts", counts_raw)
     else:
         head = _parse_int("head_count", get("head_count", "64"))
         counts = (head,) * classes
@@ -258,19 +246,15 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
     else:
         gains = (1.0,) * _parse_int("channels", get("channels", "12"))
     names_raw = get("class_names")
+    optional = {name: conv(name, get(name)) for name, conv in _SYNTH_OPTIONAL if get(name) is not None}
     return SynthSpec(
         n_classes=classes,
         n_channels=len(gains),
         length=_parse_int("length", get("length", "3000")),
         per_class_counts=counts,
         channel_gain=gains,
-        noise_sd=_parse_float("noise_sd", get("noise_sd", "0.0")),
-        seed=_parse_int("seed", get("seed", "0")),
-        sample_rate=_parse_float("sample_rate", get("sample_rate", "500.0")),
-        amplitude=_parse_float("amplitude", get("amplitude", "5.0")),
         class_names=tuple(_split_list(names_raw)) if names_raw else None,
-        base_frequency=_parse_float("base_frequency", get("base_frequency", "2.0")),
-        frequency_spacing=_parse_float("frequency_spacing", get("frequency_spacing", "1.0")),
+        **optional,
     )
 
 
@@ -286,30 +270,6 @@ def grid_cells(spec: ExperimentSpec) -> list[CellKey]:
     return cells
 
 
-def _loss_config(spec: ExperimentSpec, cell: CellKey):
-    if cell.loss == "iwl":
-        return IwlConfig(beta=cell.beta if cell.beta is not None else 0.3, epsilon=spec.iwl_epsilon)
-    return BaselineLossConfig(
-        kind=cell.loss,
-        gamma=spec.focal_gamma,
-        cb_beta=spec.cb_beta,
-        ldam_mu=spec.ldam_mu,
-        ldam_s=spec.ldam_s,
-        class_counts=None,
-    )
-
-
-def _encoder(spec: ExperimentSpec, cell: CellKey) -> EncoderSpec:
-    return EncoderSpec(
-        kind=cell.encode,
-        height=spec.image_height,
-        width=spec.image_width,
-        skip=spec.window_skip,
-        take=spec.window_take,
-        raw_take=spec.raw_take,
-    )
-
-
 def _dataset_for_run(spec: ExperimentSpec, seed: int) -> Dataset:
     if spec.data_dir is not None:
         return load_csv(spec.data_dir)
@@ -319,6 +279,11 @@ def _dataset_for_run(spec: ExperimentSpec, seed: int) -> Dataset:
 
 def run_cell(spec: ExperimentSpec, cell: CellKey) -> list[tuple[float, float]]:
     """(accuracy, macro F1) per seed for one grid cell."""
+    base = dataclasses.replace(
+        spec.train,
+        loss=loss_config(cell.loss, beta=cell.beta, **spec.loss_params),
+        encode=dataclasses.replace(spec.train.encode, kind=cell.encode),
+    )
     out = []
     for seed in spec.seeds:
         d = _dataset_for_run(spec, seed)
@@ -326,16 +291,7 @@ def run_cell(spec: ExperimentSpec, cell: CellKey) -> list[tuple[float, float]]:
             profile = longtail_counts(d.class_counts(), cell.alpha)
             d = resample(d, profile, seed)
         d_train, d_test = split(d, SplitSpec(train_fraction=spec.train_fraction, seed=seed))
-        cfg = TrainConfig(
-            epochs=spec.epochs,
-            learning_rate=spec.learning_rate,
-            batch_size=spec.batch_size,
-            seed=seed,
-            loss=_loss_config(spec, cell),
-            encode=_encoder(spec, cell),
-            hidden=spec.hidden,
-        )
-        model, _ = train(d_train, cfg)
+        model, _ = train(d_train, dataclasses.replace(base, seed=seed))
         metrics = evaluate(model, d_test)
         out.append((metrics.accuracy, metrics.macro_f1))
     return out

@@ -19,7 +19,7 @@ derivative terms by p before any division by p can occur.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -50,7 +50,7 @@ def canonical_loss_name(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Softmax and prediction containers
+# Softmax
 
 
 def _log_softmax(logits2d: np.ndarray) -> np.ndarray:
@@ -64,52 +64,6 @@ def softmax(logits) -> np.ndarray:
     if arr.ndim == 1:
         return np.exp(_log_softmax(arr[None, :]))[0]
     return np.exp(_log_softmax(arr))
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    if not 0 <= label < num_classes:
-        raise DimensionError(f"label {label} outside [0, {num_classes})")
-    y = np.zeros(num_classes, dtype=np.float64)
-    y[label] = 1.0
-    return y
-
-
-@dataclass(frozen=True)
-class PredictionVector:
-    """Logits plus their softmax; probabilities always sum to one."""
-
-    logits: np.ndarray
-    probs: np.ndarray
-    log_probs: np.ndarray
-
-    @classmethod
-    def from_logits(cls, logits) -> "PredictionVector":
-        arr = np.asarray(logits, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DimensionError(f"logits must be a 1-D vector of at least 2 scores, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("logits must be finite")
-        lp = _log_softmax(arr[None, :])[0]
-        return cls(logits=arr.copy(), probs=np.exp(lp), log_probs=lp)
-
-    def __post_init__(self):
-        for name in ("logits", "probs", "log_probs"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-
-@dataclass(frozen=True)
-class LossOutput:
-    """A scalar loss value and its gradient with respect to the logits."""
-
-    value: float
-    grad_logits: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grad_logits, dtype=np.float64)
-        g.flags.writeable = False
-        object.__setattr__(self, "grad_logits", g)
 
 
 @dataclass(frozen=True)
@@ -179,6 +133,25 @@ class BaselineLossConfig:
 
 
 LossConfig = Union[IwlConfig, BaselineLossConfig]
+
+_IWL_PARAMS = frozenset(f.name for f in fields(IwlConfig))
+_BASELINE_PARAMS = frozenset(f.name for f in fields(BaselineLossConfig)) - {"kind"}
+
+
+def loss_config(name: str, **params) -> LossConfig:
+    """The config for loss ``name``, built from the params that loss uses.
+
+    ``params`` may carry settings for every loss at once, as the command
+    line and experiment specs do; each config takes only its own fields and
+    leaves the rest at their defaults. A param no loss knows is an error.
+    """
+    unknown = set(params) - _IWL_PARAMS - _BASELINE_PARAMS
+    if unknown:
+        raise ConfigError(f"unknown loss parameters: {sorted(unknown)}")
+    kind = canonical_loss_name(name)
+    if kind == "iwl":
+        return IwlConfig(**{k: v for k, v in params.items() if k in _IWL_PARAMS})
+    return BaselineLossConfig(kind=kind, **{k: v for k, v in params.items() if k in _BASELINE_PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -296,83 +269,6 @@ def _ldam_core(logits2d, labels, cfg: BaselineLossConfig):
 
 
 # ---------------------------------------------------------------------------
-# Public per-record operations
-
-
-def _as_logits(pred) -> np.ndarray:
-    if isinstance(pred, PredictionVector):
-        return np.asarray(pred.logits, dtype=np.float64)
-    arr = np.asarray(pred, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D logit vector, got shape {arr.shape}")
-    return arr
-
-
-def _label_index(y, num_classes: int) -> int:
-    """Accept an integer class index or a one-hot vector."""
-    if np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0):
-        t = int(y)
-        if not 0 <= t < num_classes:
-            raise DimensionError(f"label {t} outside [0, {num_classes})")
-        return t
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.shape != (num_classes,):
-        raise DimensionError(f"one-hot label must have length {num_classes}, got shape {arr.shape}")
-    hits = np.flatnonzero(arr == 1.0)
-    if hits.size != 1 or not np.all((arr == 0.0) | (arr == 1.0)):
-        raise DimensionError("label vector must be one-hot")
-    return int(hits[0])
-
-
-def _single(core, pred, y, *args) -> LossOutput:
-    logits = _as_logits(pred)
-    t = _label_index(y, logits.size)
-    values, grads = core(logits[None, :], np.array([t]), *args)
-    return LossOutput(value=float(values[0]), grad_logits=grads[0])
-
-
-def cross_entropy(pred, y) -> LossOutput:
-    """-log p on the true class; gradient is probs - y."""
-    return _single(_ce_core, pred, y)
-
-
-def iwl_loss(pred, y, cfg: IwlConfig = IwlConfig()) -> LossOutput:
-    """(log(10/(p+eps)))**beta * (-log p) with the full analytical gradient.
-
-    The gradient differentiates the weight term too (the weight is not a
-    stopped-gradient constant) unless cfg.stop_weight_gradient is set.
-    """
-    return _single(_iwl_core, pred, y, cfg)
-
-
-def focal_loss(pred, y, gamma: float = 2.0) -> LossOutput:
-    """-(1-p)**gamma * log p on the true class."""
-    if gamma < 0:
-        raise ConfigError(f"gamma must be nonnegative, got {gamma}")
-    return _single(_focal_core, pred, y, gamma)
-
-
-def class_balanced_loss(pred, y, cb_beta: float, class_counts, inner: str = "ce", gamma: float = 2.0) -> LossOutput:
-    """Effective-number reweighting of an inner CE or focal loss.
-
-    The true class's weight is (1-cb_beta)/(1-cb_beta**n_t), normalized so
-    the weights average 1 over classes.
-    """
-    kind = {"ce": "class_balanced", "cross_entropy": "class_balanced", "focal": "cb_focal"}.get(inner)
-    if kind is None:
-        raise ConfigError(f"inner loss must be 'ce' or 'focal', got {inner!r}")
-    cfg = BaselineLossConfig(kind=kind, cb_beta=cb_beta, gamma=gamma, class_counts=tuple(int(c) for c in class_counts))
-    return _single(_cb_core, pred, y, cfg)
-
-
-def ldam_loss(pred, y, mu: float, s: float, class_counts) -> LossOutput:
-    """Label-distribution-aware margin loss: s-scaled CE on logits with the
-    true class shifted down by a margin proportional to n_t**(-1/4)."""
-    cfg = BaselineLossConfig(kind="ldam", ldam_mu=mu, ldam_s=s, class_counts=tuple(int(c) for c in class_counts))
-    return _single(_ldam_core, pred, y, cfg)
-
-
-# ---------------------------------------------------------------------------
 # IWL point helpers (used for monotonicity studies over p directly)
 
 
@@ -402,12 +298,6 @@ class BatchLoss:
     def per_record(self, logits2d, labels) -> tuple[np.ndarray, np.ndarray]:
         return self.core(logits2d, labels)
 
-    def single(self, pred, y) -> LossOutput:
-        logits = _as_logits(pred)
-        t = _label_index(y, logits.size)
-        values, grads = self.core(logits[None, :], np.array([t]))
-        return LossOutput(value=float(values[0]), grad_logits=grads[0])
-
     def mean(self, logits2d, labels) -> tuple[float, np.ndarray]:
         """Mean value over records and the matching mean-gradient rows.
 
@@ -428,14 +318,7 @@ def make_loss(cfg: LossConfig, class_counts=None) -> BatchLoss:
     if cfg.kind in ("class_balanced", "cb_focal", "ldam") and cfg.class_counts is None:
         if class_counts is None:
             raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
-        cfg = BaselineLossConfig(
-            kind=cfg.kind,
-            gamma=cfg.gamma,
-            cb_beta=cfg.cb_beta,
-            ldam_mu=cfg.ldam_mu,
-            ldam_s=cfg.ldam_s,
-            class_counts=tuple(int(c) for c in class_counts),
-        )
+        cfg = replace(cfg, class_counts=tuple(int(c) for c in class_counts))
     if cfg.kind == "cross_entropy":
         return BatchLoss(name=cfg.kind, core=_ce_core)
     if cfg.kind == "focal":
@@ -502,10 +385,11 @@ def gradient_check(
 ) -> GradCheckResult:
     """Compare analytical against central finite-difference gradients.
 
-    Each trial draws fresh logits (sd 3) and a label; losses that need
-    class counts get a fresh random histogram per trial as well, so the
-    check covers the count-dependent terms too. A config with pinned
-    class_counts fixes num_classes to the histogram's length.
+    Each trial draws fresh logits (sd 3) and a label, evaluated as a
+    one-row batch; losses that need class counts get a fresh random
+    histogram per trial as well, so the check covers the count-dependent
+    terms too. A config with pinned class_counts fixes num_classes to the
+    histogram's length.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
@@ -529,8 +413,9 @@ def gradient_check(
             counts = tuple(int(c) for c in rng.integers(1, 641, size=num_classes))
             batch = make_loss(cfg, class_counts=counts)
         assert batch is not None
-        out = batch.single(logits, label)
-        numeric = finite_difference_grad(lambda z, t: batch.single(z, t).value, logits, label, h=h)
-        worst = max(worst, relative_gradient_error(out.grad_logits, numeric))
-    name = "iwl" if isinstance(cfg, IwlConfig) else cfg.kind
-    return GradCheckResult(loss=name, trials=trials, max_rel_error=worst, threshold=threshold)
+        _, grads = batch.per_record(logits[None, :], [label])
+        numeric = finite_difference_grad(
+            lambda z, t: float(batch.per_record(z[None, :], [t])[0][0]), logits, label, h=h
+        )
+        worst = max(worst, relative_gradient_error(grads[0], numeric))
+    return GradCheckResult(loss=batch.name, trials=trials, max_rel_error=worst, threshold=threshold)

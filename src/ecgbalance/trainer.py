@@ -26,14 +26,7 @@ import numpy as np
 from .data import Dataset, EcgRecord, window_record
 from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, cme_pipeline
 from .errors import ConfigError, DimensionError, EmptyDataset
-from .losses import (
-    BaselineLossConfig,
-    BatchLoss,
-    IwlConfig,
-    LossConfig,
-    PredictionVector,
-    make_loss,
-)
+from .losses import BatchLoss, IwlConfig, LossConfig, make_loss
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -121,22 +114,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be nonnegative and batch_size positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-
-    @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
-        """The quick profile: 30 epochs, everything else at defaults."""
-        overrides.setdefault("epochs", 30)
-        return cls(**overrides)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        hidden = tuple(int(h) for h in self.hidden)
+        if any(h < 1 for h in hidden):
+            raise ConfigError(f"hidden layer sizes must be positive, got {hidden}")
+        object.__setattr__(self, "hidden", hidden)
 
 
 def init_model(
     input_dim: int,
     num_classes: int,
     encoder: EncoderSpec,
-    hidden: tuple[int, ...] = (64, 32),
+    hidden: tuple[int, ...] = TrainConfig.hidden,
     seed: int = 0,
     class_names: tuple[str, ...] = (),
     rng: Optional[np.random.Generator] = None,
@@ -170,15 +160,6 @@ def _forward_batch(m: ModelParams, x2d: np.ndarray):
     return acts, logits
 
 
-def forward(m: ModelParams, x) -> PredictionVector:
-    """Run one input vector through the network."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != m.input_dim:
-        raise DimensionError(f"input must be a vector of length {m.input_dim}, got shape {vec.shape}")
-    _, logits = _forward_batch(m, vec[None, :])
-    return PredictionVector.from_logits(logits[0])
-
-
 def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: BatchLoss):
     """Gradients of the batch-mean loss for every parameter.
 
@@ -198,17 +179,6 @@ def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: B
             delta = delta @ m.weights[layer].T
             delta = np.where(acts[layer] > 0.0, delta, 0.0)
     return w_grads, b_grads, mean_value
-
-
-def backward(m: ModelParams, x, y, loss) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-record parameter gradients; ``loss`` is a BatchLoss or config."""
-    batch = loss if isinstance(loss, BatchLoss) else make_loss(loss)
-    vec = np.asarray(x, dtype=np.float64)
-    from .losses import _label_index  # shared label validation
-
-    t = _label_index(y, m.num_classes)
-    w_grads, b_grads, _ = _backward_batch(m, vec[None, :], np.array([t]), batch)
-    return w_grads, b_grads
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +317,8 @@ def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
     if d_test.num_classes != m.num_classes:
         raise DimensionError(f"model has {m.num_classes} classes, dataset {d_test.num_classes}")
     x = featurize_dataset(d_test, m.encoder)
+    if x.shape[1] != m.input_dim:
+        raise DimensionError(f"model takes {m.input_dim} input features, the dataset gives {x.shape[1]}")
     labels = d_test.labels()
     _, logits = _forward_batch(m, x)
     preds = np.argmax(logits, axis=1)
@@ -387,15 +359,36 @@ def save_model(m: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """Read a file written by save_model; any damage raises ConfigError."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_MODEL_MAGIC):
         raise ConfigError(f"{path} is not a model file")
-    offset = len(_MODEL_MAGIC)
-    (hlen,) = struct.unpack("<Q", raw[offset : offset + 8])
-    offset += 8
-    header = json.loads(raw[offset : offset + hlen].decode())
+    offset = len(_MODEL_MAGIC) + 8
+    if len(raw) < offset:
+        raise ConfigError(f"{path} is too short to hold a model header")
+    (hlen,) = struct.unpack("<Q", raw[offset - 8 : offset])
+    try:
+        header = json.loads(raw[offset : offset + hlen].decode())
+        dims = [int(d) for d in header["layer_dims"]]
+        enc = header["encoder"]
+        encoder = EncoderSpec(
+            kind=enc["kind"],
+            height=enc["height"],
+            width=enc["width"],
+            skip=enc["skip"],
+            take=enc["take"],
+            raw_take=enc["raw_take"],
+            magnitude_mode=enc["magnitude_mode"],
+        )
+        class_names = tuple(header["class_names"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed model header ({exc!r})") from exc
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"{path}: layer dimensions {dims} do not describe a network")
     offset += hlen
-    dims = header["layer_dims"]
+    expected = 8 * sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+    if len(raw) - offset != expected:
+        raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw) - offset}")
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         n = d_in * d_out * 8
@@ -403,18 +396,6 @@ def load_model(path) -> ModelParams:
         offset += n
         biases.append(np.frombuffer(raw[offset : offset + d_out * 8], dtype="<f8").copy())
         offset += d_out * 8
-    enc = header["encoder"]
-    encoder = EncoderSpec(
-        kind=enc["kind"],
-        height=enc["height"],
-        width=enc["width"],
-        skip=enc["skip"],
-        take=enc["take"],
-        raw_take=enc["raw_take"],
-        magnitude_mode=enc["magnitude_mode"],
-    )
-    model = ModelParams(
-        weights=weights, biases=biases, encoder=encoder, class_names=tuple(header["class_names"])
-    )
+    model = ModelParams(weights=weights, biases=biases, encoder=encoder, class_names=class_names)
     model.validate()
     return model

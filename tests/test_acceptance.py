@@ -16,16 +16,17 @@ from mpmath import mp, mpf
 
 from ecgbalance import (
     BaselineLossConfig,
+    EncoderSpec,
     IwlConfig,
     SynthSpec,
+    TrainConfig,
     cme_factors,
-    cross_entropy,
     encode_image,
     gradient_check,
-    iwl_loss,
     iwl_point_value,
     iwl_weight,
     longtail_counts,
+    make_loss,
     resample,
 )
 from ecgbalance.cli import main
@@ -41,17 +42,18 @@ mp.dps = 60
 def test_criterion_1_iwl_ce_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    cfg = IwlConfig(beta=0.0)
+    iwl = make_loss(IwlConfig(beta=0.0))
+    ce = make_loss(BaselineLossConfig(kind="cross_entropy"))
     worst_value = 0.0
     worst_grad = 0.0
     for _ in range(1000):
         k = int(rng.integers(2, 13))
-        logits = rng.normal(0.0, 4.0, size=k)
-        label = int(rng.integers(k))
-        a = iwl_loss(logits, label, cfg)
-        b = cross_entropy(logits, label)
-        worst_value = max(worst_value, abs(a.value - b.value) / max(abs(b.value), 1e-300))
-        worst_grad = max(worst_grad, float(np.max(np.abs(a.grad_logits - b.grad_logits))))
+        logits = rng.normal(0.0, 4.0, size=k)[None, :]
+        label = [int(rng.integers(k))]
+        a_value, a_grad = iwl.per_record(logits, label)
+        b_value, b_grad = ce.per_record(logits, label)
+        worst_value = max(worst_value, abs(a_value[0] - b_value[0]) / max(abs(b_value[0]), 1e-300))
+        worst_grad = max(worst_grad, float(np.max(np.abs(a_grad - b_grad))))
     elapsed = time.perf_counter() - t0
     assert worst_value <= 1e-15
     assert worst_grad <= 1e-12
@@ -228,16 +230,14 @@ def test_criterion_7_directional_study():
         alphas=(0.01,),
         encodes=("cme", "raw"),
         seeds=(0, 1, 2, 3, 4),
-        epochs=30,
-        learning_rate=0.001,
-        batch_size=64,
-        hidden=(64, 32),
+        train=TrainConfig(
+            epochs=30,
+            learning_rate=0.001,
+            batch_size=64,
+            hidden=(64, 32),
+            encode=EncoderSpec(height=12, width=125, skip=166, take=832, raw_take=1000),
+        ),
         train_fraction=0.9,
-        image_height=12,
-        image_width=125,
-        window_skip=166,
-        window_take=832,
-        raw_take=1000,
         synth=synth,
     )
     cells = {

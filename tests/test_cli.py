@@ -1,10 +1,14 @@
+import argparse
+import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from ecgbalance import load_csv, load_model
-from ecgbalance.cli import main
+from ecgbalance import GRADCHECK_LOSSES, EncoderSpec, IwlConfig, TrainConfig, load_csv, load_model
+from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
+from ecgbalance.errors import ConfigError
 
 SYNTH_SPEC = """\
 classes = 3
@@ -51,6 +55,36 @@ TRAIN_FLAGS = [
 ]
 
 
+# Every subcommand's options and their defaults. A flag added, dropped or
+# given another default changes this table.
+CLI_OPTIONS = {
+    "synth": {"--spec": None, "--out": None, "--seed": None},
+    "analyze": {"--data": None, "--manifest": None, "--out": None},
+    "encode": {
+        "--data": None, "--manifest": None, "--record": None, "--height": 128, "--width": 128, "--skip": 500,
+        "--take": 2500, "--mode": "rms", "--no-equalize": False, "--format": "csv", "--out": None,
+    },
+    "resample": {"--data": None, "--manifest": None, "--alpha": None, "--no-resample": False, "--seed": 0, "--out": None},
+    "gradcheck": {
+        "--loss": "all", "--trials": 100, "--seed": 0, "--threshold": 0.0001, "--classes": 9, "--beta": 0.3,
+        "--epsilon": 1e-12, "--log-base": "e", "--stop-weight-gradient": False, "--gamma": 2.0, "--cb-beta": 0.999,
+        "--ldam-mu": 0.2, "--ldam-s": 20.0, "--out": None,
+    },
+    "train": {
+        "--data": None, "--manifest": None, "--out": None, "--log": None, "--epochs": 150, "--learning-rate": 0.001,
+        "--batch-size": 64, "--seed": 0, "--hidden": "64,32", "--train-fraction": 1.0, "--loss": "iwl",
+        "--beta": 0.3, "--epsilon": 1e-12, "--log-base": "e", "--stop-weight-gradient": False, "--gamma": 2.0,
+        "--cb-beta": 0.999, "--ldam-mu": 0.2, "--ldam-s": 20.0, "--encode": "cme", "--height": 128, "--width": 128,
+        "--skip": 500, "--take": 2500, "--raw-take": 3000, "--mode": "rms",
+    },
+    "eval": {
+        "--model": None, "--data": None, "--manifest": None, "--split": "all", "--train-fraction": 0.9,
+        "--split-seed": 0, "--out": None, "--confusion": None,
+    },
+    "experiment": {"--spec": None, "--out": None, "--jobs": 1},
+}
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -59,6 +93,13 @@ def data_dir(tmp_path_factory):
     out = root / "data"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def model_file(data_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    assert main(["train", "--data", str(data_dir), "--out", str(path)] + TRAIN_FLAGS) == 0
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +114,34 @@ def test_no_command_is_a_usage_error(capsys):
 def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["synth", "--bogus", "x"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_every_command_keeps_its_options_and_defaults():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        cmd: {opt: a.default for a in p._actions if a.dest != "help" for opt in a.option_strings}
+        for cmd, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
+
+
+def test_train_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "m"])
+    assert _train_config_from_args(args) == TrainConfig(loss=IwlConfig(), encode=EncoderSpec())
+
+
+def test_gradcheck_and_train_build_the_same_loss_configs():
+    parser = build_parser()
+    loss_flags = [
+        "--beta", "1.5", "--epsilon", "1e-6", "--log-base", "10", "--stop-weight-gradient",
+        "--gamma", "1", "--cb-beta", "0.9", "--ldam-mu", "0.4", "--ldam-s", "8",
+    ]
+    for flags in ([], loss_flags):
+        check = parser.parse_args(["gradcheck", *flags])
+        fit = parser.parse_args(["train", "--data", "d", "--out", "m", *flags])
+        for name in GRADCHECK_LOSSES:
+            assert _loss_config_from_args(check, name) == _loss_config_from_args(fit, name)
 
 
 def test_version_via_module_entry_point():
@@ -270,6 +339,38 @@ def test_eval_rejects_non_model_file(tmp_path, data_dir, capsys):
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"not a model")
     assert main(["eval", "--model", str(junk), "--data", str(data_dir)]) == 2
+
+
+def _damage_model(raw: bytes, damage: str) -> bytes:
+    if damage == "truncated":
+        return raw[:-5]
+    if damage == "trailing_bytes":
+        return raw + bytes(8)
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    if damage == "corrupt_header":
+        return raw[:16] + b"#" + raw[17:]
+    header = json.loads(raw[16 : 16 + hlen])
+    del header["encoder"]
+    blob = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing_bytes", "corrupt_header", "missing_header_key"])
+def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_damage_model(model_file.read_bytes(), damage))
+    with pytest.raises(ConfigError):
+        load_model(bad)
+    assert main(["eval", "--model", str(bad), "--data", str(data_dir)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])
+def test_train_rejects_unusable_config(tmp_path, data_dir, capsys, flags):
+    model_path = tmp_path / "m.bin"
+    assert main(["train", "--data", str(data_dir), "--out", str(model_path)] + TRAIN_FLAGS + flags) == 2
+    assert "error" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 def test_train_bad_loss_name(tmp_path, data_dir):

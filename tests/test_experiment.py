@@ -2,9 +2,11 @@ import re
 
 import pytest
 
-from ecgbalance import ExperimentSpec, parse_experiment_spec, run_experiment, write_results_csv
+from ecgbalance import EncoderSpec, ExperimentSpec, TrainConfig, parse_experiment_spec, run_experiment, write_results_csv
 from ecgbalance.errors import ConfigError, SpecError
 from ecgbalance.experiment import (
+    _GRID_KEYS,
+    _SCALAR_KEYS,
     RESULT_COLUMNS,
     CellKey,
     grid_cells,
@@ -82,8 +84,9 @@ def test_parse_spec_round_trip(tmp_path):
     assert spec.alphas == (None, 0.5)
     assert spec.encodes == ("cme", "raw")
     assert spec.seeds == (0, 1)
-    assert spec.epochs == 2
-    assert spec.hidden == (8,)
+    assert spec.train.epochs == 2
+    assert spec.train.hidden == (8,)
+    assert spec.train.encode == EncoderSpec(height=4, width=20, skip=0, take=80, raw_take=80)
     assert spec.train_fraction == 0.75
     assert spec.synth is not None
     assert spec.synth.n_classes == 3
@@ -99,9 +102,39 @@ def test_parse_spec_defaults(tmp_path):
     assert spec.betas == (0.3,)
     assert spec.alphas == (None,)
     assert spec.seeds == (0,)
-    assert spec.epochs == 30
-    assert spec.image_height == 128 and spec.image_width == 128
+    assert spec.train.epochs == 30
+    assert spec.train.encode.height == 128 and spec.train.encode.width == 128
+    assert spec.train == TrainConfig(epochs=30)
+    assert spec.loss_params == {}
     assert spec.synth.length == 3000
+
+
+def test_parse_spec_loss_params(tmp_path):
+    path = tmp_path / "loss.txt"
+    path.write_text("data.classes = 3\niwl.epsilon = 1e-9\nfocal.gamma = 1.5\ncb.beta = 0.99\nldam.mu = 0.3\nldam.s = 10\n")
+    spec = parse_experiment_spec(path)
+    assert spec.loss_params == {"epsilon": 1e-9, "gamma": 1.5, "cb_beta": 0.99, "ldam_mu": 0.3, "ldam_s": 10.0}
+
+
+def test_parse_spec_rejects_empty_spec(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing but a comment\n\n")
+    with pytest.raises(SpecError, match="no keys"):
+        parse_experiment_spec(path)
+
+
+def test_spec_key_set_is_unchanged():
+    keys = {
+        "loss", "beta", "alpha", "encode", "seeds",
+        "epochs", "learning_rate", "batch_size", "hidden", "train_fraction",
+        "image.height", "image.width", "window.skip", "window.take", "raw.take",
+        "iwl.epsilon", "focal.gamma", "cb.beta", "ldam.mu", "ldam.s",
+        "data.dir", "data.classes", "data.class_names", "data.counts", "data.head_count", "data.channels",
+        "data.length", "data.sample_rate", "data.noise_sd", "data.amplitude", "data.channel_gain",
+        "data.base_frequency", "data.frequency_spacing", "data.seed",
+    }
+    assert set(_GRID_KEYS) | set(_SCALAR_KEYS) == keys
+    assert len(_GRID_KEYS) + len(_SCALAR_KEYS) == len(keys)
 
 
 def test_parse_spec_rejects_unknown_key(tmp_path):

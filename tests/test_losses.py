@@ -6,27 +6,29 @@ import pytest
 from ecgbalance import (
     BaselineLossConfig,
     IwlConfig,
-    PredictionVector,
     canonical_loss_name,
-    class_balanced_loss,
-    cross_entropy,
     effective_number_weights,
     finite_difference_grad,
-    focal_loss,
     gradient_check,
-    iwl_loss,
     iwl_point_value,
     iwl_weight,
-    ldam_loss,
     ldam_margins,
+    loss_config,
     make_loss,
-    one_hot,
     relative_gradient_error,
     softmax,
 )
 from ecgbalance.errors import ConfigError, DimensionError
 
 RNG = np.random.default_rng(0)
+CE = BaselineLossConfig(kind="cross_entropy")
+
+
+def one_row(cfg, logits, label, class_counts=None):
+    """Value and logit gradient of one record, evaluated as a one-row batch."""
+    z = np.asarray(logits, dtype=np.float64)[None, :]
+    values, grads = make_loss(cfg, class_counts=class_counts).per_record(z, [label])
+    return float(values[0]), grads[0]
 
 
 # ---------------------------------------------------------------------------
@@ -56,35 +58,16 @@ def test_softmax_rows_independent():
         assert np.array_equal(batch[i], softmax(z[i]))
 
 
-def test_one_hot_bounds():
-    assert one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-    with pytest.raises(DimensionError):
-        one_hot(4, 4)
-
-
-def test_prediction_vector_consistency():
-    pv = PredictionVector.from_logits([0.5, -1.0, 2.0])
-    assert pv.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(np.log(pv.probs), pv.log_probs)
-    with pytest.raises(ConfigError):
-        PredictionVector.from_logits([np.inf, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # Cross-entropy
 
 
 def test_cross_entropy_value_and_gradient_formula():
     logits = np.array([1.0, -0.5, 0.2])
-    out = cross_entropy(logits, 0)
+    value, grad = one_row(CE, logits, 0)
     p = softmax(logits)
-    assert out.value == pytest.approx(-math.log(p[0]), rel=1e-14)
-    assert np.allclose(out.grad_logits, p - one_hot(0, 3), atol=1e-15)
-
-
-def test_cross_entropy_accepts_prediction_vector():
-    pv = PredictionVector.from_logits([0.3, 0.9])
-    assert cross_entropy(pv, 1).value == pytest.approx(cross_entropy([0.3, 0.9], 1).value, abs=0)
+    assert value == pytest.approx(-math.log(p[0]), rel=1e-14)
+    assert np.allclose(grad, p - np.eye(3)[0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +89,8 @@ def test_iwl_weight_and_value_oracle_beta_03():
 
 
 def test_iwl_logit_space_oracle():
-    out = iwl_loss(np.array([1.0, -0.5, 0.2]), 0, IwlConfig(beta=0.3))
-    assert out.value == pytest.approx(0.7016861027016875, rel=1e-14)
+    value, _ = one_row(IwlConfig(beta=0.3), [1.0, -0.5, 0.2], 0)
+    assert value == pytest.approx(0.7016861027016875, rel=1e-14)
 
 
 def test_iwl_base_ten_point_oracle():
@@ -135,10 +118,10 @@ def test_iwl_beta_zero_is_cross_entropy_exactly():
         k = int(RNG.integers(2, 12))
         logits = RNG.normal(0.0, 4.0, size=k)
         label = int(RNG.integers(k))
-        a = iwl_loss(logits, label, cfg)
-        b = cross_entropy(logits, label)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_logits, b.grad_logits)
+        a_value, a_grad = one_row(cfg, logits, label)
+        b_value, b_grad = one_row(CE, logits, label)
+        assert a_value == b_value
+        assert np.array_equal(a_grad, b_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +160,17 @@ def test_iwl_gradient_matches_finite_differences():
     for _ in range(30):
         logits = RNG.normal(0.0, 3.0, size=9)
         label = int(RNG.integers(9))
-        out = iwl_loss(logits, label, cfg)
-        num = finite_difference_grad(lambda z, t: iwl_loss(z, t, cfg).value, logits, label)
-        assert relative_gradient_error(out.grad_logits, num) < 1e-6
+        _, grad = one_row(cfg, logits, label)
+        num = finite_difference_grad(lambda z, t: one_row(cfg, z, t)[0], logits, label)
+        assert relative_gradient_error(grad, num) < 1e-6
 
 
 def test_iwl_gradient_finite_at_collapsed_probability():
     # The true-class probability underflows; the gradient must stay finite.
     logits = np.array([-800.0, 0.0, 0.0])
-    out = iwl_loss(logits, 0, IwlConfig(beta=0.3))
-    assert np.all(np.isfinite(out.grad_logits))
-    assert np.isfinite(out.value)
+    value, grad = one_row(IwlConfig(beta=0.3), logits, 0)
+    assert np.all(np.isfinite(grad))
+    assert np.isfinite(value)
 
 
 def test_iwl_stop_weight_gradient_scales_cross_entropy_gradient():
@@ -195,19 +178,19 @@ def test_iwl_stop_weight_gradient_scales_cross_entropy_gradient():
     for _ in range(50):
         logits = RNG.normal(0.0, 3.0, size=6)
         label = int(RNG.integers(6))
-        out = iwl_loss(logits, label, cfg)
-        ce = cross_entropy(logits, label)
+        _, grad = one_row(cfg, logits, label)
+        _, ce_grad = one_row(CE, logits, label)
         p = softmax(logits)[label]
         w = iwl_weight(p, cfg)
-        assert np.allclose(out.grad_logits, w * ce.grad_logits, rtol=1e-9, atol=1e-12)
+        assert np.allclose(grad, w * ce_grad, rtol=1e-9, atol=1e-12)
 
 
 def test_iwl_full_gradient_differs_from_stopped_gradient():
     logits = np.array([0.5, -0.2, 0.1])
-    full = iwl_loss(logits, 0, IwlConfig(beta=0.7))
-    stopped = iwl_loss(logits, 0, IwlConfig(beta=0.7, stop_weight_gradient=True))
-    assert full.value == stopped.value
-    assert not np.allclose(full.grad_logits, stopped.grad_logits)
+    full_value, full_grad = one_row(IwlConfig(beta=0.7), logits, 0)
+    stopped_value, stopped_grad = one_row(IwlConfig(beta=0.7, stop_weight_gradient=True), logits, 0)
+    assert full_value == stopped_value
+    assert not np.allclose(full_grad, stopped_grad)
 
 
 def test_iwl_base_ten_gradcheck():
@@ -220,33 +203,33 @@ def test_iwl_base_ten_gradcheck():
 
 
 def test_focal_point_oracle():
-    out = focal_loss(np.log(np.array([0.25, 0.75])), 0, gamma=2.0)
+    value, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), np.log(np.array([0.25, 0.75])), 0)
     # (1 - 0.25)**2 * (-ln 0.25)
-    assert out.value == pytest.approx(0.7797905781299385, rel=1e-13)
+    assert value == pytest.approx(0.7797905781299385, rel=1e-13)
 
 
 def test_focal_gamma_zero_is_cross_entropy():
     for _ in range(50):
         logits = RNG.normal(0.0, 3.0, size=5)
         label = int(RNG.integers(5))
-        a = focal_loss(logits, label, gamma=0.0)
-        b = cross_entropy(logits, label)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_logits, b.grad_logits)
+        a_value, a_grad = one_row(BaselineLossConfig(kind="focal", gamma=0.0), logits, label)
+        b_value, b_grad = one_row(CE, logits, label)
+        assert a_value == b_value
+        assert np.array_equal(a_grad, b_grad)
 
 
 def test_focal_gradient_finite_when_p_saturates():
     # p -> 1 drives (1-p)**(gamma-1) through a 0 * log(p) product.
     logits = np.array([200.0, 0.0, -50.0])
-    out = focal_loss(logits, 0, gamma=2.0)
-    assert np.all(np.isfinite(out.grad_logits))
-    assert out.value == 0.0
+    value, grad = one_row(BaselineLossConfig(kind="focal", gamma=2.0), logits, 0)
+    assert np.all(np.isfinite(grad))
+    assert value == 0.0
 
 
 def test_focal_downweights_easy_records():
-    easy = focal_loss(np.array([4.0, 0.0]), 0, gamma=2.0)
-    ce_easy = cross_entropy(np.array([4.0, 0.0]), 0)
-    assert easy.value < ce_easy.value
+    easy, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), [4.0, 0.0], 0)
+    ce_easy, _ = one_row(CE, [4.0, 0.0], 0)
+    assert easy < ce_easy
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +250,20 @@ def test_effective_number_weights_beta_zero_is_uniform():
 def test_class_balanced_scales_cross_entropy():
     logits = np.array([0.2, -1.0, 0.7])
     counts = (100, 10, 50)
-    out = class_balanced_loss(logits, 1, cb_beta=0.999, class_counts=counts)
-    base = cross_entropy(logits, 1)
+    value, grad = one_row(BaselineLossConfig(kind="class_balanced", cb_beta=0.999, class_counts=counts), logits, 1)
+    base_value, base_grad = one_row(CE, logits, 1)
     w = effective_number_weights(0.999, counts)[1]
-    assert out.value == pytest.approx(w * base.value, rel=1e-14)
-    assert np.allclose(out.grad_logits, w * base.grad_logits, rtol=1e-14)
+    assert value == pytest.approx(w * base_value, rel=1e-14)
+    assert np.allclose(grad, w * base_grad, rtol=1e-14)
 
 
 def test_class_balanced_focal_inner():
     logits = np.array([0.2, -1.0, 0.7])
     counts = (100, 10, 50)
-    out = class_balanced_loss(logits, 0, cb_beta=0.99, class_counts=counts, inner="focal", gamma=2.0)
+    value, _ = one_row(BaselineLossConfig(kind="cb_focal", cb_beta=0.99, gamma=2.0), logits, 0, class_counts=counts)
     w = effective_number_weights(0.99, counts)[0]
-    base = focal_loss(logits, 0, gamma=2.0)
-    assert out.value == pytest.approx(w * base.value, rel=1e-14)
+    base_value, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), logits, 0)
+    assert value == pytest.approx(w * base_value, rel=1e-14)
 
 
 def test_class_balanced_requires_counts_by_fit_time():
@@ -289,7 +272,7 @@ def test_class_balanced_requires_counts_by_fit_time():
     cfg = BaselineLossConfig(kind="class_balanced")
     with pytest.raises(ConfigError):
         make_loss(cfg)
-    assert np.isfinite(make_loss(cfg, class_counts=(100, 10)).single(np.array([0.1, 0.2]), 0).value)
+    assert np.isfinite(one_row(cfg, [0.1, 0.2], 0, class_counts=(100, 10))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +288,12 @@ def test_ldam_margin_oracle():
 def test_ldam_value_is_scaled_ce_on_shifted_logits():
     logits = np.array([1.0, 0.0, -0.5])
     counts = (640, 64, 10)
-    out = ldam_loss(logits, 2, mu=0.2, s=20.0, class_counts=counts)
+    value, _ = one_row(BaselineLossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0, class_counts=counts), logits, 2)
     margins = ldam_margins(0.2, counts)
     shifted = logits.copy()
     shifted[2] -= margins[2]
-    ref = cross_entropy(20.0 * shifted, 2)
-    assert out.value == pytest.approx(ref.value, rel=1e-14)
+    ref, _ = one_row(CE, 20.0 * shifted, 2)
+    assert value == pytest.approx(ref, rel=1e-14)
 
 
 def test_ldam_rare_class_gets_largest_margin():
@@ -342,9 +325,8 @@ def test_batch_labels_validated():
 
 
 def test_make_loss_fills_class_counts():
-    loss = make_loss(BaselineLossConfig(kind="ldam"), class_counts=[10, 20])
-    out = loss.single(np.array([0.1, -0.1]), 0)
-    assert np.isfinite(out.value)
+    value, _ = one_row(BaselineLossConfig(kind="ldam"), [0.1, -0.1], 0, class_counts=[10, 20])
+    assert np.isfinite(value)
 
 
 def test_loss_aliases():
@@ -353,6 +335,22 @@ def test_loss_aliases():
     assert canonical_loss_name("iwl") == "iwl"
     with pytest.raises(ConfigError):
         canonical_loss_name("hinge")
+
+
+def test_loss_config_passes_each_loss_only_its_own_params():
+    params = dict(beta=0.5, epsilon=1e-9, gamma=1.0, cb_beta=0.9, ldam_mu=0.3, ldam_s=10.0)
+    assert loss_config("iwl", **params) == IwlConfig(beta=0.5, epsilon=1e-9)
+    assert loss_config("ce", **params) == BaselineLossConfig(
+        kind="cross_entropy", gamma=1.0, cb_beta=0.9, ldam_mu=0.3, ldam_s=10.0
+    )
+    assert loss_config("CB") == BaselineLossConfig(kind="class_balanced")
+    assert loss_config("iwl") == IwlConfig()
+    with pytest.raises(ConfigError, match="betta"):
+        loss_config("iwl", betta=0.5)
+    with pytest.raises(ConfigError):
+        loss_config("hinge")
+    with pytest.raises(ConfigError):
+        loss_config("focal", gamma=-1.0)
 
 
 def test_config_validation():

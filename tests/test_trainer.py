@@ -9,14 +9,13 @@ from ecgbalance import (
     BaselineLossConfig,
     Dataset,
     EncoderSpec,
+    ExperimentSpec,
     IwlConfig,
     ModelParams,
     TrainConfig,
     adam_init,
     adam_step,
-    backward,
     evaluate,
-    forward,
     init_model,
     load_model,
     make_loss,
@@ -25,6 +24,7 @@ from ecgbalance import (
     train,
 )
 from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
+from ecgbalance.trainer import _backward_batch, _forward_batch, featurize_dataset
 
 SMALL_ENC = EncoderSpec(kind="cme", height=4, width=10, skip=0, take=60)
 RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
@@ -100,14 +100,15 @@ def test_forward_matches_manual_affine_chain():
     x = np.array([0.5, -1.0, 2.0])
     hiddenv = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
     logits = hiddenv @ m.weights[1] + m.biases[1]
-    pv = forward(m, x)
-    assert np.array_equal(pv.logits, logits)
+    _, batch_logits = _forward_batch(m, x[None, :])
+    assert np.array_equal(batch_logits[0], logits)
 
 
 def test_forward_rejects_wrong_width():
-    m = init_model(3, 2, SMALL_ENC, hidden=(4,), seed=2)
+    # The raw encoder gives 2 x 60 features per record; the model takes 5.
+    m = init_model(5, 3, RAW_ENC, hidden=(4,), seed=2)
     with pytest.raises(DimensionError):
-        forward(m, np.zeros(5))
+        evaluate(m, tiny_dataset())
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +118,13 @@ def test_forward_rejects_wrong_width():
 def test_backward_matches_finite_differences():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), seed=3)
     loss = make_loss(IwlConfig(beta=0.3))
-    x = np.array([0.8, -0.3, 1.5])
-    y = 1
-    w_grads, b_grads = backward(m, x, y, loss)
+    x = np.array([[0.8, -0.3, 1.5]])
+    y = np.array([1])
+    w_grads, b_grads, _ = _backward_batch(m, x, y, loss)
     h = 1e-6
 
     def value() -> float:
-        return loss.single(forward(m, x), y).value
+        return loss.mean(_forward_batch(m, x)[1], y)[0]
 
     for layer, wg in enumerate(w_grads):
         for i in range(wg.shape[0]):
@@ -148,10 +149,11 @@ def test_backward_matches_finite_differences():
 
 def test_backward_accepts_config_and_validates_label():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), seed=3)
-    w_grads, _ = backward(m, np.ones(3), 0, IwlConfig(beta=0.3))
+    loss = make_loss(IwlConfig(beta=0.3))
+    w_grads, _, _ = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss)
     assert len(w_grads) == 2
     with pytest.raises(DimensionError):
-        backward(m, np.ones(3), 3, IwlConfig(beta=0.3))
+        _backward_batch(m, np.ones((1, 3)), np.array([3]), loss)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +283,21 @@ def test_train_config_validation():
         small_config(batch_size=0)
     with pytest.raises(ConfigError):
         small_config(learning_rate=-0.1)
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            small_config(learning_rate=lr)
+    for hidden in ((0,), (8, 0), (-1,)):
+        with pytest.raises(ConfigError):
+            small_config(hidden=hidden)
+    assert small_config(hidden=()).hidden == ()
 
 
 def test_desk_profile():
-    cfg = TrainConfig.desk()
+    # The quick profile is the experiment default: 30 epochs, the rest as TrainConfig.
+    cfg = ExperimentSpec.train
     assert cfg.epochs == 30
     assert cfg.learning_rate == 0.001
-    assert TrainConfig.desk(epochs=5).epochs == 5
+    assert cfg == TrainConfig(epochs=30)
     assert TrainConfig().epochs == 150
 
 
@@ -361,8 +371,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.encoder == m.encoder
     assert back.class_names == m.class_names
     # The reloaded model predicts identically.
-    r = d.records[0]
-    assert np.array_equal(forward(m, SMALL_ENC.featurize(r)).logits, forward(back, SMALL_ENC.featurize(r)).logits)
+    x = featurize_dataset(d, SMALL_ENC)
+    assert np.array_equal(_forward_batch(m, x)[1], _forward_batch(back, x)[1])
 
 
 def test_save_is_byte_deterministic(tmp_path):
