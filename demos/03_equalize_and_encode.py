@@ -9,7 +9,7 @@ overshoots, which is why inputs are expected at roughly unit scale.
 
 import numpy as np
 
-from ecgbalance import SynthSpec, cme_factors, cme_pipeline, generate_synthetic, scale_channels, window_record
+from ecgbalance import SynthSpec, cme_factors, featurize_records, generate_synthetic, window_record
 
 spec = SynthSpec(
     n_classes=3,
@@ -27,17 +27,17 @@ r = generate_synthetic(spec).records[0]
 w = window_record(r, skip=500, take=2500)
 factors = cme_factors(w)
 # Mean factor rescaled to 1 so before/after RMS are comparable.
-scaled = scale_channels(w, factors.k * len(factors.k))
+scaled = w.channels * (factors * len(factors))[:, None]
 
 rms_before = np.sqrt(np.mean(w.channels**2, axis=1))
-rms_after = np.sqrt(np.mean(scaled.channels**2, axis=1))
+rms_after = np.sqrt(np.mean(scaled**2, axis=1))
 print("channel   rms before   factor      rms after")
 for c in range(w.channels.shape[0]):
-    print(f"  ch{c}     {rms_before[c]:9.4f}   {factors.k[c]:.6f}   {rms_after[c]:9.4f}")
-print(f"\nfactor sum: {factors.k.sum():.15f}")
+    print(f"  ch{c}     {rms_before[c]:9.4f}   {factors[c]:.6f}   {rms_after[c]:9.4f}")
+print(f"\nfactor sum: {factors.sum():.15f}")
 print(f"loud/quiet RMS ratio: {rms_before.max() / rms_before.min():.1f}x before, "
       f"{rms_after.max() / rms_after.min():.1f}x after")
 
-img = cme_pipeline(r, height=12, width=125, skip=500, take=2500)
-print(f"\nencoded image: {img.pixels.shape[0]} x {img.pixels.shape[1]}, "
-      f"value range [{img.pixels.min():.3f}, {img.pixels.max():.3f}]")
+img = featurize_records([r], height=12, width=125, skip=500, take=2500)[0]
+print(f"\nencoded image: {img.shape[0]} x {img.shape[1]}, "
+      f"value range [{img.min():.3f}, {img.max():.3f}]")

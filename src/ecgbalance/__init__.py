@@ -26,15 +26,12 @@ from .data import (
 )
 from .equalizer import (
     ChannelMagnitudeStats,
-    ChannelScaleFactors,
-    EncodedImage,
     channel_stats,
     cme_factors,
-    cme_pipeline,
     encode_image,
+    featurize_records,
     read_image_csv,
     read_image_raw,
-    scale_channels,
     write_image_csv,
     write_image_raw,
 )

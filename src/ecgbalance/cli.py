@@ -24,11 +24,10 @@ from .data import (
     write_csv_dataset,
 )
 from .equalizer import (
+    BLOCK_RECORDS,
     MAGNITUDE_MODES,
     channel_stats,
-    cme_pipeline,
-    encode_image,
-    window_record,
+    featurize_records,
     write_image_csv,
     write_image_raw,
     write_stats_csv,
@@ -195,15 +194,16 @@ def _cmd_encode(args) -> int:
         records = tuple(r for r in records if r.record_id == args.record)
         if not records:
             raise _UsageError(f"record {args.record!r} not found in {args.data}")
-    for r in records:
-        if args.no_equalize:
-            img = encode_image(window_record(r, args.skip, args.take), args.height, args.width)
-        else:
-            img = cme_pipeline(r, args.height, args.width, skip=args.skip, take=args.take, mode=args.mode)
-        if args.format in ("csv", "both"):
-            write_image_csv(img, out / f"{r.record_id}.csv")
-        if args.format in ("raw", "both"):
-            write_image_raw(img, out / f"{r.record_id}.f64")
+    for start in range(0, len(records), BLOCK_RECORDS):
+        block = records[start : start + BLOCK_RECORDS]
+        images = featurize_records(
+            block, args.height, args.width, args.skip, args.take, args.mode, equalize=not args.no_equalize
+        )
+        for r, img in zip(block, images):
+            if args.format in ("csv", "both"):
+                write_image_csv(img, out / f"{r.record_id}.csv")
+            if args.format in ("raw", "both"):
+                write_image_raw(img, out / f"{r.record_id}.f64")
     print(f"encoded {len(records)} records at {args.height}x{args.width} into {out}")
     return 0
 

@@ -384,14 +384,26 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 # Windowing and splitting
 
 
-def window_record(r: EcgRecord, skip: int, take: int) -> EcgRecord:
-    """Return samples ``[skip, skip + take)`` of every channel."""
+def _check_window(r: EcgRecord, skip: int, take: int) -> None:
     if skip < 0 or take < 1 or skip + take > r.length:
         raise WindowOutOfRange(
             f"window [{skip}, {skip + take}) does not fit in record {r.record_id!r} of length {r.length}"
         )
+
+
+def window_record(r: EcgRecord, skip: int, take: int) -> EcgRecord:
+    """Return samples ``[skip, skip + take)`` of every channel."""
+    _check_window(r, skip, take)
     segment = r.channels[:, skip : skip + take]
     return EcgRecord(channels=segment, sample_rate=r.sample_rate, label=r.label, record_id=r.record_id)
+
+
+def window_records(records: Sequence[EcgRecord], skip: int, take: int) -> np.ndarray:
+    """Samples ``[skip, skip + take)`` of every record as one writable
+    (records, channels, take) array. The records must share a channel count."""
+    for r in records:
+        _check_window(r, skip, take)
+    return np.stack([r.channels[:, skip : skip + take] for r in records])
 
 
 def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -6,7 +6,9 @@ over the negated channel magnitude statistic, so quiet channels are boosted
 relative to loud ones while the factors stay positive and sum to one. The
 scaled record is then interpolated onto a fixed-size image grid so a
 classifier sees a uniform input shape regardless of record length or
-channel count.
+channel count. :func:`featurize_records` is the one implementation of
+that chain and runs it over blocks of records; :func:`cme_factors` and
+:func:`encode_image` are its steps applied to a single record.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, EcgRecord, window_record
+from .data import Dataset, EcgRecord, window_records
 from .errors import DimensionError, EmptyDataset, EncodeError, SpecError
 
 MAGNITUDE_MODES = ("rms", "l2")
@@ -26,12 +29,15 @@ MAGNITUDE_MODES = ("rms", "l2")
 CANONICAL_SKIP = 500
 CANONICAL_TAKE = 2500
 
+# Records featurized per block: bounds the window and image temporaries.
+BLOCK_RECORDS = 64
+
 
 def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
     if mode == "rms":
-        return np.sqrt(np.mean(channels * channels, axis=1))
+        return np.sqrt(np.mean(channels * channels, axis=-1))
     if mode == "l2":
-        return np.sqrt(np.sum(channels * channels, axis=1))
+        return np.sqrt(np.sum(channels * channels, axis=-1))
     raise SpecError(f"unknown magnitude mode {mode!r}; expected one of {MAGNITUDE_MODES}")
 
 
@@ -90,29 +96,79 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
     )
 
 
-@dataclass(frozen=True)
-class ChannelScaleFactors:
-    """Positive per-channel factors summing to one."""
-
-    k: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.k, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "k", arr)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionError(f"scale factors must be a 1-D vector, got shape {arr.shape}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise SpecError("scale factors must be finite and nonnegative")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise SpecError("scale factors must sum to one")
-
-    def __len__(self) -> int:
-        return self.k.size
+def _factors(windows: np.ndarray, mode: str) -> np.ndarray:
+    """(n, C) factors for (n, C, T) windows: a softmax over each row's
+    negated channel magnitudes, normalized by an exactly rounded sum."""
+    neg = -_channel_magnitude(windows, mode)
+    weights = np.exp(neg - neg.max(axis=1, keepdims=True))
+    totals = np.array([math.fsum(row) for row in weights.tolist()])
+    k = weights / totals[:, None]
+    if not np.all(np.isfinite(k)):
+        raise SpecError("scale factors must be finite and nonnegative")
+    return k
 
 
-def cme_factors(r: EcgRecord, mode: str = "rms") -> ChannelScaleFactors:
-    """Softmax over negated channel magnitudes.
+def _encode(windows: np.ndarray, height: int, width: int, record_id: str) -> np.ndarray:
+    """(n, height, width) images of (n, C, T) windows.
+
+    Time is resampled by a two-tap gather that computes exactly what
+    ``np.interp`` does on the sample axis ``0 .. T-1``; channels are then
+    mixed onto ``height`` rows the same way.
+    """
+    n_channels, length = windows.shape[1:]
+    if length < 2:
+        raise EncodeError(f"record {record_id!r} is too short to interpolate (length {length})")
+    if height < n_channels:
+        raise EncodeError(f"height {height} is smaller than the channel count {n_channels}")
+    if width < 1:
+        raise EncodeError(f"width must be positive, got {width}")
+    pos = np.linspace(0.0, length - 1.0, width)
+    lo = np.minimum(pos.astype(np.int64), length - 2)
+    left = windows[:, :, lo]
+    rows = (windows[:, :, lo + 1] - left) * (pos - lo) + left
+    rows[:, :, pos == length - 1.0] = windows[:, :, -1:]
+    if n_channels == 1:
+        pixels = np.repeat(rows, height, axis=1)
+    else:
+        pos = np.linspace(0.0, n_channels - 1.0, height)
+        lo = np.minimum(pos.astype(np.int64), n_channels - 2)
+        frac = (pos - lo)[:, None]
+        pixels = (1.0 - frac) * rows[:, lo] + frac * rows[:, lo + 1]
+    if not np.all(np.isfinite(pixels)):
+        raise EncodeError("image contains non-finite pixels")
+    return pixels
+
+
+def featurize_records(
+    records: Sequence[EcgRecord],
+    height: int,
+    width: int,
+    skip: int = CANONICAL_SKIP,
+    take: int = CANONICAL_TAKE,
+    mode: str = "rms",
+    equalize: bool = True,
+) -> np.ndarray:
+    """window -> factors -> scale -> encode for every record: (n, height, width).
+
+    Records go through in blocks of ``BLOCK_RECORDS``, each written into one
+    preallocated output, so temporaries stay at block size. ``equalize``
+    False skips the factors. ``records`` must be nonempty and share a
+    channel count.
+    """
+    out = None
+    for start in range(0, len(records), BLOCK_RECORDS):
+        windows = window_records(records[start : start + BLOCK_RECORDS], skip, take)
+        if equalize:
+            windows *= _factors(windows, mode)[:, :, None]
+        images = _encode(windows, height, width, records[start].record_id)
+        if out is None:  # after the first block's checks, so a bad grid is an EncodeError
+            out = np.empty((len(records), height, width))
+        out[start : start + len(images)] = images
+    return out
+
+
+def cme_factors(r: EcgRecord, mode: str = "rms") -> np.ndarray:
+    """Softmax over negated channel magnitudes: positive factors summing to one.
 
     ``mode`` picks the magnitude statistic: per-channel RMS (default, length
     independent) or the raw L2 norm. Raw norms grow with record length and
@@ -123,54 +179,10 @@ def cme_factors(r: EcgRecord, mode: str = "rms") -> ChannelScaleFactors:
     The denominator is an exactly rounded float sum, so the factors are
     invariant under channel permutation, not merely close.
     """
-    g = _channel_magnitude(r.channels, mode)
-    shifted = -g - (-g).max()
-    weights = np.exp(shifted)
-    total = math.fsum(weights.tolist())
-    return ChannelScaleFactors(k=weights / total)
+    return _factors(r.channels[None], mode)[0]
 
 
-def scale_channels(r: EcgRecord, k) -> EcgRecord:
-    """Multiply channel ``c`` of ``r`` by ``k[c]``."""
-    factors = k.k if isinstance(k, ChannelScaleFactors) else np.asarray(k, dtype=np.float64)
-    if factors.shape != (r.num_channels,):
-        raise DimensionError(
-            f"got {factors.shape[0] if factors.ndim == 1 else factors.shape} factors for {r.num_channels} channels"
-        )
-    return EcgRecord(
-        channels=r.channels * factors[:, None],
-        sample_rate=r.sample_rate,
-        label=r.label,
-        record_id=r.record_id,
-    )
-
-
-@dataclass(frozen=True)
-class EncodedImage:
-    """A (height, width) float64 image interpolated from one record."""
-
-    pixels: np.ndarray
-    source_id: str = ""
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
-        if arr.ndim != 2:
-            raise EncodeError(f"image must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise EncodeError("image contains non-finite pixels")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-def encode_image(r: EcgRecord, height: int, width: int) -> EncodedImage:
+def encode_image(r: EcgRecord, height: int, width: int) -> np.ndarray:
     """Piecewise-linear resample of a record onto a (height, width) grid.
 
     Stage one interpolates each channel along time onto ``width`` points;
@@ -179,41 +191,7 @@ def encode_image(r: EcgRecord, height: int, width: int) -> EncodedImage:
     image reproduces the record exactly, and every pixel stays inside the
     per-stage convex hull of its neighbours (no overshoot).
     """
-    n_channels, length = r.channels.shape
-    if length < 2:
-        raise EncodeError(f"record {r.record_id!r} is too short to interpolate (length {length})")
-    if height < n_channels:
-        raise EncodeError(f"height {height} is smaller than the channel count {n_channels}")
-    if width < 1:
-        raise EncodeError(f"width must be positive, got {width}")
-    xs = np.linspace(0.0, length - 1.0, width)
-    sample_axis = np.arange(length, dtype=np.float64)
-    rows = np.empty((n_channels, width))
-    for c in range(n_channels):
-        rows[c] = np.interp(xs, sample_axis, r.channels[c])
-    if n_channels == 1:
-        pixels = np.repeat(rows, height, axis=0)
-    else:
-        pos = np.linspace(0.0, n_channels - 1.0, height)
-        lo = np.minimum(pos.astype(np.int64), n_channels - 2)
-        frac = (pos - lo)[:, None]
-        pixels = (1.0 - frac) * rows[lo] + frac * rows[lo + 1]
-    return EncodedImage(pixels=pixels, source_id=r.record_id)
-
-
-def cme_pipeline(
-    r: EcgRecord,
-    height: int,
-    width: int,
-    skip: int = CANONICAL_SKIP,
-    take: int = CANONICAL_TAKE,
-    mode: str = "rms",
-) -> EncodedImage:
-    """window -> factors -> scale -> encode, composed exactly in that order."""
-    windowed = window_record(r, skip, take)
-    factors = cme_factors(windowed, mode=mode)
-    scaled = scale_channels(windowed, factors)
-    return encode_image(scaled, height, width)
+    return _encode(r.channels[None], height, width, r.record_id)[0]
 
 
 def write_stats_csv(stats: ChannelMagnitudeStats, class_names, path) -> None:
@@ -238,10 +216,10 @@ def write_stats_csv(stats: ChannelMagnitudeStats, class_names, path) -> None:
 # Image export: a text form for inspection and a raw form for exact exchange
 
 
-def write_image_csv(img: EncodedImage, path) -> None:
+def write_image_csv(pixels: np.ndarray, path) -> None:
     """Rows of comma-separated shortest round-trip decimals."""
     with open(path, "w") as fh:
-        for row in img.pixels.tolist():
+        for row in pixels.tolist():
             fh.write(",".join(repr(v) for v in row))
             fh.write("\n")
 
@@ -251,12 +229,12 @@ def read_image_csv(path) -> np.ndarray:
     return out
 
 
-def write_image_raw(img: EncodedImage, path) -> None:
+def write_image_raw(pixels: np.ndarray, path) -> None:
     """16-byte header (height, width as little-endian uint64), then
     row-major little-endian float64 pixels. Byte-exact round trip."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", img.height, img.width))
-        fh.write(np.ascontiguousarray(img.pixels, dtype="<f8").tobytes())
+        fh.write(struct.pack("<QQ", *pixels.shape))
+        fh.write(np.ascontiguousarray(pixels, dtype="<f8").tobytes())
 
 
 def read_image_raw(path) -> np.ndarray:

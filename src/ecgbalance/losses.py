@@ -414,8 +414,13 @@ def gradient_check(
             batch = make_loss(cfg, class_counts=counts)
         assert batch is not None
         _, grads = batch.per_record(logits[None, :], [label])
-        numeric = finite_difference_grad(
-            lambda z, t: float(batch.per_record(z[None, :], [t])[0][0]), logits, label, h=h
-        )
+        if getattr(cfg, "stop_weight_gradient", False):
+            # The analytic gradient holds the weight constant, so difference
+            # the weight at this trial point times the (base-b) cross-entropy.
+            w0 = float(iwl_weight(softmax(logits)[label], cfg))
+            loss_fn = lambda z, t: w0 * float(-_log_softmax(z[None, :])[0, t]) / cfg._ln_base
+        else:
+            loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
+        numeric = finite_difference_grad(loss_fn, logits, label, h=h)
         worst = max(worst, relative_gradient_error(grads[0], numeric))
     return GradCheckResult(loss=batch.name, trials=trials, max_rel_error=worst, threshold=threshold)

@@ -7,9 +7,9 @@ shuffling, and batch order are pure functions of the config, so two runs
 with the same inputs produce bit-identical parameter trajectories.
 
 Records enter the network through an :class:`EncoderSpec`, either the CME
-image pipeline (window, equalize, encode, flatten) or the flattened raw
-window, so a trained model carries everything needed to featurize new
-records at evaluation time.
+image (window, equalize, encode, flatten) or the flattened raw window, so
+a trained model carries everything needed to featurize new records at
+evaluation time.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, EcgRecord, window_record
-from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, cme_pipeline
+from .data import Dataset, window_records
+from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
 from .losses import BatchLoss, IwlConfig, LossConfig, make_loss
 
@@ -43,7 +43,8 @@ class EncoderSpec:
 
     kind "cme": window (skip, take), equalize channel magnitudes, encode to
     a (height, width) image, flatten. kind "raw": window (0, raw_take) and
-    flatten; raw_take None means the whole record.
+    flatten; raw_take None means the whole record, so every record must
+    then have one length.
     """
 
     kind: str = "cme"
@@ -57,19 +58,6 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in ENCODE_KINDS:
             raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
-
-    def featurize(self, r: EcgRecord) -> np.ndarray:
-        if self.kind == "cme":
-            img = cme_pipeline(r, self.height, self.width, skip=self.skip, take=self.take, mode=self.magnitude_mode)
-            return img.pixels.ravel()
-        take = r.length if self.raw_take is None else self.raw_take
-        return window_record(r, 0, take).channels.ravel()
-
-    def feature_dim(self, num_channels: int, record_length: int) -> int:
-        if self.kind == "cme":
-            return self.height * self.width
-        take = record_length if self.raw_take is None else self.raw_take
-        return num_channels * take
 
 
 @dataclass
@@ -226,9 +214,19 @@ def adam_step(model: ModelParams, state: AdamState, w_grads, b_grads, lr: float)
 
 
 def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
+    """The network input of every record, one row each."""
     if len(d) == 0:
         raise EmptyDataset("no records to featurize")
-    return np.stack([encoder.featurize(r) for r in d.records])
+    if encoder.kind == "cme":
+        x = featurize_records(
+            d.records, encoder.height, encoder.width, encoder.skip, encoder.take, encoder.magnitude_mode
+        )
+    else:
+        lengths = {r.length for r in d.records}
+        if encoder.raw_take is None and len(lengths) > 1:
+            raise DimensionError(f"raw encoding of whole records needs one length, got {min(lengths)}-{max(lengths)}")
+        x = window_records(d.records, 0, max(lengths) if encoder.raw_take is None else encoder.raw_take)
+    return x.reshape(len(d), -1)
 
 
 def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]:
@@ -236,7 +234,8 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
 
     Deterministic given (d_train, cfg): the seed drives parameter init and
     the per-epoch shuffle, batches are taken in shuffled order, and the
-    loss reduction is order-exact.
+    loss reduction is order-exact. A non-finite batch loss stops training
+    with a ConfigError naming the epoch and batch, both counted from 0.
     """
     if len(d_train) == 0:
         raise ConfigError("training dataset is empty")
@@ -257,12 +256,14 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
     state = adam_init(model)
     n = x.shape[0]
     log: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             w_grads, b_grads, value = _backward_batch(model, x[idx], labels[idx], loss)
+            if not math.isfinite(value):
+                raise ConfigError(f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam_step(model, state, w_grads, b_grads, cfg.learning_rate)
             epoch_sum += value * idx.size
         log.append(epoch_sum / n)

@@ -1,12 +1,23 @@
 import argparse
 import json
+import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import dataset_from_arrays
 
-from ecgbalance import GRADCHECK_LOSSES, EncoderSpec, IwlConfig, TrainConfig, load_csv, load_model
+from ecgbalance import (
+    GRADCHECK_LOSSES,
+    EncoderSpec,
+    IwlConfig,
+    TrainConfig,
+    load_csv,
+    load_model,
+    write_csv_dataset,
+)
 from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
 from ecgbalance.errors import ConfigError
 
@@ -131,17 +142,30 @@ def test_train_defaults_are_the_config_defaults():
     assert _train_config_from_args(args) == TrainConfig(loss=IwlConfig(), encode=EncoderSpec())
 
 
+# Every loss flag set away from its default.
+LOSS_FLAGS = [
+    "--beta", "1.5", "--epsilon", "1e-6", "--log-base", "10", "--stop-weight-gradient",
+    "--gamma", "1", "--cb-beta", "0.9", "--ldam-mu", "0.4", "--ldam-s", "8",
+]
+
+
 def test_gradcheck_and_train_build_the_same_loss_configs():
     parser = build_parser()
-    loss_flags = [
-        "--beta", "1.5", "--epsilon", "1e-6", "--log-base", "10", "--stop-weight-gradient",
-        "--gamma", "1", "--cb-beta", "0.9", "--ldam-mu", "0.4", "--ldam-s", "8",
-    ]
-    for flags in ([], loss_flags):
+    for flags in ([], LOSS_FLAGS):
         check = parser.parse_args(["gradcheck", *flags])
         fit = parser.parse_args(["train", "--data", "d", "--out", "m", *flags])
         for name in GRADCHECK_LOSSES:
             assert _loss_config_from_args(check, name) == _loss_config_from_args(fit, name)
+
+
+def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
+    # Includes a stopped IWL weight at beta 1.5, log base 10: the oracle
+    # differences the loss with the weight held at its trial-point value.
+    report = tmp_path / "gc.csv"
+    assert main(["gradcheck", "--trials", "50", "--out", str(report), *LOSS_FLAGS]) == 0
+    rows = report.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == list(GRADCHECK_LOSSES)
+    assert all(float(r.split(",")[2]) < 1e-4 for r in rows)
 
 
 def test_version_via_module_entry_point():
@@ -233,6 +257,39 @@ def test_encode_single_record_and_no_equalize(tmp_path, data_dir):
     args = ["encode", "--data", str(data_dir), "--out", str(out), "--height", "4", "--width", "10", "--skip", "0", "--take", "80", "--record", record_id, "--no-equalize"]
     assert main(args) == 0
     assert [p.name for p in out.iterdir()] == [f"{record_id}.csv"]
+
+
+def write_array_dataset(path, arrays, labels):
+    write_csv_dataset(dataset_from_arrays(arrays, labels, ("a", "b", "c")), path)
+    return path
+
+
+def test_all_overflow_record_is_a_data_error(tmp_path, capsys):
+    # Every channel's x*x overflows, so the magnitudes and the factors are not finite.
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(2, 80)) for _ in range(5)] + [np.full((2, 80), 1e200)]
+    data = write_array_dataset(tmp_path / "loud", arrays, [0, 1, 2, 0, 1, 2])
+    flags = ["--height", "4", "--width", "10", "--skip", "0", "--take", "80"]
+    assert main(["encode", "--data", str(data), "--out", str(tmp_path / "img"), *flags]) == 2
+    assert "scale factors must be finite" in capsys.readouterr().err
+    model_path = tmp_path / "m.bin"
+    assert main(["train", "--data", str(data), "--out", str(model_path), *TRAIN_FLAGS]) == 2
+    assert "scale factors must be finite" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_ragged_csv_dataset_trains_and_evaluates_under_cme(tmp_path):
+    rng = np.random.default_rng(1)
+    lengths = rng.integers(700, 851, size=12)
+    arrays = [rng.normal(size=(3, int(n))) * np.array([[1.0], [0.1], [5.0]]) for n in lengths]
+    data = write_array_dataset(tmp_path / "ragged", arrays, [i % 3 for i in range(12)])
+    assert len({r.length for r in load_csv(data).records}) > 1
+    model_path = tmp_path / "m.bin"
+    flags = ["--epochs", "2", "--hidden", "8", "--height", "4", "--width", "20", "--skip", "50", "--take", "600"]
+    assert main(["train", "--data", str(data), "--out", str(model_path), *flags]) == 0
+    assert main(["eval", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["encode", "--data", str(data), "--out", str(tmp_path / "img"), *flags[4:]]) == 0
+    assert len(list((tmp_path / "img").glob("*.csv"))) == 12
 
 
 def test_encode_unknown_record(tmp_path, data_dir, capsys):
@@ -371,6 +428,16 @@ def test_train_rejects_unusable_config(tmp_path, data_dir, capsys, flags):
     assert main(["train", "--data", str(data_dir), "--out", str(model_path)] + TRAIN_FLAGS + flags) == 2
     assert "error" in capsys.readouterr().err
     assert not model_path.exists()
+
+
+def test_train_stops_at_the_first_non_finite_loss(tmp_path, data_dir, capsys):
+    model_path = tmp_path / "m.bin"
+    log_path = tmp_path / "log.csv"
+    args = ["train", "--data", str(data_dir), "--out", str(model_path), "--log", str(log_path)]
+    assert main(args + TRAIN_FLAGS + ["--learning-rate", "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"non-finite training loss at epoch \d+, batch \d+", err), err
+    assert not model_path.exists() and not log_path.exists()
 
 
 def test_train_bad_loss_name(tmp_path, data_dir):

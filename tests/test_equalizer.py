@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from ecgbalance import (
+    Dataset,
+    EcgRecord,
+    EncoderSpec,
     channel_stats,
     cme_factors,
-    cme_pipeline,
     encode_image,
-    scale_channels,
+    featurize_records,
     window_record,
 )
 from ecgbalance.equalizer import (
@@ -19,7 +21,8 @@ from ecgbalance.equalizer import (
     write_image_raw,
     write_stats_csv,
 )
-from ecgbalance.errors import DimensionError, EmptyDataset, EncodeError, SpecError
+from ecgbalance.errors import EmptyDataset, EncodeError, SpecError, WindowOutOfRange
+from ecgbalance.trainer import featurize_dataset
 
 from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset
 
@@ -101,26 +104,26 @@ def test_stats_csv_lists_every_channel(tmp_path):
 
 def test_factors_equal_magnitudes_are_uniform():
     r = make_record(np.ones((4, 10)))
-    k = cme_factors(r).k
+    k = cme_factors(r)
     assert np.array_equal(k, np.full(4, 0.25))
 
 
 def test_factors_two_channel_softmax_oracle():
     # RMS magnitudes exactly 1 and 2; softmax(-g) of [1, 2].
     r = make_record(np.vstack([np.ones(16), 2.0 * np.ones(16)]))
-    k = cme_factors(r).k
+    k = cme_factors(r)
     assert k[0] == pytest.approx(0.7310585786300049, abs=1e-15)
     assert k[1] == pytest.approx(0.2689414213699951, abs=1e-15)
 
 
 def test_factors_all_zero_record_is_uniform():
     r = make_record(np.zeros((12, 30)))
-    assert np.array_equal(cme_factors(r).k, np.full(12, 1.0 / 12.0))
+    assert np.array_equal(cme_factors(r), np.full(12, 1.0 / 12.0))
 
 
 def test_factors_survive_extreme_magnitudes():
     r = make_record(np.vstack([np.full(8, 1e6), np.full(8, 1e-6), np.zeros(8)]))
-    k = cme_factors(r).k
+    k = cme_factors(r)
     assert np.all(np.isfinite(k))
     assert math.fsum(k.tolist()) == pytest.approx(1.0, abs=1e-12)
     assert k[0] < k[1] < k[2]
@@ -129,10 +132,10 @@ def test_factors_survive_extreme_magnitudes():
 def test_factors_sum_permutation_and_antimonotone(rng):
     for _ in range(300):
         r = random_record(rng)
-        k = cme_factors(r).k
+        k = cme_factors(r)
         assert abs(math.fsum(k.tolist()) - 1.0) <= 1e-12
         perm = rng.permutation(r.num_channels)
-        k_perm = cme_factors(make_record(r.channels[perm])).k
+        k_perm = cme_factors(make_record(r.channels[perm]))
         # Equivariance is exact, not approximate.
         assert np.array_equal(k_perm, k[perm])
         rms = np.sqrt(np.mean(r.channels**2, axis=1))
@@ -151,9 +154,9 @@ def test_factors_l2_mode_is_length_sensitive():
     # Same RMS pair, doubled length: RMS factors stay put, L2 factors move.
     short = make_record(np.vstack([np.ones(8), 2.0 * np.ones(8)]))
     long = make_record(np.vstack([np.ones(32), 2.0 * np.ones(32)]))
-    assert np.array_equal(cme_factors(short).k, cme_factors(long).k)
-    k_short = cme_factors(short, mode="l2").k
-    k_long = cme_factors(long, mode="l2").k
+    assert np.array_equal(cme_factors(short), cme_factors(long))
+    k_short = cme_factors(short, mode="l2")
+    k_long = cme_factors(long, mode="l2")
     assert not np.array_equal(k_short, k_long)
     assert k_long[0] > k_short[0]
 
@@ -165,32 +168,30 @@ def test_factors_unknown_mode():
 
 
 # ---------------------------------------------------------------------------
-# scale_channels
+# scaling (inside featurize_records; an identity grid shows the scaled window)
+
+
+def identity_image(r):
+    """featurize_records on a grid matching the record: the scaled record itself."""
+    return featurize_records([r], r.num_channels, r.length, skip=0, take=r.length)[0]
 
 
 def test_scale_uniform_factor():
-    r = make_record(np.arange(12.0).reshape(3, 4))
-    out = scale_channels(r, np.full(3, 1.0 / 3.0))
+    # Rows with equal RMS get the uniform factor 1/3.
+    x = np.array([[1.0, -2.0, 3.0, 4.0], [4.0, 3.0, -2.0, 1.0], [-1.0, 2.0, -3.0, -4.0]])
     # Scaling multiplies by the factor; x * (1/3) and x / 3 differ by an ulp.
-    assert np.array_equal(out.channels, r.channels * (1.0 / 3.0))
-    assert out.label == r.label and out.record_id == r.record_id
+    assert np.array_equal(identity_image(make_record(x)), x * (1.0 / 3.0))
 
 
 def test_scale_sets_rms_ratio_exactly(rng):
     for _ in range(50):
         r = random_record(rng)
         k = cme_factors(r)
-        out = scale_channels(r, k)
+        out = identity_image(r)
         rms_in = np.sqrt(np.mean(r.channels**2, axis=1))
-        rms_out = np.sqrt(np.mean(out.channels**2, axis=1))
+        rms_out = np.sqrt(np.mean(out**2, axis=1))
         mask = rms_in > 0
-        assert np.allclose(rms_out[mask] / rms_in[mask], k.k[mask], atol=1e-12)
-
-
-def test_scale_length_mismatch():
-    r = make_record(np.ones((3, 4)))
-    with pytest.raises(DimensionError):
-        scale_channels(r, np.array([0.5, 0.5]))
+        assert np.allclose(rms_out[mask] / rms_in[mask], k[mask], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +202,20 @@ def test_encode_identity_grid_reproduces_record():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 25))
     img = encode_image(make_record(x), height=4, width=25)
-    assert np.array_equal(img.pixels, x)
+    assert np.array_equal(img, x)
 
 
 def test_encode_constant_channel_rows():
     x = np.vstack([np.full(10, 3.0), np.full(10, -1.0)])
     img = encode_image(make_record(x), height=5, width=7)
-    assert np.allclose(img.pixels[0], 3.0)
-    assert np.allclose(img.pixels[-1], -1.0)
+    assert np.allclose(img[0], 3.0)
+    assert np.allclose(img[-1], -1.0)
 
 
 def test_encode_rows_are_convex_combinations_of_adjacent_channels():
     x = np.vstack([np.zeros(6), np.ones(6)])
     img = encode_image(make_record(x), height=3, width=6)
-    assert np.allclose(img.pixels[1], 0.5)
+    assert np.allclose(img[1], 0.5)
 
 
 def test_encode_pixels_stay_in_input_range(rng):
@@ -223,15 +224,15 @@ def test_encode_pixels_stay_in_input_range(rng):
         h = int(rng.integers(r.num_channels, 2 * r.num_channels + 4))
         w = int(rng.integers(1, 60))
         img = encode_image(r, height=h, width=w)
-        assert img.pixels.min() >= r.channels.min() - 1e-12
-        assert img.pixels.max() <= r.channels.max() + 1e-12
+        assert img.min() >= r.channels.min() - 1e-12
+        assert img.max() <= r.channels.max() + 1e-12
 
 
 def test_encode_single_channel_repeats_rows():
     x = np.sin(np.linspace(0, 2 * np.pi, 30))[None, :]
     img = encode_image(make_record(x), height=4, width=30)
-    for row in img.pixels:
-        assert np.array_equal(row, img.pixels[0])
+    for row in img:
+        assert np.array_equal(row, img[0])
 
 
 def test_encode_tone_keeps_peak_frequency():
@@ -242,7 +243,7 @@ def test_encode_tone_keeps_peak_frequency():
     img = encode_image(make_record(tone[None, :], sample_rate=fs), height=1, width=500)
     span = (n - 1) / fs
     freqs = np.fft.rfftfreq(500, d=span / 499)
-    row = img.pixels[0] - img.pixels[0].mean()
+    row = img[0] - img[0].mean()
     peak = freqs[np.argmax(np.abs(np.fft.rfft(row)))]
     assert abs(peak - 5.0) <= freqs[1]
 
@@ -257,17 +258,16 @@ def test_encode_rejects_short_records_and_small_heights():
 
 
 # ---------------------------------------------------------------------------
-# cme_pipeline
+# featurize_records: window -> factors -> scale -> encode
 
 
 def test_pipeline_equals_manual_composition(rng):
     r = random_record(rng, n_channels=4, length=3000)
-    img = cme_pipeline(r, height=8, width=64)
+    img = featurize_records([r], height=8, width=64)[0]
     windowed = window_record(r, 500, 2500)
-    scaled = scale_channels(windowed, cme_factors(windowed))
+    scaled = make_record(windowed.channels * cme_factors(windowed)[:, None])
     manual = encode_image(scaled, 8, 64)
-    assert np.array_equal(img.pixels, manual.pixels)
-    assert img.source_id == r.record_id
+    assert np.array_equal(img, manual)
 
 
 def test_pipeline_dominant_channel_gets_smallest_factor():
@@ -275,7 +275,7 @@ def test_pipeline_dominant_channel_gets_smallest_factor():
     x = rng.normal(size=(3, 3000))
     x[1] *= 50.0
     r = make_record(x)
-    k = cme_factors(window_record(r, 500, 2500)).k
+    k = cme_factors(window_record(r, 500, 2500))
     assert np.argmin(k) == 1
 
 
@@ -283,10 +283,90 @@ def test_pipeline_channel_permutation_permutes_rows():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 3000)) * np.array([1.0, 3.0, 0.2, 7.0])[:, None]
     perm = np.array([2, 0, 3, 1])
-    a = cme_pipeline(make_record(x), height=4, width=40)
-    b = cme_pipeline(make_record(x[perm]), height=4, width=40)
+    a = featurize_records([make_record(x)], height=4, width=40)[0]
+    b = featurize_records([make_record(x[perm])], height=4, width=40)[0]
     # H = C keeps one row per channel, so rows permute exactly.
-    assert np.array_equal(b.pixels, a.pixels[perm])
+    assert np.array_equal(b, a[perm])
+
+
+def reference_image(channels, height, width, skip, take, mode, equalize):
+    """One record, one channel at a time, through np.interp."""
+    x = channels[:, skip : skip + take]
+    if equalize:
+        sq = x * x
+        g = np.sqrt(np.mean(sq, axis=1)) if mode == "rms" else np.sqrt(np.sum(sq, axis=1))
+        weights = np.exp(-g - (-g).max())
+        x = x * (weights / math.fsum(weights.tolist()))[:, None]
+    n_channels, length = x.shape
+    xs = np.linspace(0.0, length - 1.0, width)
+    rows = np.array([np.interp(xs, np.arange(length, dtype=np.float64), x[c]) for c in range(n_channels)])
+    if n_channels == 1:
+        return np.repeat(rows, height, axis=0)
+    pos = np.linspace(0.0, n_channels - 1.0, height)
+    lo = np.minimum(pos.astype(np.int64), n_channels - 2)
+    frac = (pos - lo)[:, None]
+    return (1.0 - frac) * rows[lo] + frac * rows[lo + 1]
+
+
+def test_featurize_matches_per_record_reference():
+    rng = np.random.default_rng(41)
+    shapes = {"c1": 0, "h=c": 0, "w1": 0, "w=take": 0, "ragged": 0, "multi-block": 0, "long": 0}
+    for i in range(320):
+        # i % 5 picks the corner case, i % 2 the mode, i % 3 ragged lengths;
+        # every 35th geometry has a take beyond numpy's 8192-element summation
+        # blocks and every 25th spans more than one 64-record block.
+        c = 1 if i % 5 == 0 else int(rng.integers(2, 9))
+        take = int(rng.integers(8190, 8400)) if i % 35 == 3 else int(rng.integers(2, 90))
+        skip = int(rng.integers(0, 20))
+        n = int(rng.integers(65, 140)) if i % 25 == 9 else int(rng.integers(1, 6))
+        lengths = skip + take + rng.integers(0, 4 if i % 3 else 1, size=n)
+        height = c if i % 5 == 1 else int(rng.integers(c, 2 * c + 3))
+        width = {2: 1, 3: take}.get(i % 5, int(rng.integers(1, 2 * take + 2)))
+        mode = ("rms", "l2")[i % 2]
+        records = tuple(
+            EcgRecord(
+                channels=rng.normal(size=(c, int(m))) * np.exp(rng.normal(0.0, 3.0, size=(c, 1))),
+                sample_rate=500.0,
+                label=j % 2,
+                record_id=f"g{i}-r{j}",
+            )
+            for j, m in enumerate(lengths)
+        )
+        d = Dataset(records=records, class_names=("a", "b"))
+        enc = EncoderSpec(kind="cme", height=height, width=width, skip=skip, take=take, magnitude_mode=mode)
+        for equalize in (True, False):
+            expected = np.stack(
+                [reference_image(r.channels, height, width, skip, take, mode, equalize) for r in records]
+            )
+            got = featurize_records(records, height, width, skip, take, mode, equalize=equalize)
+            assert np.array_equal(got, expected), (i, equalize)
+        flat = np.stack([reference_image(r.channels, height, width, skip, take, mode, True).ravel() for r in records])
+        assert np.array_equal(featurize_dataset(d, enc), flat)
+        raw = featurize_dataset(d, EncoderSpec(kind="raw", raw_take=skip + take))
+        assert np.array_equal(raw, np.stack([r.channels[:, : skip + take].ravel() for r in records]))
+        shapes["c1"] += c == 1
+        shapes["h=c"] += height == c
+        shapes["w1"] += width == 1
+        shapes["w=take"] += width == take
+        shapes["ragged"] += len(set(lengths.tolist())) > 1
+        shapes["multi-block"] += n > 64
+        shapes["long"] += take > 8192
+    assert min(shapes.values()) >= 2, shapes
+
+
+def test_featurize_records_checks_every_block():
+    x = np.ones((2, 40))
+    good = [make_record(x, record_id=f"ok{i}") for i in range(70)]
+    loud = make_record(np.full((2, 40), 1e200), record_id="loud")
+    with pytest.raises(SpecError, match="scale factors must be finite"):
+        featurize_records(good + [loud], 2, 8, skip=0, take=40)
+    short = make_record(np.ones((2, 30)), record_id="short")
+    with pytest.raises(WindowOutOfRange, match="'short' of length 30"):
+        featurize_records(good + [short], 2, 8, skip=0, take=40)
+    # Neighbouring samples 1.7e308 apart overflow the time interpolation.
+    huge = make_record(np.tile([1.7e308, -1.7e308], (2, 20)), record_id="huge")
+    with pytest.raises(EncodeError, match="non-finite pixels"):
+        featurize_records(good + [huge], 2, 8, skip=0, take=40, equalize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +378,7 @@ def test_image_csv_round_trip(tmp_path, rng):
     path = tmp_path / "img.csv"
     write_image_csv(img, path)
     back = read_image_csv(path)
-    assert np.array_equal(back, img.pixels)
+    assert np.array_equal(back, img)
 
 
 def test_image_raw_format_and_round_trip(tmp_path, rng):
@@ -310,7 +390,7 @@ def test_image_raw_format_and_round_trip(tmp_path, rng):
     assert len(blob) == 16 + 4 * 9 * 8
     h, w = struct.unpack("<QQ", blob[:16])
     assert (h, w) == (4, 9)
-    assert np.array_equal(read_image_raw(path), img.pixels)
+    assert np.array_equal(read_image_raw(path), img)
 
 
 def test_image_raw_truncation_detected(tmp_path):

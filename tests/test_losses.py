@@ -198,6 +198,13 @@ def test_iwl_base_ten_gradcheck():
     assert res.passed
 
 
+def test_iwl_stopped_weight_gradcheck_differences_a_constant_weight():
+    stopped = IwlConfig(beta=1.5, log_base=10.0, stop_weight_gradient=True)
+    assert gradient_check(stopped, trials=50, seed=5).passed
+    # The unstopped weight is still checked against the full loss.
+    assert gradient_check(IwlConfig(beta=1.5, log_base=10.0), trials=50, seed=5).passed
+
+
 # ---------------------------------------------------------------------------
 # Focal
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -304,9 +305,22 @@ def test_desk_profile():
 def test_encoder_spec_validation_and_dims():
     with pytest.raises(ConfigError):
         EncoderSpec(kind="fft")
-    assert SMALL_ENC.feature_dim(2, 60) == 40
-    assert RAW_ENC.feature_dim(2, 60) == 120
-    assert EncoderSpec(kind="raw", raw_take=None).feature_dim(3, 50) == 150
+    d = tiny_dataset(n_channels=2, length=60)
+    assert featurize_dataset(d, SMALL_ENC).shape == (len(d), 40)
+    assert featurize_dataset(d, RAW_ENC).shape == (len(d), 120)
+    whole = EncoderSpec(kind="raw", raw_take=None)
+    assert featurize_dataset(tiny_dataset(n_channels=3, length=50), whole).shape[1] == 150
+
+
+def test_raw_whole_record_encoding_needs_one_length():
+    d = tiny_dataset(length=60)
+    shorter = dataclasses.replace(d.records[0], channels=d.records[0].channels[:, :50])
+    ragged = Dataset(records=(shorter,) + d.records[1:], class_names=d.class_names)
+    enc = EncoderSpec(kind="raw", raw_take=None)
+    with pytest.raises(DimensionError, match="needs one length"):
+        featurize_dataset(ragged, enc)
+    with pytest.raises(DimensionError):
+        train(ragged, small_config(encode=enc))
 
 
 # ---------------------------------------------------------------------------
