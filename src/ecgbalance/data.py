@@ -67,9 +67,8 @@ class EcgRecord:
             raise MalformedRecord(self.record_id, f"expected a 2-D channels-by-samples matrix, got shape {arr.shape}")
         if self.sample_rate <= 0:
             raise MalformedRecord(self.record_id, f"sample rate must be positive, got {self.sample_rate}")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            chan, samp = bad[0]
+        if not np.isfinite(arr).all():
+            chan, samp = np.argwhere(~np.isfinite(arr))[0]
             raise NonFiniteSample(self.record_id, int(samp), int(chan))
         if self.label is not None and self.label < 0:
             raise UnknownClass(f"record {self.record_id!r}: negative label {self.label}")

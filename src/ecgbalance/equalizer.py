@@ -99,10 +99,12 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
 def _factors(windows: np.ndarray, mode: str) -> np.ndarray:
     """(n, C) factors for (n, C, T) windows: a softmax over each row's
     negated channel magnitudes, normalized by an exactly rounded sum."""
-    neg = -_channel_magnitude(windows, mode)
-    weights = np.exp(neg - neg.max(axis=1, keepdims=True))
-    totals = np.array([math.fsum(row) for row in weights.tolist()])
-    k = weights / totals[:, None]
+    # Overflow is caught by the finiteness check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg = -_channel_magnitude(windows, mode)
+        weights = np.exp(neg - neg.max(axis=1, keepdims=True))
+        totals = np.array([math.fsum(row) for row in weights.tolist()])
+        k = weights / totals[:, None]
     if not np.all(np.isfinite(k)):
         raise SpecError("scale factors must be finite and nonnegative")
     return k
@@ -125,15 +127,17 @@ def _encode(windows: np.ndarray, height: int, width: int, record_id: str) -> np.
     pos = np.linspace(0.0, length - 1.0, width)
     lo = np.minimum(pos.astype(np.int64), length - 2)
     left = windows[:, :, lo]
-    rows = (windows[:, :, lo + 1] - left) * (pos - lo) + left
-    rows[:, :, pos == length - 1.0] = windows[:, :, -1:]
-    if n_channels == 1:
-        pixels = np.repeat(rows, height, axis=1)
-    else:
-        pos = np.linspace(0.0, n_channels - 1.0, height)
-        lo = np.minimum(pos.astype(np.int64), n_channels - 2)
-        frac = (pos - lo)[:, None]
-        pixels = (1.0 - frac) * rows[:, lo] + frac * rows[:, lo + 1]
+    # Overflow is caught by the finiteness check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (windows[:, :, lo + 1] - left) * (pos - lo) + left
+        rows[:, :, pos == length - 1.0] = windows[:, :, -1:]
+        if n_channels == 1:
+            pixels = np.repeat(rows, height, axis=1)
+        else:
+            pos = np.linspace(0.0, n_channels - 1.0, height)
+            lo = np.minimum(pos.astype(np.int64), n_channels - 2)
+            frac = (pos - lo)[:, None]
+            pixels = (1.0 - frac) * rows[:, lo] + frac * rows[:, lo + 1]
     if not np.all(np.isfinite(pixels)):
         raise EncodeError("image contains non-finite pixels")
     return pixels

@@ -2,13 +2,16 @@
 
 An experiment spec is a flat key-value text file (``key = value`` lines,
 ``#`` comments). Grid keys take comma-separated lists; everything else is
-a scalar. Each grid cell runs once per seed: generate (or load) the
-dataset, optionally impose a long-tail profile, split, train, evaluate.
-Rows aggregate mean and sample standard deviation over seeds.
+a scalar. Seeds are the outer loop: each seed's dataset is generated (or
+loaded) once, each distinct alpha among the cells imposes its long-tail
+profile and splits once, and every cell then trains and evaluates on that
+shared split. Rows aggregate mean and sample standard deviation over seeds.
 
-Cells are self-contained, so they may run in a process pool; results are
-merged in cell order, never completion order, and are therefore identical
-for any worker count.
+Every fit is a pure function of (spec, cell, seed), because each stage
+seeds its own generator. A process pool therefore splits the cells, in
+order, into one contiguous group per worker, runs each group seed by seed,
+and concatenates the results in cell order; they are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -277,29 +280,49 @@ def _dataset_for_run(spec: ExperimentSpec, seed: int) -> Dataset:
     return generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
 
 
-def run_cell(spec: ExperimentSpec, cell: CellKey) -> list[tuple[float, float]]:
-    """(accuracy, macro F1) per seed for one grid cell."""
-    base = dataclasses.replace(
-        spec.train,
-        loss=loss_config(cell.loss, beta=cell.beta, **spec.loss_params),
-        encode=dataclasses.replace(spec.train.encode, kind=cell.encode),
-    )
-    out = []
-    for seed in spec.seeds:
-        d = _dataset_for_run(spec, seed)
-        if cell.alpha is not None:
-            profile = longtail_counts(d.class_counts(), cell.alpha)
-            d = resample(d, profile, seed)
-        d_train, d_test = split(d, SplitSpec(train_fraction=spec.train_fraction, seed=seed))
-        model, _ = train(d_train, dataclasses.replace(base, seed=seed))
+def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tuple[float, float]]:
+    """(accuracy, macro F1) of every cell on one seed's data.
+
+    The dataset is built once, and each distinct alpha resamples and splits
+    it once. The full dataset is released as soon as it is resampled, so
+    training holds only the records its cells use, and nothing of this seed
+    outlives the call.
+    """
+    d = _dataset_for_run(spec, seed)
+    kept = {
+        alpha: d if alpha is None else resample(d, longtail_counts(d.class_counts(), alpha), seed)
+        for alpha in dict.fromkeys(cell.alpha for cell in cells)
+    }
+    del d
+    split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
+    splits = {alpha: split(records, split_spec) for alpha, records in kept.items()}
+    fits = []
+    for cell in cells:
+        cfg = dataclasses.replace(
+            spec.train,
+            loss=loss_config(cell.loss, beta=cell.beta, **spec.loss_params),
+            encode=dataclasses.replace(spec.train.encode, kind=cell.encode),
+            seed=seed,
+        )
+        d_train, d_test = splits[cell.alpha]
+        model, _ = train(d_train, cfg)
         metrics = evaluate(model, d_test)
-        out.append((metrics.accuracy, metrics.macro_f1))
+        fits.append((metrics.accuracy, metrics.macro_f1))
+    return fits
+
+
+def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[list[tuple[float, float]]]:
+    """(accuracy, macro F1) per seed for each of ``cells``, seeds outermost."""
+    out: list[list[tuple[float, float]]] = [[] for _ in cells]
+    for seed in spec.seeds:
+        for pairs, fit in zip(out, _fit_seed(spec, cells, seed)):
+            pairs.append(fit)
     return out
 
 
-def _cell_worker(args: tuple[ExperimentSpec, CellKey]) -> list[tuple[float, float]]:
-    spec, cell = args
-    return run_cell(spec, cell)
+def run_cell(spec: ExperimentSpec, cell: CellKey) -> list[tuple[float, float]]:
+    """(accuracy, macro F1) per seed for one grid cell."""
+    return _run_cells(spec, [cell])[0]
 
 
 def _aggregate(cell: CellKey, pairs: list[tuple[float, float]]) -> ResultRow:
@@ -323,10 +346,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     if not cells:
         return []
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, [(spec, c) for c in cells]))
+        n = min(jobs, len(cells))
+        size, extra = divmod(len(cells), n)
+        bounds = [i * size + min(i, extra) for i in range(n + 1)]
+        groups = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            results = [pairs for group in pool.map(_run_cells, [spec] * n, groups) for pairs in group]
     else:
-        results = [run_cell(spec, c) for c in cells]
+        results = _run_cells(spec, cells)
     return [_aggregate(cell, pairs) for cell, pairs in zip(cells, results)]
 
 

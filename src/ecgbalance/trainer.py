@@ -261,7 +261,9 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            w_grads, b_grads, value = _backward_batch(model, x[idx], labels[idx], loss)
+            # A diverging run is stopped by the check below, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_grads, b_grads, value = _backward_batch(model, x[idx], labels[idx], loss)
             if not math.isfinite(value):
                 raise ConfigError(f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam_step(model, state, w_grads, b_grads, cfg.learning_rate)

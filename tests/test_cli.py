@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,21 @@ def test_train_stops_at_the_first_non_finite_loss(tmp_path, data_dir, capsys):
     err = capsys.readouterr().err
     assert re.search(r"non-finite training loss at epoch \d+, batch \d+", err), err
     assert not model_path.exists() and not log_path.exists()
+
+
+def test_numeric_failures_exit_2_without_numpy_warnings(tmp_path, data_dir, capsys):
+    # Neighbouring samples 1.7e308 apart overflow the time interpolation.
+    huge = [np.tile([1.7e308, -1.7e308], (2, 40)) for _ in range(3)]
+    data = write_array_dataset(tmp_path / "huge", huge, [0, 1, 2])
+    diverge = ["train", "--data", str(data_dir), "--out", str(tmp_path / "m.bin"), *TRAIN_FLAGS, "--learning-rate", "1e200"]
+    overflow = ["encode", "--data", str(data), "--out", str(tmp_path / "img"), "--height", "4", "--width", "10",
+                "--skip", "0", "--take", "80", "--no-equalize"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(diverge) == 2
+        assert "non-finite training loss" in capsys.readouterr().err
+        assert main(overflow) == 2
+        assert "non-finite pixels" in capsys.readouterr().err
 
 
 def test_train_bad_loss_name(tmp_path, data_dir):

@@ -2,13 +2,22 @@ import re
 
 import pytest
 
-from ecgbalance import EncoderSpec, ExperimentSpec, TrainConfig, parse_experiment_spec, run_experiment, write_results_csv
+from ecgbalance import (
+    EncoderSpec,
+    ExperimentSpec,
+    TrainConfig,
+    experiment,
+    parse_experiment_spec,
+    run_experiment,
+    write_results_csv,
+)
 from ecgbalance.errors import ConfigError, SpecError
 from ecgbalance.experiment import (
     _GRID_KEYS,
     _SCALAR_KEYS,
     RESULT_COLUMNS,
     CellKey,
+    _aggregate,
     grid_cells,
     parse_kv_file,
     read_results_csv,
@@ -219,11 +228,36 @@ def test_run_cell_is_deterministic(tmp_path):
 
 def test_run_experiment_worker_count_does_not_change_results(tmp_path):
     spec = parse_experiment_spec(write_spec(tmp_path))
+    cells = grid_cells(spec)
     serial = run_experiment(spec, jobs=1)
-    pooled = run_experiment(spec, jobs=2)
-    assert serial == pooled
-    assert [r.cell for r in serial] == grid_cells(spec)
+    assert run_experiment(spec, jobs=2) == serial
+    # 12 cells over 5 workers: groups of 3, 3, 2, 2 and 2 cells.
+    assert run_experiment(spec, jobs=5) == serial
+    assert serial == [_aggregate(cell, run_cell(spec, cell)) for cell in cells]
+    assert [r.cell for r in serial] == cells
     assert all(r.n_seeds == 2 for r in serial)
+
+
+def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
+    spec = parse_experiment_spec(write_spec(tmp_path))
+    calls = {"generate_synthetic": [], "resample": [], "split": []}
+
+    def counted(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counted(name))
+    run_experiment(spec, jobs=1)
+    assert [a[0].seed for a in calls["generate_synthetic"]] == list(spec.seeds)
+    # One resample per seed (alpha 0.5) and one split per seed and alpha.
+    assert len(calls["resample"]) == len(spec.seeds)
+    assert len(calls["split"]) == len(spec.seeds) * len(spec.alphas)
 
 
 # ---------------------------------------------------------------------------
