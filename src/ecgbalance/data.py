@@ -88,7 +88,6 @@ class Dataset:
 
     records: tuple[EcgRecord, ...]
     class_names: tuple[str, ...]
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -376,7 +375,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     else:
         names = tuple(f"class_{i}" for i in range(spec.n_classes))
     order = rng.permutation(len(records))
-    return Dataset(records=tuple(records[i] for i in order), class_names=names, seed=spec.seed)
+    return Dataset(records=tuple(records[i] for i in order), class_names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +425,6 @@ def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
         k = math.floor(idx.size * s.train_fraction)
         train_idx.extend(int(i) for i in shuffled[:k])
         test_idx.extend(int(i) for i in shuffled[k:])
-    train = Dataset(tuple(d.records[i] for i in train_idx), d.class_names, seed=s.seed)
-    test = Dataset(tuple(d.records[i] for i in test_idx), d.class_names, seed=s.seed)
+    train = Dataset(tuple(d.records[i] for i in train_idx), d.class_names)
+    test = Dataset(tuple(d.records[i] for i in test_idx), d.class_names)
     return train, test

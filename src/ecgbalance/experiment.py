@@ -64,7 +64,10 @@ SYNTH_KEYS = (
 def parse_kv_file(path) -> dict[str, str]:
     """``key = value`` lines; '#' starts a comment; blank lines ignored."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise SpecError(f"cannot read spec file {path}: {exc.strerror or exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:

@@ -91,8 +91,4 @@ def resample(d: Dataset, p: ImbalanceProfile, seed: int) -> Dataset:
         picked = rng.choice(idx, size=target, replace=False)
         chosen.extend(int(i) for i in picked)
     order = rng.permutation(len(chosen))
-    return Dataset(
-        records=tuple(d.records[chosen[i]] for i in order),
-        class_names=d.class_names,
-        seed=seed,
-    )
+    return Dataset(records=tuple(d.records[chosen[i]] for i in order), class_names=d.class_names)

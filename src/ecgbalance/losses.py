@@ -381,7 +381,6 @@ def gradient_check(
     seed: int = 0,
     threshold: float = 1e-4,
     num_classes: int | None = None,
-    h: float = 1e-6,
 ) -> GradCheckResult:
     """Compare analytical against central finite-difference gradients.
 
@@ -421,6 +420,6 @@ def gradient_check(
             loss_fn = lambda z, t: w0 * float(-_log_softmax(z[None, :])[0, t]) / cfg._ln_base
         else:
             loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
-        numeric = finite_difference_grad(loss_fn, logits, label, h=h)
+        numeric = finite_difference_grad(loss_fn, logits, label)
         worst = max(worst, relative_gradient_error(grads[0], numeric))
     return GradCheckResult(loss=batch.name, trials=trials, max_rel_error=worst, threshold=threshold)

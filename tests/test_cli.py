@@ -408,12 +408,20 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
     if damage == "corrupt_header":
         return raw[:16] + b"#" + raw[17:]
     header = json.loads(raw[16 : 16 + hlen])
-    del header["encoder"]
+    if damage == "missing_header_key":
+        del header["encoder"]
+    elif damage == "missing_encoder_field":
+        del header["encoder"]["raw_take"]
+    else:
+        header["encoder"]["dilation"] = 1
     blob = json.dumps(header).encode()
     return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "trailing_bytes", "corrupt_header", "missing_header_key"])
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field", "extra_encoder_field"],
+)
 def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(_damage_model(model_file.read_bytes(), damage))
@@ -421,6 +429,31 @@ def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, dama
         load_model(bad)
     assert main(["eval", "--model", str(bad), "--data", str(data_dir)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_model_header_keys_are_the_encoder_fields(model_file):
+    # A new EncoderSpec field changes the model file format; this snapshot makes that visible.
+    raw = model_file.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    assert sorted(header) == ["class_names", "encoder", "layer_dims"]
+    assert sorted(header["encoder"]) == ["height", "kind", "magnitude_mode", "raw_take", "skip", "take", "width"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "missing.bin", "--data", "."],
+        ["experiment", "--spec", "missing.txt", "--out", "results.csv"],
+        ["synth", "--spec", "missing.txt", "--out", "data"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "missing." in err
 
 
 @pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])
@@ -438,6 +471,18 @@ def test_train_stops_at_the_first_non_finite_loss(tmp_path, data_dir, capsys):
     assert main(args + TRAIN_FLAGS + ["--learning-rate", "1e200"]) == 2
     err = capsys.readouterr().err
     assert re.search(r"non-finite training loss at epoch \d+, batch \d+", err), err
+    assert not model_path.exists() and not log_path.exists()
+
+
+def test_train_stops_when_an_adam_step_overflows(tmp_path, data_dir, capsys):
+    model_path = tmp_path / "m.bin"
+    log_path = tmp_path / "log.csv"
+    args = ["train", "--data", str(data_dir), "--out", str(model_path), "--log", str(log_path), "--epochs", "1",
+            "--batch-size", "64", "--hidden", "8", "--learning-rate", "1.7e308", "--encode", "raw", "--raw-take", "80"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 2
+    assert re.search(r"non-finite parameters .* epoch 0, batch 0", capsys.readouterr().err)
     assert not model_path.exists() and not log_path.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,33 +51,38 @@ def small_config(**overrides):
 
 
 def test_init_model_shapes_and_zero_biases():
-    m = init_model(input_dim=7, num_classes=3, encoder=SMALL_ENC, hidden=(5, 4), seed=1)
+    m = init_model(input_dim=7, num_classes=3, encoder=SMALL_ENC, hidden=(5, 4), rng=np.random.default_rng(1))
     assert [w.shape for w in m.weights] == [(7, 5), (5, 4), (4, 3)]
     assert [b.shape for b in m.biases] == [(5,), (4,), (3,)]
     assert all(np.all(b == 0.0) for b in m.biases)
     assert m.num_classes == 3 and m.input_dim == 7
 
 
+def test_params_are_the_weights_then_the_biases():
+    m = init_model(6, 3, SMALL_ENC, hidden=(5, 4), rng=np.random.default_rng(1))
+    assert [id(p) for p in m.params] == [id(a) for a in m.weights + m.biases]
+
+
 def test_init_model_seeded():
-    a = init_model(4, 2, SMALL_ENC, hidden=(3,), seed=9)
-    b = init_model(4, 2, SMALL_ENC, hidden=(3,), seed=9)
-    c = init_model(4, 2, SMALL_ENC, hidden=(3,), seed=10)
+    a = init_model(4, 2, SMALL_ENC, hidden=(3,), rng=np.random.default_rng(9))
+    b = init_model(4, 2, SMALL_ENC, hidden=(3,), rng=np.random.default_rng(9))
+    c = init_model(4, 2, SMALL_ENC, hidden=(3,), rng=np.random.default_rng(10))
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 def test_init_model_he_scale():
-    m = init_model(input_dim=400, num_classes=2, encoder=SMALL_ENC, hidden=(), seed=0)
+    m = init_model(input_dim=400, num_classes=2, encoder=SMALL_ENC, hidden=(), rng=np.random.default_rng(0))
     sd = float(m.weights[0].std())
     assert sd == pytest.approx(math.sqrt(2.0 / 400.0), rel=0.15)
 
 
 def test_init_model_validation():
     with pytest.raises(ConfigError):
-        init_model(0, 3, SMALL_ENC)
+        init_model(0, 3, SMALL_ENC, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        init_model(4, 1, SMALL_ENC)
+        init_model(4, 1, SMALL_ENC, rng=np.random.default_rng(0))
 
 
 def test_model_params_validate_rejects_broken_chain():
@@ -97,7 +103,7 @@ def test_model_params_validate_rejects_broken_chain():
 
 
 def test_forward_matches_manual_affine_chain():
-    m = init_model(3, 2, SMALL_ENC, hidden=(4,), seed=2)
+    m = init_model(3, 2, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(2))
     x = np.array([0.5, -1.0, 2.0])
     hiddenv = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
     logits = hiddenv @ m.weights[1] + m.biases[1]
@@ -107,7 +113,7 @@ def test_forward_matches_manual_affine_chain():
 
 def test_forward_rejects_wrong_width():
     # The raw encoder gives 2 x 60 features per record; the model takes 5.
-    m = init_model(5, 3, RAW_ENC, hidden=(4,), seed=2)
+    m = init_model(5, 3, RAW_ENC, hidden=(4,), rng=np.random.default_rng(2))
     with pytest.raises(DimensionError):
         evaluate(m, tiny_dataset())
 
@@ -117,11 +123,13 @@ def test_forward_rejects_wrong_width():
 
 
 def test_backward_matches_finite_differences():
-    m = init_model(3, 3, SMALL_ENC, hidden=(4,), seed=3)
+    m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
     loss = make_loss(IwlConfig(beta=0.3))
     x = np.array([[0.8, -0.3, 1.5]])
     y = np.array([1])
-    w_grads, b_grads, _ = _backward_batch(m, x, y, loss)
+    grads, _ = _backward_batch(m, x, y, loss)
+    depth = len(m.weights)
+    w_grads, b_grads = grads[:depth], grads[depth:]
     h = 1e-6
 
     def value() -> float:
@@ -149,10 +157,11 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_accepts_config_and_validates_label():
-    m = init_model(3, 3, SMALL_ENC, hidden=(4,), seed=3)
+    m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
     loss = make_loss(IwlConfig(beta=0.3))
-    w_grads, _, _ = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss)
-    assert len(w_grads) == 2
+    grads, _ = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss)
+    assert [g.shape for g in grads] == [p.shape for p in m.params]
+    assert len(grads[: len(m.weights)]) == 2
     with pytest.raises(DimensionError):
         _backward_batch(m, np.ones((1, 3)), np.array([3]), loss)
 
@@ -162,26 +171,25 @@ def test_backward_accepts_config_and_validates_label():
 
 
 def test_adam_first_steps_move_by_learning_rate():
-    m = init_model(2, 2, SMALL_ENC, hidden=(), seed=0)
+    m = init_model(2, 2, SMALL_ENC, hidden=(), rng=np.random.default_rng(0))
     state = adam_init(m)
     before = m.weights[0].copy()
-    g_w = [np.ones_like(m.weights[0])]
-    g_b = [np.full_like(m.biases[0], -3.0)]
-    adam_step(m, state, g_w, g_b, lr=0.01)
+    grads = [np.ones_like(m.weights[0]), np.full_like(m.biases[0], -3.0)]
+    adam_step(m, state, grads, lr=0.01)
     # Bias correction makes the very first step lr * g/(|g| + eps) ~ lr.
     assert np.allclose(before - m.weights[0], 0.01, rtol=1e-6)
     assert np.allclose(m.biases[0], 0.01, rtol=1e-6)
-    adam_step(m, state, g_w, g_b, lr=0.01)
+    adam_step(m, state, grads, lr=0.01)
     assert np.allclose(before - m.weights[0], 0.02, rtol=1e-6)
     assert state.step == 2
 
 
 def test_adam_state_shapes_follow_model():
-    m = init_model(3, 2, SMALL_ENC, hidden=(5,), seed=0)
+    m = init_model(3, 2, SMALL_ENC, hidden=(5,), rng=np.random.default_rng(0))
     state = adam_init(m)
     assert isinstance(state, AdamState)
-    assert [a.shape for a in state.m_w] == [w.shape for w in m.weights]
-    assert all(np.all(v == 0.0) for v in state.v_b)
+    assert [a.shape for a in state.m[: len(m.weights)]] == [w.shape for w in m.weights]
+    assert all(np.all(v == 0.0) for v in state.v[len(m.weights) :])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +273,19 @@ def test_train_raw_encoder():
     m, _ = train(d, small_config(encode=RAW_ENC, epochs=2))
     assert m.input_dim == 2 * 60
     assert np.isfinite(evaluate(m, d).accuracy)
+
+
+def test_train_stops_when_an_adam_step_overflows():
+    # One batch whose loss is finite, then an update that overflows the weights.
+    d = tiny_dataset(per_class=5, length=80)
+    assert len(d) == 15
+    cfg = TrainConfig(
+        epochs=1, batch_size=64, hidden=(8,), learning_rate=1.7e308, encode=EncoderSpec(kind="raw", raw_take=80)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match=r"non-finite parameters .* epoch 0, batch 0"):
+            train(d, cfg)
 
 
 def test_train_rejects_empty_dataset():
@@ -363,7 +384,7 @@ def test_metrics_validation():
 
 def test_evaluate_class_count_mismatch():
     d = tiny_dataset(n_classes=3)
-    m = init_model(40, 2, SMALL_ENC, hidden=(4,), seed=0)
+    m = init_model(40, 2, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(0))
     with pytest.raises(DimensionError):
         evaluate(m, d)
 
