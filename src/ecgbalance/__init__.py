@@ -21,6 +21,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     split,
+    synth_labels,
     window_record,
     write_csv_dataset,
 )
@@ -54,7 +55,7 @@ from .experiment import (
     run_experiment,
     write_results_csv,
 )
-from .imbalance import ImbalanceProfile, longtail_counts, resample
+from .imbalance import ImbalanceProfile, longtail_counts, resample, resample_positions
 from .losses import (
     GRADCHECK_LOSSES,
     BaselineLossConfig,

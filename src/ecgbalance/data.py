@@ -279,7 +279,8 @@ class SynthSpec:
     Each class gets a distinct quasi-periodic waveform (its own fundamental
     frequency and pulse sharpness). The waveform is a pure function of the
     class, channel count, and length; the seed only drives additive noise
-    and the final record shuffle. ``amplitude`` is the root-mean-square of
+    and the record order, each from its own child stream (see
+    :func:`generate_synthetic`). ``amplitude`` is the root-mean-square of
     the clean waveform before per-channel gain, so channel RMS is
     approximately ``amplitude * channel_gain[c]``.
     """
@@ -322,6 +323,8 @@ class SynthSpec:
             raise SpecError("channel gains must be positive")
         if self.noise_sd < 0:
             raise SpecError("noise_sd must be nonnegative")
+        if self.seed < 0:
+            raise SpecError(f"seed must be nonnegative, got {self.seed}")
         if self.amplitude <= 0 or self.sample_rate <= 0:
             raise SpecError("amplitude and sample_rate must be positive")
         if self.class_names is not None and len(self.class_names) != self.n_classes:
@@ -349,33 +352,73 @@ def _class_waveform(spec: SynthSpec, m: int) -> np.ndarray:
     return rows
 
 
-def generate_synthetic(spec: SynthSpec) -> Dataset:
-    """Generate a labeled dataset from ``spec``; fully seeded and repeatable."""
+# Child streams of SeedSequence(spec.seed): record (m, j) of class m draws its
+# noise from spawn key (_NOISE, m, j), and the dataset order comes from (_ORDER,).
+_NOISE, _ORDER = 0, 1
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _synth_order(spec: SynthSpec) -> np.ndarray:
+    """Class-major record index (class 0's records first) at each dataset position."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
+    return _stream(spec.seed, _ORDER).permutation(sum(spec.per_class_counts))
+
+
+def synth_labels(spec: SynthSpec) -> np.ndarray:
+    """Labels of ``generate_synthetic(spec)`` in dataset order, drawing no noise."""
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_counts)
+    return labels[_synth_order(spec)]
+
+
+def _check_positions(positions, n: int) -> np.ndarray:
+    pos = np.asarray(positions)
+    if pos.size == 0:
+        pos = pos.astype(np.int64)
+    if pos.ndim != 1 or pos.dtype.kind not in "iu":
+        raise SpecError("positions must be a 1-D sequence of integers")
+    if pos.size and (pos.min() < 0 or pos.max() >= n):
+        raise SpecError(f"positions must lie in [0, {n}); got values from {pos.min()} to {pos.max()}")
+    return pos
+
+
+def generate_synthetic(spec: SynthSpec, positions=None) -> Dataset:
+    """Generate a labeled dataset from ``spec``; fully seeded and repeatable.
+
+    With ``positions``, only the records at those positions of the full
+    dataset are built, in the order given; each record equals the full
+    dataset's record at its position bit for bit, because every record
+    draws its noise from its own stream. Positions outside ``[0, N)``
+    raise :class:`SpecError`.
+    """
+    order = _synth_order(spec)
+    if positions is not None:
+        order = order[_check_positions(positions, order.size)]
+    # Class-major index of each class's first record, then each record's (m, j).
+    starts = np.cumsum((0, *spec.per_class_counts))
+    classes = np.searchsorted(starts, order, side="right") - 1
+    clean: dict[int, np.ndarray] = {}
     records = []
-    for m in range(spec.n_classes):
-        count = spec.per_class_counts[m]
-        if count == 0:
-            continue
-        clean = _class_waveform(spec, m)
-        for j in range(count):
-            if spec.noise_sd > 0:
-                x = clean + rng.normal(0.0, spec.noise_sd, size=clean.shape)
-            else:
-                x = clean.copy()
-            x.flags.writeable = False
-            records.append(
-                EcgRecord(channels=x, sample_rate=spec.sample_rate, label=m, record_id=f"synth-c{m}-r{j:04d}")
-            )
+    for m, j in zip(classes.tolist(), (order - starts[classes]).tolist()):
+        if m not in clean:
+            clean[m] = _class_waveform(spec, m)
+        if spec.noise_sd > 0:
+            x = clean[m] + _stream(spec.seed, _NOISE, m, j).normal(0.0, spec.noise_sd, size=clean[m].shape)
+        else:
+            x = clean[m].copy()
+        x.flags.writeable = False
+        records.append(
+            EcgRecord(channels=x, sample_rate=spec.sample_rate, label=m, record_id=f"synth-c{m}-r{j:04d}")
+        )
     if spec.class_names is not None:
         names = spec.class_names
     elif spec.n_classes == len(CANONICAL_CLASS_NAMES):
         names = CANONICAL_CLASS_NAMES
     else:
         names = tuple(f"class_{i}" for i in range(spec.n_classes))
-    order = rng.permutation(len(records))
-    return Dataset(records=tuple(records[i] for i in order), class_names=names)
+    return Dataset(records=tuple(records), class_names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 An experiment spec is a flat key-value text file (``key = value`` lines,
 ``#`` comments). Grid keys take comma-separated lists; everything else is
-a scalar. Seeds are the outer loop: each seed's dataset is generated (or
-loaded) once, each distinct alpha among the cells imposes its long-tail
-profile and splits once, and every cell then trains and evaluates on that
-shared split. Rows aggregate mean and sample standard deviation over seeds.
+a scalar. Seeds are the outer loop: each distinct alpha among a seed's
+cells picks its long-tail records from the seed's labels, only the records
+some alpha keeps are synthesized, once, each alpha's dataset splits once,
+and every cell then trains and evaluates on that shared split. Rows
+aggregate mean and sample standard deviation over seeds.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
 seeds its own generator. A process pool therefore splits the cells, in
@@ -25,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split
+from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split, synth_labels
 from .errors import SpecError
-from .imbalance import longtail_counts, resample
+from .imbalance import longtail_counts, resample_positions
 from .losses import IwlConfig, canonical_loss_name, loss_config
 from .trainer import ENCODE_KINDS, TrainConfig, evaluate, train
 
@@ -65,9 +66,11 @@ def parse_kv_file(path) -> dict[str, str]:
     """``key = value`` lines; '#' starts a comment; blank lines ignored."""
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"spec file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -276,27 +279,37 @@ def grid_cells(spec: ExperimentSpec) -> list[CellKey]:
     return cells
 
 
-def _dataset_for_run(spec: ExperimentSpec, seed: int) -> Dataset:
-    if spec.data_dir is not None:
-        return load_csv(spec.data_dir)
-    assert spec.synth is not None
-    return generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
-
-
 def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tuple[float, float]]:
     """(accuracy, macro F1) of every cell on one seed's data.
 
-    The dataset is built once, and each distinct alpha resamples and splits
-    it once. The full dataset is released as soon as it is resampled, so
-    training holds only the records its cells use, and nothing of this seed
-    outlives the call.
+    Each distinct alpha picks its record positions from the seed's labels,
+    and only the union of those positions is synthesized, once. A
+    ``data.dir`` dataset is loaded and selected from by the same positions.
+    Nothing of this seed outlives the call.
     """
-    d = _dataset_for_run(spec, seed)
-    kept = {
-        alpha: d if alpha is None else resample(d, longtail_counts(d.class_counts(), alpha), seed)
+    if spec.data_dir is not None:
+        source = load_csv(spec.data_dir)
+        labels, n_classes = source.labels(), source.num_classes
+    else:
+        assert spec.synth is not None
+        synth = dataclasses.replace(spec.synth, seed=seed)
+        labels, n_classes = synth_labels(synth), synth.n_classes
+    counts = np.bincount(labels, minlength=n_classes)
+    positions = {
+        alpha: np.arange(labels.size)
+        if alpha is None
+        else resample_positions(labels, longtail_counts(counts, alpha), seed)
         for alpha in dict.fromkeys(cell.alpha for cell in cells)
     }
-    del d
+    if spec.data_dir is None:
+        wanted = np.unique(np.concatenate(list(positions.values())))
+        source = generate_synthetic(synth, wanted)
+        positions = {alpha: np.searchsorted(wanted, pos) for alpha, pos in positions.items()}
+    kept = {
+        alpha: Dataset(tuple(source.records[i] for i in pos.tolist()), source.class_names)
+        for alpha, pos in positions.items()
+    }
+    del source
     split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
     splits = {alpha: split(records, split_spec) for alpha, records in kept.items()}
     fits = []

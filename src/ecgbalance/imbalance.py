@@ -68,20 +68,21 @@ def write_histogram_csv(class_names, before, after, path) -> None:
             fh.write(f"{name},{int(b)},{int(a)}\n")
 
 
-def resample(d: Dataset, p: ImbalanceProfile, seed: int) -> Dataset:
-    """Uniform per-class subsample to the profile's targets, then shuffle.
+def resample_positions(labels, p: ImbalanceProfile, seed: int) -> np.ndarray:
+    """Positions of a uniform per-class subsample to the profile's targets,
+    shuffled.
 
-    Deterministic in (d, p, seed). Each class contributes exactly
-    target_counts[m] records, drawn without replacement.
+    Deterministic in (labels, p, seed). Each class m contributes exactly
+    target_counts[m] positions, drawn without replacement.
     """
-    if p.target_counts.size != d.num_classes:
+    labels = np.asarray(labels)
+    if labels.size and labels.max() >= p.target_counts.size:
         raise DimensionError(
-            f"profile covers {p.target_counts.size} classes, dataset has {d.num_classes}"
+            f"label {labels.max()} is outside the profile's {p.target_counts.size} classes"
         )
-    labels = d.labels()
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
-    for m in range(d.num_classes):
+    for m in range(p.target_counts.size):
         idx = np.flatnonzero(labels == m)
         target = int(p.target_counts[m])
         if target > idx.size:
@@ -91,4 +92,14 @@ def resample(d: Dataset, p: ImbalanceProfile, seed: int) -> Dataset:
         picked = rng.choice(idx, size=target, replace=False)
         chosen.extend(int(i) for i in picked)
     order = rng.permutation(len(chosen))
-    return Dataset(records=tuple(d.records[chosen[i]] for i in order), class_names=d.class_names)
+    return np.asarray(chosen, dtype=np.int64)[order]
+
+
+def resample(d: Dataset, p: ImbalanceProfile, seed: int) -> Dataset:
+    """The records of ``d`` at :func:`resample_positions`, in that order."""
+    if p.target_counts.size != d.num_classes:
+        raise DimensionError(
+            f"profile covers {p.target_counts.size} classes, dataset has {d.num_classes}"
+        )
+    positions = resample_positions(d.labels(), p, seed)
+    return Dataset(records=tuple(d.records[i] for i in positions), class_names=d.class_names)

@@ -456,6 +456,16 @@ def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "error" in err and "missing." in err
 
 
+@pytest.mark.parametrize("command", ["experiment", "synth"])
+def test_spec_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.txt").write_bytes(b"\xff\xfea = 1\n")
+    assert main([command, "--spec", "spec.txt", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "spec.txt" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])
 def test_train_rejects_unusable_config(tmp_path, data_dir, capsys, flags):
     model_path = tmp_path / "m.bin"

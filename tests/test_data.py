@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ecgbalance import (
     generate_synthetic,
     load_csv,
     split,
+    synth_labels,
     window_record,
     write_csv_dataset,
 )
@@ -292,6 +295,67 @@ def test_generator_amplitude_controls_rms():
     )
     r = generate_synthetic(spec).records[0]
     assert np.sqrt(np.mean(r.channels**2)) == pytest.approx(5.0, rel=1e-9)
+
+
+POSITIONS_SPEC = SynthSpec(
+    n_classes=3,
+    n_channels=2,
+    length=50,
+    per_class_counts=(6, 0, 5),
+    channel_gain=(1.0, 0.1),
+    noise_sd=0.7,
+    seed=3,
+)
+
+
+@pytest.mark.parametrize("noise_sd", [0.7, 0.0])
+def test_generator_positions_match_the_full_dataset(noise_sd):
+    spec = dataclasses.replace(POSITIONS_SPEC, noise_sd=noise_sd)
+    full = generate_synthetic(spec)
+    rng = np.random.default_rng(5)
+    for positions in (
+        rng.permutation(len(full))[:7],
+        rng.permutation(len(full)),
+        np.arange(len(full))[::-1],
+        [4],
+        [],
+    ):
+        part = generate_synthetic(spec, positions)
+        assert part.class_names == full.class_names
+        assert len(part) == len(positions)
+        for r, i in zip(part, positions):
+            expected = full.records[i]
+            assert r.record_id == expected.record_id and r.label == expected.label
+            assert r.channels.tobytes() == expected.channels.tobytes()
+
+
+def test_synth_labels_are_the_generated_labels():
+    for spec in (POSITIONS_SPEC, dataclasses.replace(POSITIONS_SPEC, per_class_counts=(1, 9, 2), seed=40)):
+        labels = synth_labels(spec)
+        assert labels.tolist() == generate_synthetic(spec).labels().tolist()
+
+
+def test_generator_record_noise_ignores_other_class_counts():
+    a = generate_synthetic(POSITIONS_SPEC)
+    b = generate_synthetic(dataclasses.replace(POSITIONS_SPEC, per_class_counts=(6, 4, 2)))
+    by_id = {r.record_id: r for r in b}
+    shared = [r for r in a if r.record_id in by_id]
+    # Class 0 keeps all 6 records; class 2 keeps records 0 and 1 of 5.
+    assert len(shared) == 8
+    for r in shared:
+        assert r.channels.tobytes() == by_id[r.record_id].channels.tobytes()
+
+
+@pytest.mark.parametrize("positions", [[11], [0, 11], [-1], [-11], [0.0], [[0]], [True]])
+def test_generator_rejects_bad_positions(positions):
+    # The full dataset has 11 records; negative positions must not wrap around.
+    with pytest.raises(SpecError):
+        generate_synthetic(POSITIONS_SPEC, positions)
+
+
+def test_generator_rejects_negative_seed():
+    with pytest.raises(SpecError, match="seed"):
+        generate_synthetic(dataclasses.replace(POSITIONS_SPEC, seed=-1))
 
 
 # ---------------------------------------------------------------------------

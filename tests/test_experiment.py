@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -7,7 +8,10 @@ from ecgbalance import (
     ExperimentSpec,
     TrainConfig,
     experiment,
+    generate_synthetic,
+    longtail_counts,
     parse_experiment_spec,
+    resample,
     run_experiment,
     write_results_csv,
 )
@@ -238,26 +242,50 @@ def test_run_experiment_worker_count_does_not_change_results(tmp_path):
     assert all(r.n_seeds == 2 for r in serial)
 
 
-def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
-    spec = parse_experiment_spec(write_spec(tmp_path))
-    calls = {"generate_synthetic": [], "resample": [], "split": []}
+def count_calls(monkeypatch, *names):
+    """Record (args, result) of every call to the named experiment module globals."""
+    calls = {name: [] for name in names}
 
     def counted(name):
         original = getattr(experiment, name)
 
-        def wrapper(*args):
-            calls[name].append(args)
-            return original(*args)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(experiment, name, counted(name))
+    return calls
+
+
+def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
+    spec = parse_experiment_spec(write_spec(tmp_path))
+    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split")
     run_experiment(spec, jobs=1)
-    assert [a[0].seed for a in calls["generate_synthetic"]] == list(spec.seeds)
-    # One resample per seed (alpha 0.5) and one split per seed and alpha.
-    assert len(calls["resample"]) == len(spec.seeds)
+    assert [args[0].seed for args, _ in calls["generate_synthetic"]] == list(spec.seeds)
+    # One resample_positions per seed and non-None alpha (0.5), and one split per seed and alpha.
+    assert len(calls["resample_positions"]) == len(spec.seeds)
     assert len(calls["split"]) == len(spec.seeds) * len(spec.alphas)
+
+
+def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch):
+    spec = parse_experiment_spec(write_spec(tmp_path, TINY_SPEC.replace("alpha = none, 0.5", "alpha = 0.5")))
+    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split")
+    run_experiment(spec, jobs=1)
+    synthesized = [len(d) for _, d in calls["generate_synthetic"]]
+    kept = [len(positions) for _, positions in calls["resample_positions"]]
+    assert len(synthesized) == len(spec.seeds)
+    assert synthesized == kept
+    assert all(n < sum(spec.synth.per_class_counts) for n in kept)
+    # Each seed splits exactly what resampling its full dataset would keep.
+    for seed, ((d, _), _) in zip(spec.seeds, calls["split"]):
+        full = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
+        expected = resample(full, longtail_counts(full.class_counts(), 0.5), seed)
+        assert [r.record_id for r in d] == [r.record_id for r in expected]
+        assert all(a.channels.tobytes() == b.channels.tobytes() for a, b in zip(d, expected))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecgbalance import ImbalanceProfile, longtail_counts, resample
+from ecgbalance import Dataset, ImbalanceProfile, longtail_counts, resample, resample_positions, write_csv_dataset
 from ecgbalance.imbalance import write_histogram_csv
 from ecgbalance.errors import DimensionError, EmptyDataset, SpecError
 
@@ -122,6 +122,42 @@ def test_resample_rejects_profile_size_mismatch():
     profile = ImbalanceProfile(alpha=1.0, target_counts=np.array([4, 4]))
     with pytest.raises(DimensionError):
         resample(d, profile, seed=0)
+
+
+def frozen_resample(d, p, seed):
+    """``resample`` as it was before it delegated to ``resample_positions``."""
+    labels = d.labels()
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for m in range(d.num_classes):
+        idx = np.flatnonzero(labels == m)
+        picked = rng.choice(idx, size=int(p.target_counts[m]), replace=False)
+        chosen.extend(int(i) for i in picked)
+    order = rng.permutation(len(chosen))
+    return Dataset(records=tuple(d.records[chosen[i]] for i in order), class_names=d.class_names)
+
+
+def test_resample_matches_the_frozen_implementation(tmp_path):
+    d = tiny_dataset(n_classes=4, per_class=9, length=20, noise_sd=0.1)
+    for alpha, seed in [(1.0, 0), (0.5, 3), (0.1, 7), (0.01, 1009)]:
+        profile = longtail_counts(d.class_counts(), alpha)
+        new, old = resample(d, profile, seed), frozen_resample(d, profile, seed)
+        assert [r.record_id for r in new] == [r.record_id for r in old]
+        write_csv_dataset(new, tmp_path / "new")
+        write_csv_dataset(old, tmp_path / "old")
+        for f in sorted((tmp_path / "old").iterdir()):
+            assert (tmp_path / "new" / f.name).read_bytes() == f.read_bytes()
+
+
+def test_resample_positions_index_the_resampled_records():
+    d = tiny_dataset(n_classes=3, per_class=8, length=20, noise_sd=0.1)
+    profile = longtail_counts(d.class_counts(), 0.25)
+    positions = resample_positions(d.labels(), profile, seed=4)
+    out = resample(d, profile, seed=4)
+    assert len(positions) == len(out)
+    assert all(d.records[i] is r for i, r in zip(positions, out))
+    with pytest.raises(DimensionError):
+        resample_positions(d.labels(), ImbalanceProfile(alpha=1.0, target_counts=np.array([8, 8])), seed=4)
 
 
 def test_histogram_csv(tmp_path):

@@ -11,6 +11,7 @@ from ecgbalance import (
     EncoderSpec,
     IwlConfig,
     TrainConfig,
+    cli,
     cme_factors,
     encode_image,
     evaluate,
@@ -21,10 +22,11 @@ from ecgbalance import (
 )
 
 # (module, name) pairs the tracer wraps to compute the benchmark's per-layer metrics.
-TRACED = [
-    (experiment, name)
-    for name in ("generate_synthetic", "split", "longtail_counts", "resample", "train", "evaluate", "run_cell")
-] + [(trainer, name) for name in ("train", "evaluate", "featurize_dataset", "adam_step", "make_loss")]
+TRACED = (
+    [(experiment, name) for name in ("generate_synthetic", "split", "longtail_counts", "train", "evaluate", "run_cell")]
+    + [(cli, "resample")]
+    + [(trainer, name) for name in ("train", "evaluate", "featurize_dataset", "adam_step", "make_loss")]
+)
 
 ENCODERS = [
     EncoderSpec(kind="cme", height=4, width=10, skip=5, take=50),
