@@ -155,6 +155,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise SpecError(f"train_fraction must lie strictly between 0 and 1, got {self.train_fraction}")
+        if self.seed < 0:
+            raise SpecError(f"split seed must be nonnegative, got {self.seed}")
 
     @property
     def test_fraction(self) -> float:

@@ -151,6 +151,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.data_dir is None and self.synth is None:
             raise SpecError("an experiment needs either data.dir or synthetic data settings")
+        for axis in ("losses", "betas", "alphas", "encodes", "seeds"):
+            if not getattr(self, axis):
+                raise SpecError(f"the experiment grid has no {axis}")
+        if min(self.seeds) < 0:
+            raise SpecError(f"seeds must be nonnegative, got {self.seeds}")
         for name in self.losses:
             loss_config(name, **self.loss_params)
         for enc in self.encodes:

@@ -80,6 +80,8 @@ def resample_positions(labels, p: ImbalanceProfile, seed: int) -> np.ndarray:
         raise DimensionError(
             f"label {labels.max()} is outside the profile's {p.target_counts.size} classes"
         )
+    if seed < 0:
+        raise SpecError(f"resample seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for m in range(p.target_counts.size):

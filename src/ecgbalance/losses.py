@@ -10,17 +10,18 @@ receive proportionally larger gradients. Alongside it live the usual
 imbalance baselines (focal, class-balanced, LDAM) and a central
 finite-difference oracle used to verify every analytical gradient.
 
-All gradients are with respect to the logits and are assembled in forms
-that stay finite even when the true-class probability underflows to zero,
-by routing every log p through the stable log-softmax and multiplying
-derivative terms by p before any division by p can occur.
+Every loss is a pointwise term on the true-class p and log p, which one
+core turns into values and logit gradients (LDAM shifts and scales the
+logits first; class-balanced losses weight each record by its class).
+Gradients stay finite as p underflows to zero: each log p comes from the
+stable log-softmax, and the term returns p * d(value)/dp, not d(value)/dp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,6 +38,9 @@ LOSS_ALIASES = {
     "cb": "class_balanced",
     "iwl": "iwl",
 }
+
+# Losses whose terms depend on the training split's class counts.
+_COUNTED_KINDS = ("class_balanced", "cb_focal", "ldam")
 
 _LN10 = math.log(10.0)
 
@@ -85,17 +89,21 @@ class IwlConfig:
     stop_weight_gradient: bool = False
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.log_base <= 1.0:
-            raise ConfigError(f"log base must exceed 1, got {self.log_base}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.log_base) and self.log_base > 1.0):
+            raise ConfigError(f"log_base must be finite and exceed 1, got {self.log_base}")
 
     @property
     def _ln_base(self) -> float:
         # Exact 1.0 for the natural base, so no rounding detour through log(e).
         return 1.0 if self.log_base == math.e else math.log(self.log_base)
+
+    @property
+    def kind(self) -> str:
+        return "iwl"
 
 
 @dataclass(frozen=True)
@@ -117,12 +125,14 @@ class BaselineLossConfig:
         object.__setattr__(self, "kind", canonical_loss_name(self.kind))
         if self.kind == "iwl":
             raise ConfigError("use IwlConfig for the iwl loss")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 <= self.cb_beta < 1.0:
             raise ConfigError(f"cb_beta must lie in [0, 1), got {self.cb_beta}")
-        if self.ldam_s <= 0 or self.ldam_mu < 0:
-            raise ConfigError("ldam_s must be positive and ldam_mu nonnegative")
+        if not (math.isfinite(self.ldam_s) and self.ldam_s > 0):
+            raise ConfigError(f"ldam_s must be finite and positive, got {self.ldam_s}")
+        if not (math.isfinite(self.ldam_mu) and self.ldam_mu >= 0):
+            raise ConfigError(f"ldam_mu must be finite and nonnegative, got {self.ldam_mu}")
         # class_counts may stay None here: counts describe the training split,
         # so make_loss fills them in at fit time and errors if still missing.
         if self.class_counts is not None:
@@ -154,74 +164,6 @@ def loss_config(name: str, **params) -> LossConfig:
     return BaselineLossConfig(kind=kind, **{k: v for k, v in params.items() if k in _BASELINE_PARAMS})
 
 
-# ---------------------------------------------------------------------------
-# Vectorized cores: rows of logits, integer labels -> per-row values + grads
-
-
-def _rows_and_labels(logits2d, labels):
-    z = np.asarray(logits2d, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or t.ndim != 1 or z.shape[0] != t.size:
-        raise DimensionError(f"got logits {z.shape} for {t.size} labels")
-    if np.any(t < 0) or np.any(t >= z.shape[1]):
-        raise DimensionError("label outside the class range")
-    return z, t
-
-
-def _ce_core(logits2d, labels):
-    z, t = _rows_and_labels(logits2d, labels)
-    lp = _log_softmax(z)
-    probs = np.exp(lp)
-    rows = np.arange(t.size)
-    values = -lp[rows, t]
-    grads = probs.copy()
-    grads[rows, t] -= 1.0
-    return values, grads
-
-
-def _iwl_core(logits2d, labels, cfg: IwlConfig):
-    z, t = _rows_and_labels(logits2d, labels)
-    lp = _log_softmax(z)
-    probs = np.exp(lp)
-    rows = np.arange(t.size)
-    p = probs[rows, t]
-    ln_b = cfg._ln_base
-    # weight = log_b(10/(p+eps)) ** beta; -log_b p built from the stable log-prob
-    a = (_LN10 - np.log(p + cfg.epsilon)) / ln_b
-    ce_part = -lp[rows, t] / ln_b
-    weight = a**cfg.beta
-    values = weight * ce_part
-    # p * d(value)/dp, kept finite as p -> 0: the weight-term factor carries
-    # p/(p+eps) instead of a bare 1/(p+eps), the CE-term factor cancels its 1/p.
-    p_dv = -weight / ln_b
-    if not cfg.stop_weight_gradient and cfg.beta != 0.0:
-        p_dv = p_dv - cfg.beta * a ** (cfg.beta - 1.0) * (p / (p + cfg.epsilon)) * ce_part / ln_b
-    grads = probs * (-p_dv)[:, None]
-    grads[rows, t] += p_dv
-    return values, grads
-
-
-def _focal_core(logits2d, labels, gamma: float):
-    z, t = _rows_and_labels(logits2d, labels)
-    lp = _log_softmax(z)
-    probs = np.exp(lp)
-    rows = np.arange(t.size)
-    p = probs[rows, t]
-    logp = lp[rows, t]
-    q = 1.0 - p
-    values = -(q**gamma) * logp
-    p_dv = -(q**gamma)
-    if gamma != 0.0:
-        # gamma * q**(gamma-1) * p * log p, with the q=0 limit (which is 0) taken explicitly
-        inner = np.zeros_like(p)
-        pos = q > 0.0
-        inner[pos] = gamma * q[pos] ** (gamma - 1.0) * (p[pos] * logp[pos])
-        p_dv = p_dv + inner
-    grads = probs * (-p_dv)[:, None]
-    grads[rows, t] += p_dv
-    return values, grads
-
-
 def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
     """(1 - b) / (1 - b**n) per class, normalized to mean 1."""
     counts = np.asarray(class_counts, dtype=np.float64)
@@ -235,16 +177,6 @@ def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
     return raw * (counts.size / raw.sum())
 
 
-def _cb_core(logits2d, labels, cfg: BaselineLossConfig):
-    weights = effective_number_weights(cfg.cb_beta, cfg.class_counts)
-    if cfg.kind == "cb_focal":
-        values, grads = _focal_core(logits2d, labels, cfg.gamma)
-    else:
-        values, grads = _ce_core(logits2d, labels)
-    w = weights[np.asarray(labels, dtype=np.int64)]
-    return values * w, grads * w[:, None]
-
-
 def ldam_margins(mu: float, class_counts) -> np.ndarray:
     """Per-class margins proportional to n**(-1/4), scaled so max = mu."""
     counts = np.asarray(class_counts, dtype=np.float64)
@@ -254,17 +186,65 @@ def ldam_margins(mu: float, class_counts) -> np.ndarray:
     return mu * raw / raw.max()
 
 
-def _ldam_core(logits2d, labels, cfg: BaselineLossConfig):
-    z, t = _rows_and_labels(logits2d, labels)
-    margins = ldam_margins(cfg.ldam_mu, cfg.class_counts)
+# ---------------------------------------------------------------------------
+# The loss core: rows of logits, integer labels -> per-row values + grads
+
+
+def _iwl_log_term(p, cfg: IwlConfig):
+    """log_b(10 / (p + eps)), the quantity the IWL weight raises to beta."""
+    return (_LN10 - np.log(p + cfg.epsilon)) / cfg._ln_base
+
+
+def _pointwise(p, logp, cfg: LossConfig):
+    """Per-record (value, p * d(value)/dp) from the true-class p and log p."""
+    if cfg.kind == "iwl":
+        ln_b = cfg._ln_base
+        a = _iwl_log_term(p, cfg)
+        ce_part = -logp / ln_b
+        weight = a**cfg.beta
+        p_dv = -weight / ln_b
+        if not cfg.stop_weight_gradient and cfg.beta != 0.0:
+            # Kept finite as p -> 0: the weight-term factor carries p/(p+eps)
+            # instead of a bare 1/(p+eps), the CE-term factor cancels its 1/p.
+            p_dv = p_dv - cfg.beta * a ** (cfg.beta - 1.0) * (p / (p + cfg.epsilon)) * ce_part / ln_b
+        return weight * ce_part, p_dv
+    if cfg.kind in ("focal", "cb_focal"):
+        q = 1.0 - p
+        p_dv = -(q**cfg.gamma)
+        values = p_dv * logp
+        if cfg.gamma != 0.0:
+            # gamma * q**(gamma-1) * p * log p, with the q=0 limit (which is 0) taken explicitly
+            inner = np.zeros_like(p)
+            pos = q > 0.0
+            inner[pos] = cfg.gamma * q[pos] ** (cfg.gamma - 1.0) * (p[pos] * logp[pos])
+            p_dv = p_dv + inner
+        return values, p_dv
+    return -logp, np.full_like(p, -1.0)
+
+
+def _core(logits2d, labels, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(logits2d, dtype=np.float64)
+    t = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 2 or t.ndim != 1 or z.shape[0] != t.size:
+        raise DimensionError(f"got logits {z.shape} for {t.size} labels")
+    if np.any(t < 0) or np.any(t >= z.shape[1]):
+        raise DimensionError("label outside the class range")
     rows = np.arange(t.size)
-    shifted = z.copy()
-    shifted[rows, t] -= margins[t]
-    lp = _log_softmax(cfg.ldam_s * shifted)
+    if cfg.kind == "ldam":
+        z = z.copy()
+        z[rows, t] -= ldam_margins(cfg.ldam_mu, cfg.class_counts)[t]
+        z = cfg.ldam_s * z
+    lp = _log_softmax(z)
     probs = np.exp(lp)
-    values = -lp[rows, t]
-    grads = cfg.ldam_s * probs
-    grads[rows, t] -= cfg.ldam_s
+    values, p_dv = _pointwise(probs[rows, t], lp[rows, t], cfg)
+    if cfg.kind == "ldam":
+        p_dv = cfg.ldam_s * p_dv
+    # d(value)/dz = p_dv * (onehot - probs), since d(log p)/dz = onehot - probs.
+    grads = probs * (-p_dv)[:, None]
+    grads[rows, t] += p_dv
+    if cfg.kind in ("class_balanced", "cb_focal"):
+        w = effective_number_weights(cfg.cb_beta, cfg.class_counts)[t]
+        values, grads = values * w, grads * w[:, None]
     return values, grads
 
 
@@ -274,8 +254,7 @@ def _ldam_core(logits2d, labels, cfg: BaselineLossConfig):
 
 def iwl_weight(p, cfg: IwlConfig = IwlConfig()):
     """The weight factor (log_b(10/(p+eps)))**beta as a function of p."""
-    arr = np.asarray(p, dtype=np.float64)
-    return ((_LN10 - np.log(arr + cfg.epsilon)) / cfg._ln_base) ** cfg.beta
+    return _iwl_log_term(np.asarray(p, dtype=np.float64), cfg) ** cfg.beta
 
 
 def iwl_point_value(p, cfg: IwlConfig = IwlConfig()):
@@ -290,13 +269,16 @@ def iwl_point_value(p, cfg: IwlConfig = IwlConfig()):
 
 @dataclass(frozen=True)
 class BatchLoss:
-    """A named loss evaluated over rows of logits with integer labels."""
+    """A loss config evaluated over rows of logits with integer labels."""
 
-    name: str
-    core: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    cfg: LossConfig
+
+    @property
+    def name(self) -> str:
+        return self.cfg.kind
 
     def per_record(self, logits2d, labels) -> tuple[np.ndarray, np.ndarray]:
-        return self.core(logits2d, labels)
+        return _core(logits2d, labels, self.cfg)
 
     def mean(self, logits2d, labels) -> tuple[float, np.ndarray]:
         """Mean value over records and the matching mean-gradient rows.
@@ -304,28 +286,20 @@ class BatchLoss:
         The reduction uses an exactly rounded sum, so it is independent of
         record order up to the final division.
         """
-        values, grads = self.core(logits2d, labels)
+        values, grads = self.per_record(logits2d, labels)
         n = values.size
         return math.fsum(values.tolist()) / n, grads / n
 
 
 def make_loss(cfg: LossConfig, class_counts=None) -> BatchLoss:
     """Build a BatchLoss from a config, filling in class counts if needed."""
-    if isinstance(cfg, IwlConfig):
-        return BatchLoss(name="iwl", core=lambda z, t: _iwl_core(z, t, cfg))
-    if not isinstance(cfg, BaselineLossConfig):
+    if not isinstance(cfg, (IwlConfig, BaselineLossConfig)):
         raise ConfigError(f"unsupported loss config type {type(cfg).__name__}")
-    if cfg.kind in ("class_balanced", "cb_focal", "ldam") and cfg.class_counts is None:
+    if cfg.kind in _COUNTED_KINDS and cfg.class_counts is None:
         if class_counts is None:
             raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
         cfg = replace(cfg, class_counts=tuple(int(c) for c in class_counts))
-    if cfg.kind == "cross_entropy":
-        return BatchLoss(name=cfg.kind, core=_ce_core)
-    if cfg.kind == "focal":
-        return BatchLoss(name=cfg.kind, core=lambda z, t: _focal_core(z, t, cfg.gamma))
-    if cfg.kind in ("class_balanced", "cb_focal"):
-        return BatchLoss(name=cfg.kind, core=lambda z, t: _cb_core(z, t, cfg))
-    return BatchLoss(name=cfg.kind, core=lambda z, t: _ldam_core(z, t, cfg))
+    return BatchLoss(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +366,20 @@ def gradient_check(
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     pinned = getattr(cfg, "class_counts", None)
     if num_classes is None:
         num_classes = len(pinned) if pinned is not None else 9
     elif pinned is not None and len(pinned) != num_classes:
         raise ConfigError(f"num_classes {num_classes} does not match {len(pinned)} pinned class counts")
     rng = np.random.default_rng(seed)
-    randomize_counts = (
-        isinstance(cfg, BaselineLossConfig)
-        and cfg.kind in ("class_balanced", "cb_focal", "ldam")
-        and cfg.class_counts is None
-    )
-    batch = None if randomize_counts else make_loss(cfg, class_counts=None)
-    worst = 0.0
+    randomize_counts = cfg.kind in _COUNTED_KINDS and pinned is None
+    errors = []
     for _ in range(trials):
         logits = rng.normal(0.0, 3.0, size=num_classes)
         label = int(rng.integers(num_classes))
-        if randomize_counts:
-            counts = tuple(int(c) for c in rng.integers(1, 641, size=num_classes))
-            batch = make_loss(cfg, class_counts=counts)
-        assert batch is not None
+        batch = make_loss(cfg, class_counts=rng.integers(1, 641, size=num_classes) if randomize_counts else None)
         _, grads = batch.per_record(logits[None, :], [label])
         if getattr(cfg, "stop_weight_gradient", False):
             # The analytic gradient holds the weight constant, so difference
@@ -421,5 +389,6 @@ def gradient_check(
         else:
             loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
         numeric = finite_difference_grad(loss_fn, logits, label)
-        worst = max(worst, relative_gradient_error(grads[0], numeric))
-    return GradCheckResult(loss=batch.name, trials=trials, max_rel_error=worst, threshold=threshold)
+        errors.append(relative_gradient_error(grads[0], numeric))
+    # np.max, unlike the builtin max, carries a NaN error through to the result.
+    return GradCheckResult(loss=cfg.kind, trials=trials, max_rel_error=float(np.max(errors)), threshold=threshold)

@@ -107,6 +107,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be nonnegative and batch_size positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         hidden = tuple(int(h) for h in self.hidden)

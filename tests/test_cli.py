@@ -347,6 +347,16 @@ def test_gradcheck_absurd_threshold_fails(capsys, tmp_path):
     assert out.read_text().splitlines()[1].endswith(",fail")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_non_finite_error_fails(capsys, tmp_path):
+    # beta = 1000 overflows the IWL weight, so every gradient error is NaN.
+    out = tmp_path / "report.csv"
+    code = main(["gradcheck", "--loss", "iwl", "--beta", "1000", "--trials", "3", "--out", str(out)])
+    assert code == 3
+    assert "max relative error nan" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "iwl,3,nan,0.0001,fail"
+
+
 def test_gradcheck_base_ten(capsys):
     assert main(["gradcheck", "--loss", "iwl", "--log-base", "10", "--trials", "10"]) == 0
 
@@ -472,6 +482,24 @@ def test_train_rejects_unusable_config(tmp_path, data_dir, capsys, flags):
     assert main(["train", "--data", str(data_dir), "--out", str(model_path)] + TRAIN_FLAGS + flags) == 2
     assert "error" in capsys.readouterr().err
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "resample", "eval", "gradcheck", "experiment"]
+)
+def test_negative_seed_exits_2(tmp_path, data_dir, model_file, capsys, command):
+    spec = tmp_path / "grid.txt"
+    spec.write_text(f"data.dir = {data_dir}\nseeds = -1\nepochs = 1\nalpha = 0.5\n")
+    argv = {
+        "train": ["train", "--data", str(data_dir), "--out", str(tmp_path / "m.bin"), *TRAIN_FLAGS, "--seed", "-1"],
+        "resample": ["resample", "--data", str(data_dir), "--alpha", "0.5", "--seed", "-1", "--out", str(tmp_path / "r")],
+        "eval": ["eval", "--model", str(model_file), "--data", str(data_dir), "--split", "test", "--split-seed", "-1"],
+        "gradcheck": ["gradcheck", "--loss", "iwl", "--trials", "1", "--seed", "-1"],
+        "experiment": ["experiment", "--spec", str(spec), "--out", str(tmp_path / "results.csv")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "nonnegative" in err and "-1" in err
 
 
 def test_train_stops_at_the_first_non_finite_loss(tmp_path, data_dir, capsys):

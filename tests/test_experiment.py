@@ -171,6 +171,15 @@ def test_parse_spec_rejects_bad_values(tmp_path):
             parse_experiment_spec(path)
 
 
+@pytest.mark.parametrize("key", ["loss", "beta", "alpha", "encode", "seeds"])
+def test_parse_spec_rejects_an_empty_grid_axis(tmp_path, key):
+    # An empty axis used to run no cells and write a row of NaN means.
+    path = tmp_path / "empty.txt"
+    path.write_text(f"data.classes = 3\n{key} = ,\n")
+    with pytest.raises(SpecError, match="grid has no"):
+        parse_experiment_spec(path)
+
+
 def test_spec_requires_some_data_source():
     with pytest.raises(SpecError):
         ExperimentSpec()

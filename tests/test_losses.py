@@ -373,6 +373,14 @@ def test_config_validation():
         BaselineLossConfig(kind="focal", gamma=-1.0)
     with pytest.raises(ConfigError):
         BaselineLossConfig(kind="cross_entropy", cb_beta=1.0)
+    # NaN slips past every ordered comparison, so each parameter is also checked for finiteness.
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("beta", "epsilon", "log_base"):
+            with pytest.raises(ConfigError, match=name):
+                IwlConfig(**{name: bad})
+        for name in ("gamma", "ldam_mu", "ldam_s", "cb_beta"):
+            with pytest.raises(ConfigError, match=name):
+                BaselineLossConfig(kind="ldam", **{name: bad})
 
 
 # ---------------------------------------------------------------------------
