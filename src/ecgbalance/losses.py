@@ -229,6 +229,8 @@ def _core(logits2d, labels, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"got logits {z.shape} for {t.size} labels")
     if np.any(t < 0) or np.any(t >= z.shape[1]):
         raise DimensionError("label outside the class range")
+    if cfg.kind in _COUNTED_KINDS and len(cfg.class_counts) != z.shape[1]:
+        raise DimensionError(f"{len(cfg.class_counts)} class counts for {z.shape[1]} logit columns")
     rows = np.arange(t.size)
     if cfg.kind == "ldam":
         z = z.copy()
@@ -380,15 +382,17 @@ def gradient_check(
         logits = rng.normal(0.0, 3.0, size=num_classes)
         label = int(rng.integers(num_classes))
         batch = make_loss(cfg, class_counts=rng.integers(1, 641, size=num_classes) if randomize_counts else None)
-        _, grads = batch.per_record(logits[None, :], [label])
-        if getattr(cfg, "stop_weight_gradient", False):
-            # The analytic gradient holds the weight constant, so difference
-            # the weight at this trial point times the (base-b) cross-entropy.
-            w0 = float(iwl_weight(softmax(logits)[label], cfg))
-            loss_fn = lambda z, t: w0 * float(-_log_softmax(z[None, :])[0, t]) / cfg._ln_base
-        else:
-            loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
-        numeric = finite_difference_grad(loss_fn, logits, label)
-        errors.append(relative_gradient_error(grads[0], numeric))
+        # A parameter that overflows gives a NaN error, which fails the check; it is not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grads = batch.per_record(logits[None, :], [label])
+            if getattr(cfg, "stop_weight_gradient", False):
+                # The analytic gradient holds the weight constant, so difference
+                # the weight at this trial point times the (base-b) cross-entropy.
+                w0 = float(iwl_weight(softmax(logits)[label], cfg))
+                loss_fn = lambda z, t: w0 * float(-_log_softmax(z[None, :])[0, t]) / cfg._ln_base
+            else:
+                loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
+            numeric = finite_difference_grad(loss_fn, logits, label)
+            errors.append(relative_gradient_error(grads[0], numeric))
     # np.max, unlike the builtin max, carries a NaN error through to the result.
     return GradCheckResult(loss=cfg.kind, trials=trials, max_rel_error=float(np.max(errors)), threshold=threshold)

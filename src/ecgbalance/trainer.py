@@ -62,36 +62,54 @@ class EncoderSpec:
 
 @dataclass
 class ModelParams:
-    """Affine layer stack plus the encoder that feeds it."""
+    """Affine layer stack plus the encoder that feeds it.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``dims`` is (input, *hidden, classes). ``theta`` holds every parameter in
+    one float64 vector, in model-file order: each layer's weights row-major,
+    then its bias. ``weights`` and ``biases`` are views into ``theta``.
+    """
+
+    dims: tuple[int, ...]
+    theta: np.ndarray
     encoder: EncoderSpec
     class_names: tuple[str, ...] = ()
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Every parameter array: the weights, then the biases, in layer order."""
-        return [*self.weights, *self.biases]
+    def __post_init__(self):
+        self.dims = tuple(int(d) for d in self.dims)
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ConfigError(f"layer dimensions {list(self.dims)} do not describe a network")
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        self.weights, self.biases = (list(views) for views in zip(*_layers(self.dims, self.theta)))
 
     @property
     def num_classes(self) -> int:
-        return self.biases[-1].size
+        return self.dims[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.dims[0]
 
     def validate(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ConfigError("weights and biases must be matched, nonempty lists")
-        prev = self.weights[0].shape[0]
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape != (prev, b.size):
-                raise ConfigError(f"layer shapes do not chain: {w.shape} then bias {b.shape}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ConfigError("parameters must be finite")
-            prev = b.size
+        if not np.isfinite(self.theta).all():
+            raise ConfigError("parameters must be finite")
+
+
+def _param_count(dims: tuple[int, ...]) -> int:
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _layers(dims: tuple[int, ...], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weights, bias) as views of ``flat``, a vector laid out like ``ModelParams.theta``."""
+    if flat.shape != (_param_count(dims),):
+        raise ConfigError(f"layer dimensions {list(dims)} take {_param_count(dims)} parameters, not {flat.shape}")
+    views, at = [], 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        end = at + d_in * d_out
+        views.append((flat[at:end].reshape(d_in, d_out), flat[end : end + d_out]))
+        at = end + d_out
+    return views
 
 
 @dataclass(frozen=True)
@@ -126,16 +144,13 @@ def init_model(
     hidden: tuple[int, ...] = TrainConfig.hidden,
     class_names: tuple[str, ...] = (),
 ) -> ModelParams:
-    """He-initialized weights drawn from ``rng``, zero biases."""
+    """He-initialized weights drawn from ``rng`` layer by layer, zero biases."""
     if input_dim < 1 or num_classes < 2:
         raise ConfigError("need a positive input dimension and at least two classes")
     dims = (input_dim, *hidden, num_classes)
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / d_in), size=(d_in, d_out)))
-        biases.append(np.zeros(d_out))
-    model = ModelParams(weights=weights, biases=biases, encoder=encoder, class_names=tuple(class_names))
-    model.validate()
+    model = ModelParams(dims, np.zeros(_param_count(dims)), encoder, tuple(class_names))
+    for w in model.weights:
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
     return model
 
 
@@ -154,28 +169,19 @@ def _forward_batch(m: ModelParams, x2d: np.ndarray):
     return acts, logits
 
 
-def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: BatchLoss):
-    """Gradients of the batch-mean loss for every parameter.
-
-    Returns (grads, mean loss value), with grads in ``m.params`` order. The
-    batch mean of per-record losses is what gets differentiated, so batch
-    gradients are exactly the mean of per-record gradients.
-    """
+def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: BatchLoss, grad: np.ndarray) -> float:
+    """Writes the gradient of the batch-mean loss into ``grad``, laid out like ``m.theta``,
+    and returns the mean loss. The batch mean of per-record losses is what gets
+    differentiated, so batch gradients are exactly the mean of per-record gradients."""
     acts, logits = _forward_batch(m, x2d)
-    mean_value, dlogits = loss.mean(logits, labels)
-    depth = len(m.weights)
-    # Allocated although each entry is replaced below: without these, glibc
-    # returned and re-faulted the freed pages every step, and backward and
-    # Adam on the raw cell ran about 25% slower (2-core host).
-    grads = [np.empty_like(p) for p in m.params]
-    delta = dlogits
-    for layer in range(depth - 1, -1, -1):
-        grads[layer] = acts[layer].T @ delta
-        grads[depth + layer] = delta.sum(axis=0)
+    mean_value, delta = loss.mean(logits, labels)
+    for layer, (gw, gb) in reversed(list(enumerate(_layers(m.dims, grad)))):
+        np.matmul(acts[layer].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if layer > 0:
             delta = delta @ m.weights[layer].T
             delta = np.where(acts[layer] > 0.0, delta, 0.0)
-    return grads, mean_value
+    return mean_value
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +190,34 @@ def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: B
 
 @dataclass
 class AdamState:
-    """Step count and first/second moments, one array per ``model.params`` entry."""
+    """Step count, first/second moments and two work vectors, each laid out like ``model.theta``."""
 
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
 
 
 def adam_init(model: ModelParams) -> AdamState:
-    params = model.params
-    return AdamState(step=0, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    return AdamState(0, *(np.zeros_like(model.theta) for _ in range(4)))
 
 
-def adam_step(model: ModelParams, state: AdamState, grads: list[np.ndarray], lr: float) -> None:
-    """One bias-corrected first/second-moment update, in place; ``grads`` in ``model.params`` order."""
+def adam_step(model: ModelParams, state: AdamState, grad: np.ndarray, lr: float) -> None:
+    """theta -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment updates, operation
+    for operation, in place through the state's work vectors: a step allocates nothing."""
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
-    for p, g, mom, vel in zip(model.params, grads, state.m, state.v):
-        mom *= ADAM_BETA1
-        mom += (1.0 - ADAM_BETA1) * g
-        vel *= ADAM_BETA2
-        vel += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (mom / c1) / (np.sqrt(vel / c2) + ADAM_EPS)
+    m, v, num, den = state.m, state.v, state.num, state.den
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(grad, grad, out=num), 1.0 - ADAM_BETA2, out=num)
+    np.sqrt(np.divide(v, c2, out=den), out=den)
+    den += ADAM_EPS
+    np.multiply(np.divide(m, c1, out=num), lr, out=num)
+    model.theta -= np.divide(num, den, out=num)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +266,7 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
         class_names=d_train.class_names,
     )
     state = adam_init(model)
+    grad = np.empty_like(model.theta)
     n = x.shape[0]
     log: list[float] = []
     for epoch in range(cfg.epochs):
@@ -265,13 +277,13 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
             batch = start // cfg.batch_size
             # A diverging run is stopped by the checks below, not warned about.
             with np.errstate(over="ignore", invalid="ignore"):
-                grads, value = _backward_batch(model, x[idx], labels[idx], loss)
+                value = _backward_batch(model, x[idx], labels[idx], loss, grad)
                 if not math.isfinite(value):
                     raise ConfigError(f"non-finite training loss at epoch {epoch}, batch {batch}")
-                adam_step(model, state, grads, cfg.learning_rate)
+                adam_step(model, state, grad, cfg.learning_rate)
             epoch_sum += value * idx.size
         # Once per epoch: an overflow mid-epoch shows in the next batch's loss.
-        if not all(np.isfinite(p).all() for p in model.params):
+        if not np.isfinite(model.theta).all():
             raise ConfigError(f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}")
         log.append(epoch_sum / n)
     return model, log
@@ -340,22 +352,16 @@ def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
 
 
 def save_model(m: ModelParams, path) -> None:
-    """Magic, JSON header (sizes, encoder, classes), then the parameter
-    arrays as little-endian float64 in layer order. Byte-deterministic."""
+    """Magic, JSON header (sizes, encoder, classes), then ``m.theta`` as
+    little-endian float64. Byte-deterministic."""
     m.validate()
-    header = {
-        "layer_dims": [int(m.weights[0].shape[0])] + [int(b.size) for b in m.biases],
-        "encoder": asdict(m.encoder),
-        "class_names": list(m.class_names),
-    }
+    header = {"layer_dims": list(m.dims), "encoder": asdict(m.encoder), "class_names": list(m.class_names)}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for w, b in zip(m.weights, m.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(m.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path) -> ModelParams:
@@ -380,21 +386,12 @@ def load_model(path) -> ModelParams:
             raise ConfigError(f"{path}: model encoder fields {sorted(enc)} are not {sorted(names)}")
         encoder = EncoderSpec(**enc)
         class_names = tuple(header["class_names"])
+        theta = np.frombuffer(raw, dtype="<f8", offset=offset + hlen).astype(np.float64)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed model header ({exc!r})") from exc
-    if len(dims) < 2 or min(dims) < 1:
-        raise ConfigError(f"{path}: layer dimensions {dims} do not describe a network")
-    offset += hlen
-    expected = 8 * sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
-    if len(raw) - offset != expected:
-        raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw) - offset}")
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        n = d_in * d_out * 8
-        weights.append(np.frombuffer(raw[offset : offset + n], dtype="<f8").reshape(d_in, d_out).copy())
-        offset += n
-        biases.append(np.frombuffer(raw[offset : offset + d_out * 8], dtype="<f8").copy())
-        offset += d_out * 8
-    model = ModelParams(weights=weights, biases=biases, encoder=encoder, class_names=class_names)
-    model.validate()
+        raise ConfigError(f"{path}: malformed model file ({exc!r})") from exc
+    try:
+        model = ModelParams(dims, theta, encoder, class_names)
+        model.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return model

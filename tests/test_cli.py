@@ -347,9 +347,10 @@ def test_gradcheck_absurd_threshold_fails(capsys, tmp_path):
     assert out.read_text().splitlines()[1].endswith(",fail")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_gradcheck_non_finite_error_fails(capsys, tmp_path):
-    # beta = 1000 overflows the IWL weight, so every gradient error is NaN.
+    # beta = 1000 overflows the IWL weight, so every gradient error is NaN;
+    # the check fails on that without a numpy warning.
     out = tmp_path / "report.csv"
     code = main(["gradcheck", "--loss", "iwl", "--beta", "1000", "--trials", "3", "--out", str(out)])
     assert code == 3

@@ -331,6 +331,14 @@ def test_batch_labels_validated():
         loss.per_record(np.zeros((2, 3)), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("kind", ["ldam", "class_balanced", "cb_focal"])
+@pytest.mark.parametrize("counts", [(5, 3), (5, 3, 2, 1)])
+def test_pinned_class_counts_must_match_the_logit_width(kind, counts):
+    loss = make_loss(BaselineLossConfig(kind=kind, class_counts=counts))
+    with pytest.raises(DimensionError, match="class counts for 3 logit columns"):
+        loss.per_record(np.zeros((1, 3)), [2])
+
+
 def test_make_loss_fills_class_counts():
     value, _ = one_row(BaselineLossConfig(kind="ldam"), [0.1, -0.1], 0, class_counts=[10, 20])
     assert np.isfinite(value)

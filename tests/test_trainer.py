@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from ecgbalance import (
     train,
 )
 from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
-from ecgbalance.trainer import _backward_batch, _forward_batch, featurize_dataset
+from ecgbalance.trainer import _backward_batch, _forward_batch, _layers, featurize_dataset
 
 SMALL_ENC = EncoderSpec(kind="cme", height=4, width=10, skip=0, take=60)
 RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
@@ -58,9 +59,14 @@ def test_init_model_shapes_and_zero_biases():
     assert m.num_classes == 3 and m.input_dim == 7
 
 
-def test_params_are_the_weights_then_the_biases():
+def test_weights_and_biases_are_views_of_theta_in_file_order():
     m = init_model(6, 3, SMALL_ENC, hidden=(5, 4), rng=np.random.default_rng(1))
-    assert [id(p) for p in m.params] == [id(a) for a in m.weights + m.biases]
+    assert m.dims == (6, 5, 4, 3) and m.theta.shape == (6 * 5 + 5 + 5 * 4 + 4 + 4 * 3 + 3,)
+    assert all(np.shares_memory(a, m.theta) for a in m.weights + m.biases)
+    layout = np.concatenate([part for w, b in zip(m.weights, m.biases) for part in (w.ravel(), b)])
+    assert np.array_equal(layout, m.theta)
+    m.theta[0] = 42.0
+    assert m.weights[0][0, 0] == 42.0
 
 
 def test_init_model_seeded():
@@ -85,15 +91,16 @@ def test_init_model_validation():
         init_model(4, 1, SMALL_ENC, rng=np.random.default_rng(0))
 
 
-def test_model_params_validate_rejects_broken_chain():
-    m = ModelParams(
-        weights=[np.zeros((3, 4)), np.zeros((5, 2))],
-        biases=[np.zeros(4), np.zeros(2)],
-        encoder=SMALL_ENC,
-    )
-    with pytest.raises(ConfigError):
-        m.validate()
-    bad = ModelParams(weights=[np.full((2, 2), np.nan)], biases=[np.zeros(2)], encoder=SMALL_ENC)
+def test_model_params_theta_must_fit_dims_and_be_finite():
+    # (3, 4, 2) takes 3*4 + 4 + 4*2 + 2 = 26 parameters.
+    assert ModelParams((3, 4, 2), np.zeros(26), SMALL_ENC).theta.size == 26
+    for size in (25, 27):
+        with pytest.raises(ConfigError):
+            ModelParams((3, 4, 2), np.zeros(size), SMALL_ENC)
+    for dims in ((3,), (3, 0, 2)):
+        with pytest.raises(ConfigError):
+            ModelParams(dims, np.zeros(0), SMALL_ENC)
+    bad = ModelParams((2, 2), np.full(6, np.nan), SMALL_ENC)
     with pytest.raises(ConfigError):
         bad.validate()
 
@@ -127,9 +134,9 @@ def test_backward_matches_finite_differences():
     loss = make_loss(IwlConfig(beta=0.3))
     x = np.array([[0.8, -0.3, 1.5]])
     y = np.array([1])
-    grads, _ = _backward_batch(m, x, y, loss)
-    depth = len(m.weights)
-    w_grads, b_grads = grads[:depth], grads[depth:]
+    grad = np.empty_like(m.theta)
+    _backward_batch(m, x, y, loss, grad)
+    w_grads, b_grads = zip(*_layers(m.dims, grad))
     h = 1e-6
 
     def value() -> float:
@@ -159,11 +166,13 @@ def test_backward_matches_finite_differences():
 def test_backward_accepts_config_and_validates_label():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
     loss = make_loss(IwlConfig(beta=0.3))
-    grads, _ = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss)
-    assert [g.shape for g in grads] == [p.shape for p in m.params]
-    assert len(grads[: len(m.weights)]) == 2
+    grad = np.full_like(m.theta, np.nan)
+    value = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss, grad)
+    assert math.isfinite(value) and np.isfinite(grad).all()
+    assert [gw.shape for gw, _ in _layers(m.dims, grad)] == [w.shape for w in m.weights]
+    assert len(_layers(m.dims, grad)) == 2
     with pytest.raises(DimensionError):
-        _backward_batch(m, np.ones((1, 3)), np.array([3]), loss)
+        _backward_batch(m, np.ones((1, 3)), np.array([3]), loss, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +183,14 @@ def test_adam_first_steps_move_by_learning_rate():
     m = init_model(2, 2, SMALL_ENC, hidden=(), rng=np.random.default_rng(0))
     state = adam_init(m)
     before = m.weights[0].copy()
-    grads = [np.ones_like(m.weights[0]), np.full_like(m.biases[0], -3.0)]
-    adam_step(m, state, grads, lr=0.01)
+    grad = np.empty_like(m.theta)
+    [(gw, gb)] = _layers(m.dims, grad)
+    gw[...], gb[...] = 1.0, -3.0
+    adam_step(m, state, grad, lr=0.01)
     # Bias correction makes the very first step lr * g/(|g| + eps) ~ lr.
     assert np.allclose(before - m.weights[0], 0.01, rtol=1e-6)
     assert np.allclose(m.biases[0], 0.01, rtol=1e-6)
-    adam_step(m, state, grads, lr=0.01)
+    adam_step(m, state, grad, lr=0.01)
     assert np.allclose(before - m.weights[0], 0.02, rtol=1e-6)
     assert state.step == 2
 
@@ -188,8 +199,31 @@ def test_adam_state_shapes_follow_model():
     m = init_model(3, 2, SMALL_ENC, hidden=(5,), rng=np.random.default_rng(0))
     state = adam_init(m)
     assert isinstance(state, AdamState)
-    assert [a.shape for a in state.m[: len(m.weights)]] == [w.shape for w in m.weights]
-    assert all(np.all(v == 0.0) for v in state.v[len(m.weights) :])
+    assert [w.shape for w, _ in _layers(m.dims, state.m)] == [w.shape for w in m.weights]
+    assert all(a.shape == m.theta.shape for a in (state.m, state.v, state.num, state.den))
+    assert all(np.all(b == 0.0) for _, b in _layers(m.dims, state.v))
+
+
+def test_a_training_step_allocates_less_than_the_parameters():
+    # train allocates the gradient, the moments and Adam's work vectors once;
+    # a step then allocates only batch-sized arrays.
+    rng = np.random.default_rng(0)
+    m = init_model(3000, 9, RAW_ENC, hidden=(64, 32), rng=rng)
+    loss = make_loss(IwlConfig(beta=0.3))
+    x = rng.normal(0.0, 1.0, size=(64, 3000))
+    y = rng.integers(0, 9, size=64)
+    state = adam_init(m)
+    grad = np.empty_like(m.theta)
+    _backward_batch(m, x, y, loss, grad)
+    adam_step(m, state, grad, lr=0.001)
+    for step in (lambda: _backward_batch(m, x, y, loss, grad), lambda: adam_step(m, state, grad, lr=0.001)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.theta.nbytes
 
 
 # ---------------------------------------------------------------------------
