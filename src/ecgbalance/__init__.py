@@ -21,6 +21,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     split,
+    split_positions,
     synth_labels,
     window_record,
     write_csv_dataset,
@@ -44,6 +45,7 @@ from .errors import (
     EncodeError,
     MalformedRecord,
     NonFiniteSample,
+    OutputError,
     SpecError,
     UnknownClass,
     WindowOutOfRange,
@@ -87,7 +89,9 @@ from .trainer import (
     load_model,
     metrics_from_confusion,
     save_model,
+    score,
     train,
+    train_stack,
 )
 
 __version__ = "0.1.0"

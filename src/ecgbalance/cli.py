@@ -9,6 +9,7 @@ configuration error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -32,7 +33,7 @@ from .equalizer import (
     write_image_raw,
     write_stats_csv,
 )
-from .errors import EcgBalanceError, SpecError
+from .errors import EcgBalanceError, OutputError, SpecError
 from .experiment import (
     SYNTH_KEYS,
     parse_experiment_spec,
@@ -155,6 +156,24 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.data, manifest=getattr(args, "manifest", None))
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out_file(path) -> None:
+    """Fail before any work when ``path`` cannot be created as a file."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise OutputError(f"cannot write {path}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise OutputError(f"cannot write {path}: it is a directory")
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 
@@ -168,7 +187,8 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     d = generate_synthetic(spec)
-    write_csv_dataset(d, args.out)
+    with _writing(args.out):
+        write_csv_dataset(d, args.out)
     print(f"wrote {len(d)} records over {d.num_classes} classes to {args.out}")
     return 0
 
@@ -177,7 +197,8 @@ def _cmd_analyze(args) -> int:
     d = _load_dataset(args)
     stats = channel_stats(d)
     if args.out:
-        write_stats_csv(stats, d.class_names, args.out)
+        with _writing(args.out):
+            write_stats_csv(stats, d.class_names, args.out)
         print(f"wrote channel stats for {d.num_channels} channels to {args.out}")
     else:
         for c in range(d.num_channels):
@@ -188,7 +209,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_encode(args) -> int:
     d = _load_dataset(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     records = d.records
     if args.record is not None:
         records = tuple(r for r in records if r.record_id == args.record)
@@ -199,11 +221,12 @@ def _cmd_encode(args) -> int:
         images = featurize_records(
             block, args.height, args.width, args.skip, args.take, args.mode, equalize=not args.no_equalize
         )
-        for r, img in zip(block, images):
-            if args.format in ("csv", "both"):
-                write_image_csv(img, out / f"{r.record_id}.csv")
-            if args.format in ("raw", "both"):
-                write_image_raw(img, out / f"{r.record_id}.f64")
+        with _writing(out):
+            for r, img in zip(block, images):
+                if args.format in ("csv", "both"):
+                    write_image_csv(img, out / f"{r.record_id}.csv")
+                if args.format in ("raw", "both"):
+                    write_image_raw(img, out / f"{r.record_id}.f64")
     print(f"encoded {len(records)} records at {args.height}x{args.width} into {out}")
     return 0
 
@@ -219,8 +242,9 @@ def _cmd_resample(args) -> int:
         profile = longtail_counts(before, args.alpha)
         out_d = resample(d, profile, args.seed)
     out = Path(args.out)
-    write_csv_dataset(out_d, out)
-    write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
+    with _writing(out):
+        write_csv_dataset(out_d, out)
+        write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
     print(f"wrote {len(out_d)} records to {out}")
     return 0
 
@@ -244,7 +268,7 @@ def _cmd_gradcheck(args) -> int:
             f"{res.max_rel_error:.3e} (threshold {res.threshold:g}): {status}"
         )
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write("loss,trials,max_rel_error,threshold,status\n")
             for res in results:
                 fh.write(
@@ -260,9 +284,10 @@ def _cmd_train(args) -> int:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
     cfg = _train_config_from_args(args)
     model, log = train(d, cfg)
-    save_model(model, args.out)
+    with _writing(args.out):
+        save_model(model, args.out)
     if args.log:
-        with open(args.log, "w") as fh:
+        with _writing(args.log), open(args.log, "w") as fh:
             fh.write("epoch,mean_loss\n")
             for epoch, value in enumerate(log):
                 fh.write(f"{epoch},{repr(value)}\n")
@@ -289,11 +314,12 @@ def _cmd_eval(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if args.confusion:
-        with open(args.confusion, "w") as fh:
+        with _writing(args.confusion), open(args.confusion, "w") as fh:
             fh.write("," + ",".join(d.class_names) + "\n")
             for m, name in enumerate(d.class_names):
                 fh.write(name + "," + ",".join(str(int(v)) for v in metrics.confusion[m]) + "\n")
@@ -302,9 +328,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"experiment: --jobs must be at least 1, got {args.jobs}")
     spec = parse_experiment_spec(args.spec)
+    _check_out_file(args.out)
     rows = run_experiment(spec, jobs=args.jobs)
-    write_results_csv(rows, args.out)
+    with _writing(args.out):
+        write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
 
@@ -397,7 +427,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a {loss, beta, alpha, encode} x seeds grid")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for grid cells")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for grid cells (at least 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

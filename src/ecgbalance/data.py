@@ -12,6 +12,7 @@ All containers are immutable after construction. Arrays are frozen with
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,6 +307,14 @@ class SynthSpec:
         if self.class_names is not None:
             object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
 
+    def dataset_class_names(self) -> tuple[str, ...]:
+        """``class_names``, else the canonical names for nine classes, else ``class_<i>``."""
+        if self.class_names is not None:
+            return self.class_names
+        if self.n_classes == len(CANONICAL_CLASS_NAMES):
+            return CANONICAL_CLASS_NAMES
+        return tuple(f"class_{i}" for i in range(self.n_classes))
+
     def validate(self) -> None:
         if self.n_classes < 2:
             raise SpecError("need at least two classes")
@@ -333,8 +342,10 @@ class SynthSpec:
             raise SpecError("class_names length must match n_classes")
 
 
+# Cached, so a dataset synthesized in blocks builds each waveform and its order once.
+@functools.lru_cache(maxsize=32)
 def _class_waveform(spec: SynthSpec, m: int) -> np.ndarray:
-    """Clean (channels, length) waveform for class ``m``, gains applied.
+    """Clean (channels, length) waveform for class ``m``, gains applied; read-only.
 
     Deterministic in (spec geometry, m): no randomness enters here.
     """
@@ -351,6 +362,7 @@ def _class_waveform(spec: SynthSpec, m: int) -> np.ndarray:
     rms = float(np.sqrt(np.mean(rows * rows)))
     rows *= spec.amplitude / rms
     rows *= np.asarray(spec.channel_gain, dtype=np.float64)[:, None]
+    rows.flags.writeable = False
     return rows
 
 
@@ -363,10 +375,13 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+@functools.lru_cache(maxsize=4)
 def _synth_order(spec: SynthSpec) -> np.ndarray:
-    """Class-major record index (class 0's records first) at each dataset position."""
+    """Class-major record index (class 0's records first) at each dataset position; read-only."""
     spec.validate()
-    return _stream(spec.seed, _ORDER).permutation(sum(spec.per_class_counts))
+    order = _stream(spec.seed, _ORDER).permutation(sum(spec.per_class_counts))
+    order.flags.writeable = False
+    return order
 
 
 def synth_labels(spec: SynthSpec) -> np.ndarray:
@@ -401,26 +416,18 @@ def generate_synthetic(spec: SynthSpec, positions=None) -> Dataset:
     # Class-major index of each class's first record, then each record's (m, j).
     starts = np.cumsum((0, *spec.per_class_counts))
     classes = np.searchsorted(starts, order, side="right") - 1
-    clean: dict[int, np.ndarray] = {}
     records = []
     for m, j in zip(classes.tolist(), (order - starts[classes]).tolist()):
-        if m not in clean:
-            clean[m] = _class_waveform(spec, m)
+        clean = _class_waveform(spec, m)
         if spec.noise_sd > 0:
-            x = clean[m] + _stream(spec.seed, _NOISE, m, j).normal(0.0, spec.noise_sd, size=clean[m].shape)
+            x = clean + _stream(spec.seed, _NOISE, m, j).normal(0.0, spec.noise_sd, size=clean.shape)
         else:
-            x = clean[m].copy()
+            x = clean.copy()
         x.flags.writeable = False
         records.append(
             EcgRecord(channels=x, sample_rate=spec.sample_rate, label=m, record_id=f"synth-c{m}-r{j:04d}")
         )
-    if spec.class_names is not None:
-        names = spec.class_names
-    elif spec.n_classes == len(CANONICAL_CLASS_NAMES):
-        names = CANONICAL_CLASS_NAMES
-    else:
-        names = tuple(f"class_{i}" for i in range(spec.n_classes))
-    return Dataset(records=tuple(records), class_names=names)
+    return Dataset(records=tuple(records), class_names=spec.dataset_class_names())
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +456,35 @@ def window_records(records: Sequence[EcgRecord], skip: int, take: int) -> np.nda
     return np.stack([r.channels[:, skip : skip + take] for r in records])
 
 
-def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Stratified train/test split.
+def split_positions(labels, n_classes: int, s: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified train/test positions into ``labels``.
 
-    Per class, records are shuffled with the split seed and the first
-    ``floor(count * train_fraction)`` go to the train side. Every record
-    lands in exactly one side.
+    Per class, positions are shuffled with the split seed and the first
+    ``floor(count * train_fraction)`` go to the train side, classes in
+    order. Every position lands in exactly one side.
     """
-    if len(d) == 0:
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise EmptyDataset("cannot split an empty dataset")
-    labels = d.labels()
     rng = np.random.default_rng(s.seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for m in range(d.num_classes):
+    train_idx: list[np.ndarray] = []
+    test_idx: list[np.ndarray] = []
+    for m in range(n_classes):
         idx = np.flatnonzero(labels == m)
         if idx.size == 0:
             continue
         shuffled = idx[rng.permutation(idx.size)]
         k = math.floor(idx.size * s.train_fraction)
-        train_idx.extend(int(i) for i in shuffled[:k])
-        test_idx.extend(int(i) for i in shuffled[k:])
-    train = Dataset(tuple(d.records[i] for i in train_idx), d.class_names)
-    test = Dataset(tuple(d.records[i] for i in test_idx), d.class_names)
-    return train, test
+        train_idx.append(shuffled[:k])
+        test_idx.append(shuffled[k:])
+    return np.concatenate(train_idx), np.concatenate(test_idx)
+
+
+def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
+    """Stratified train/test split: the records at :func:`split_positions`."""
+    if len(d) == 0:
+        raise EmptyDataset("cannot split an empty dataset")
+    return tuple(
+        Dataset(tuple(d.records[i] for i in idx.tolist()), d.class_names)
+        for idx in split_positions(d.labels(), d.num_classes, s)
+    )

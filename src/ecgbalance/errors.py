@@ -59,3 +59,7 @@ class EmptyDataset(EcgBalanceError):
 
 class ConfigError(EcgBalanceError):
     """A training or loss configuration is unusable."""
+
+
+class OutputError(EcgBalanceError):
+    """An output file or directory cannot be written."""

@@ -2,17 +2,22 @@
 
 An experiment spec is a flat key-value text file (``key = value`` lines,
 ``#`` comments). Grid keys take comma-separated lists; everything else is
-a scalar. Seeds are the outer loop: each distinct alpha among a seed's
-cells picks its long-tail records from the seed's labels, only the records
-some alpha keeps are synthesized, once, each alpha's dataset splits once,
-and every cell then trains and evaluates on that shared split. Rows
-aggregate mean and sample standard deviation over seeds.
+a scalar. Seeds are the outer loop. Each distinct alpha among a seed's
+cells picks its long-tail records and then its train and test rows from
+the seed's labels alone. Only the records some alpha keeps are
+synthesized, once, in blocks, and each block is featurized straight into
+one feature matrix per encode, so no more than a block of raw records is
+alive at a time. The cells that share (alpha, encode) differ only in their
+loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`)
+and each is scored on the shared test rows. Rows aggregate mean and
+sample standard deviation over seeds.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
-seeds its own generator. A process pool therefore splits the cells, in
-order, into one contiguous group per worker, runs each group seed by seed,
-and concatenates the results in cell order; they are identical for any
-worker count.
+seeds its own generator and a stacked variant trains bit for bit as it
+would alone. A process pool therefore splits the cells, in order, into one
+contiguous group per worker, runs each group seed by seed, stacking the
+cells it holds, and concatenates the results in cell order; they are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,11 +31,17 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split, synth_labels
+from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split_positions, synth_labels
+from .equalizer import BLOCK_RECORDS
 from .errors import SpecError
 from .imbalance import longtail_counts, resample_positions
 from .losses import IwlConfig, canonical_loss_name, loss_config
-from .trainer import ENCODE_KINDS, TrainConfig, evaluate, train
+from .trainer import ENCODE_KINDS, EncoderSpec, TrainConfig, featurize_dataset, score, train_stack
+
+# Not called here, but kept as module globals: perfbench/tracing.py wraps these
+# names in this module (tests/test_trace_points.py checks that they exist).
+from .data import split  # noqa: F401
+from .trainer import evaluate, train  # noqa: F401
 
 RESULT_COLUMNS = (
     "loss",
@@ -284,21 +295,51 @@ def grid_cells(spec: ExperimentSpec) -> list[CellKey]:
     return cells
 
 
+def _featurize_blocks(build, wanted: np.ndarray, encoders: dict[str, EncoderSpec]) -> dict[str, np.ndarray]:
+    """One feature matrix per encode, row r for the record at position ``wanted[r]``.
+
+    ``build(positions)`` returns those records as a Dataset. Records are
+    built and featurized ``BLOCK_RECORDS`` at a time, so no more than one
+    block of them is alive at once. An experiment's encoders fix their
+    feature width (``raw.take`` is always set), so every block fits.
+    """
+    features: dict[str, np.ndarray] = {}
+    for start in range(0, wanted.size, BLOCK_RECORDS):
+        block = build(wanted[start : start + BLOCK_RECORDS])
+        for enc, encoder in encoders.items():
+            x = featurize_dataset(block, encoder)
+            if enc not in features:
+                features[enc] = np.empty((wanted.size, x.shape[1]))
+            features[enc][start : start + len(block)] = x
+    return features
+
+
 def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tuple[float, float]]:
     """(accuracy, macro F1) of every cell on one seed's data.
 
-    Each distinct alpha picks its record positions from the seed's labels,
-    and only the union of those positions is synthesized, once. A
-    ``data.dir`` dataset is loaded and selected from by the same positions.
-    Nothing of this seed outlives the call.
+    Each distinct alpha picks its record positions, and then its train and
+    test rows, from the seed's labels. Only the union of those positions is
+    synthesized (or, for ``data.dir``, taken from the loaded dataset) and
+    featurized, once, in blocks, into one matrix per encode. The cells of
+    each (alpha, encode) train as one stack on that matrix. Nothing of this
+    seed outlives the call.
     """
     if spec.data_dir is not None:
         source = load_csv(spec.data_dir)
-        labels, n_classes = source.labels(), source.num_classes
+        labels, class_names = source.labels(), source.class_names
+
+        def build(at: np.ndarray) -> Dataset:
+            return Dataset(tuple(source.records[i] for i in at.tolist()), class_names)
+
     else:
         assert spec.synth is not None
         synth = dataclasses.replace(spec.synth, seed=seed)
-        labels, n_classes = synth_labels(synth), synth.n_classes
+        labels, class_names = synth_labels(synth), synth.dataset_class_names()
+
+        def build(at: np.ndarray) -> Dataset:
+            return generate_synthetic(synth, at)
+
+    n_classes = len(class_names)
     counts = np.bincount(labels, minlength=n_classes)
     positions = {
         alpha: np.arange(labels.size)
@@ -306,30 +347,33 @@ def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tup
         else resample_positions(labels, longtail_counts(counts, alpha), seed)
         for alpha in dict.fromkeys(cell.alpha for cell in cells)
     }
-    if spec.data_dir is None:
-        wanted = np.unique(np.concatenate(list(positions.values())))
-        source = generate_synthetic(synth, wanted)
-        positions = {alpha: np.searchsorted(wanted, pos) for alpha, pos in positions.items()}
-    kept = {
-        alpha: Dataset(tuple(source.records[i] for i in pos.tolist()), source.class_names)
-        for alpha, pos in positions.items()
-    }
-    del source
+    wanted = np.unique(np.concatenate(list(positions.values())))
+    encoders = {enc: dataclasses.replace(spec.train.encode, kind=enc) for enc in dict.fromkeys(c.encode for c in cells)}
+    features = _featurize_blocks(build, wanted, encoders)
+    row_labels = labels[wanted]
     split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
-    splits = {alpha: split(records, split_spec) for alpha, records in kept.items()}
-    fits = []
-    for cell in cells:
-        cfg = dataclasses.replace(
-            spec.train,
-            loss=loss_config(cell.loss, beta=cell.beta, **spec.loss_params),
-            encode=dataclasses.replace(spec.train.encode, kind=cell.encode),
-            seed=seed,
-        )
-        d_train, d_test = splits[cell.alpha]
-        model, _ = train(d_train, cfg)
-        metrics = evaluate(model, d_test)
-        fits.append((metrics.accuracy, metrics.macro_f1))
-    return fits
+    rows = {}
+    for alpha, pos in positions.items():
+        kept = np.searchsorted(wanted, pos)
+        rows[alpha] = tuple(kept[idx] for idx in split_positions(row_labels[kept], n_classes, split_spec))
+    stacks: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        stacks.setdefault((cell.alpha, cell.encode), []).append(i)
+    fits: dict[int, tuple[float, float]] = {}
+    for (alpha, enc), members in stacks.items():
+        train_rows, test_rows = rows[alpha]
+        base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
+        cfgs = [
+            dataclasses.replace(base, loss=loss_config(cells[i].loss, beta=cells[i].beta, **spec.loss_params))
+            for i in members
+        ]
+        x = features[enc]
+        models = train_stack(x, train_rows, row_labels[train_rows], cfgs, class_names)
+        x_test, test_labels = x[test_rows], row_labels[test_rows]
+        for i, (model, _) in zip(members, models):
+            metrics = score(model, x_test, test_labels)
+            fits[i] = (metrics.accuracy, metrics.macro_f1)
+    return [fits[i] for i in range(len(cells))]
 
 
 def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[list[tuple[float, float]]]:

@@ -10,16 +10,22 @@ Records enter the network through an :class:`EncoderSpec`, either the CME
 image (window, equalize, encode, flatten) or the flattened raw window, so
 a trained model carries everything needed to featurize new records at
 evaluation time.
+
+Training runs on a stack: models that differ only in their loss share the
+feature matrix, the initial weights and the batch order, so their
+parameters carry a leading variant axis and each layer of a step is one
+``np.matmul`` over all of them. :func:`train` is a stack of one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +72,9 @@ class ModelParams:
 
     ``dims`` is (input, *hidden, classes). ``theta`` holds every parameter in
     one float64 vector, in model-file order: each layer's weights row-major,
-    then its bias. ``weights`` and ``biases`` are views into ``theta``.
+    then its bias. ``weights`` and ``biases`` are views into ``theta``. In
+    training, ``theta`` is a (variants, parameters) stack and every view
+    keeps that leading axis.
     """
 
     dims: tuple[int, ...]
@@ -101,13 +109,15 @@ def _param_count(dims: tuple[int, ...]) -> int:
 
 
 def _layers(dims: tuple[int, ...], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (weights, bias) as views of ``flat``, a vector laid out like ``ModelParams.theta``."""
-    if flat.shape != (_param_count(dims),):
+    """Each layer's (weights, bias) as views of ``flat``, laid out like ``ModelParams.theta``
+    along its last axis; a leading variant axis stays on every view."""
+    if flat.ndim not in (1, 2) or flat.shape[-1] != _param_count(dims):
         raise ConfigError(f"layer dimensions {list(dims)} take {_param_count(dims)} parameters, not {flat.shape}")
+    lead = flat.shape[:-1]
     views, at = [], 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         end = at + d_in * d_out
-        views.append((flat[at:end].reshape(d_in, d_out), flat[end : end + d_out]))
+        views.append((flat[..., at:end].reshape(*lead, d_in, d_out), flat[..., end : end + d_out]))
         at = end + d_out
     return views
 
@@ -159,29 +169,35 @@ def init_model(
 
 
 def _forward_batch(m: ModelParams, x2d: np.ndarray):
-    """Returns (post-activation list including the input, logits)."""
+    """Returns (post-activation list including the input, logits). For a stack,
+    every activation after the input and the logits lead with the variant axis."""
     acts = [x2d]
     a = x2d
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+        a = np.maximum(a @ w + b[..., None, :], 0.0)
         acts.append(a)
-    logits = a @ m.weights[-1] + m.biases[-1]
+    logits = a @ m.weights[-1] + m.biases[-1][..., None, :]
     return acts, logits
 
 
-def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: BatchLoss, grad: np.ndarray) -> float:
-    """Writes the gradient of the batch-mean loss into ``grad``, laid out like ``m.theta``,
-    and returns the mean loss. The batch mean of per-record losses is what gets
-    differentiated, so batch gradients are exactly the mean of per-record gradients."""
-    acts, logits = _forward_batch(m, x2d)
-    mean_value, delta = loss.mean(logits, labels)
-    for layer, (gw, gb) in reversed(list(enumerate(_layers(m.dims, grad)))):
-        np.matmul(acts[layer].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+def _backward_batch(
+    stack: ModelParams, x2d: np.ndarray, labels: np.ndarray, losses: Sequence[BatchLoss], grad: np.ndarray
+) -> list[float]:
+    """Writes the gradient of variant k's batch-mean loss ``losses[k]`` into ``grad[k]``,
+    laid out like ``stack.theta``, and returns each variant's mean loss. The batch mean
+    of per-record losses is what gets differentiated, so batch gradients are exactly the
+    mean of per-record gradients. Each product is one ``np.matmul`` over the variant
+    axis, which computes every variant's 2-D product bit for bit."""
+    acts, logits = _forward_batch(stack, x2d)
+    values, deltas = zip(*(loss.mean(z, labels) for loss, z in zip(losses, logits, strict=True)))
+    delta = np.stack(deltas)
+    for layer, (gw, gb) in reversed(list(enumerate(_layers(stack.dims, grad)))):
+        np.matmul(np.swapaxes(acts[layer], -1, -2), delta, out=gw)
+        np.sum(delta, axis=-2, out=gb)
         if layer > 0:
-            delta = delta @ m.weights[layer].T
+            delta = delta @ np.swapaxes(stack.weights[layer], -1, -2)
             delta = np.where(acts[layer] > 0.0, delta, 0.0)
-    return mean_value
+    return list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +206,7 @@ def _backward_batch(m: ModelParams, x2d: np.ndarray, labels: np.ndarray, loss: B
 
 @dataclass
 class AdamState:
-    """Step count, first/second moments and two work vectors, each laid out like ``model.theta``."""
+    """Step count, first/second moments and two work vectors, each shaped like ``model.theta``."""
 
     step: int
     m: np.ndarray
@@ -205,7 +221,8 @@ def adam_init(model: ModelParams) -> AdamState:
 
 def adam_step(model: ModelParams, state: AdamState, grad: np.ndarray, lr: float) -> None:
     """theta -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment updates, operation
-    for operation, in place through the state's work vectors: a step allocates nothing."""
+    for operation, in place through the state's work vectors: a step allocates nothing.
+    Every operation is elementwise, so a stack steps each variant as it would alone."""
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
@@ -240,53 +257,85 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
     return x.reshape(len(d), -1)
 
 
-def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]:
-    """Train on the whole dataset; returns the model and per-epoch mean loss.
+def _loss_label(cfg: LossConfig) -> str:
+    return f"{cfg.kind} (beta {cfg.beta!r})" if isinstance(cfg, IwlConfig) else cfg.kind
 
-    Deterministic given (d_train, cfg): the seed drives parameter init and
-    the per-epoch shuffle, batches are taken in shuffled order, and the
-    loss reduction is order-exact. A non-finite batch loss, or a parameter
-    left non-finite at the end of an epoch, stops training with a
-    ConfigError naming the epoch and batch, both counted from 0.
+
+def train_stack(
+    x: np.ndarray, rows: np.ndarray, labels: np.ndarray, cfgs: Sequence[TrainConfig], class_names: tuple[str, ...]
+) -> list[tuple[ModelParams, list[float]]]:
+    """Train one model per config on rows ``rows`` of the feature matrix ``x``, as one stack.
+
+    ``labels[i]`` is the label of ``x[rows[i]]``. The configs may differ only
+    in their loss, so every variant starts from the same weights, drawn from
+    the seed, and takes the same shuffled batches, gathered as
+    ``x[rows[idx]]``. Returns (model, per-epoch mean loss) per config, each
+    bit for bit what a stack of that config alone returns. A non-finite
+    batch loss, or a parameter left non-finite at the end of an epoch,
+    stops training with a ConfigError naming the epoch, the batch (both
+    counted from 0) and the loss.
     """
-    if len(d_train) == 0:
+    if not cfgs:
+        raise ConfigError("a stack needs at least one training config")
+    cfg = cfgs[0]
+    if any(dataclasses.replace(c, loss=cfg.loss) != cfg for c in cfgs):
+        raise ConfigError("stacked training configs may differ only in their loss")
+    n = rows.size
+    if n == 0:
         raise ConfigError("training dataset is empty")
-    x = featurize_dataset(d_train, cfg.encode)
-    labels = d_train.labels()
+    if labels.shape != rows.shape:
+        raise DimensionError(f"got {labels.size} labels for {n} rows")
     # Guard against classes absent from this split; CB/LDAM need counts >= 1.
-    counts = np.maximum(d_train.class_counts(), 1)
-    loss = make_loss(cfg.loss, class_counts=counts)
+    counts = np.maximum(np.bincount(labels, minlength=len(class_names)), 1)
+    losses = [make_loss(c.loss, class_counts=counts) for c in cfgs]
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(
-        input_dim=x.shape[1],
-        num_classes=d_train.num_classes,
-        encoder=cfg.encode,
-        rng=rng,
-        hidden=cfg.hidden,
-        class_names=d_train.class_names,
-    )
-    state = adam_init(model)
-    grad = np.empty_like(model.theta)
-    n = x.shape[0]
-    log: list[float] = []
+    first = init_model(x.shape[1], len(class_names), cfg.encode, rng=rng, hidden=cfg.hidden, class_names=class_names)
+    stack = ModelParams(first.dims, np.tile(first.theta, (len(cfgs), 1)), cfg.encode, first.class_names)
+    state = adam_init(stack)
+    grad = np.empty_like(stack.theta)
+    logs: list[list[float]] = [[] for _ in cfgs]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        epoch_sum = 0.0
+        sums = [0.0] * len(cfgs)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch = start // cfg.batch_size
             # A diverging run is stopped by the checks below, not warned about.
             with np.errstate(over="ignore", invalid="ignore"):
-                value = _backward_batch(model, x[idx], labels[idx], loss, grad)
-                if not math.isfinite(value):
-                    raise ConfigError(f"non-finite training loss at epoch {epoch}, batch {batch}")
-                adam_step(model, state, grad, cfg.learning_rate)
-            epoch_sum += value * idx.size
+                values = _backward_batch(stack, x[rows[idx]], labels[idx], losses, grad)
+                for c, value in zip(cfgs, values):
+                    if not math.isfinite(value):
+                        raise ConfigError(
+                            f"non-finite training loss at epoch {epoch}, batch {batch}, loss {_loss_label(c.loss)}"
+                        )
+                adam_step(stack, state, grad, cfg.learning_rate)
+            for k, value in enumerate(values):
+                sums[k] += value * idx.size
         # Once per epoch: an overflow mid-epoch shows in the next batch's loss.
-        if not np.isfinite(model.theta).all():
-            raise ConfigError(f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}")
-        log.append(epoch_sum / n)
-    return model, log
+        finite = np.isfinite(stack.theta).all(axis=1)
+        if not finite.all():
+            raise ConfigError(
+                f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}, "
+                f"loss {_loss_label(cfgs[int(np.argmin(finite))].loss)}"
+            )
+        for log, total in zip(logs, sums):
+            log.append(total / n)
+    return [(ModelParams(stack.dims, theta, cfg.encode, stack.class_names), log) for theta, log in zip(stack.theta, logs)]
+
+
+def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]:
+    """Train on the whole dataset; returns the model and per-epoch mean loss.
+
+    Featurizes the dataset, then runs :func:`train_stack` with one variant.
+    Deterministic given (d_train, cfg): the seed drives parameter init and
+    the per-epoch shuffle, batches are taken in shuffled order, and the
+    loss reduction is order-exact.
+    """
+    if len(d_train) == 0:
+        raise ConfigError("training dataset is empty")
+    x = featurize_dataset(d_train, cfg.encode)
+    [fit] = train_stack(x, np.arange(len(d_train)), d_train.labels(), [cfg], d_train.class_names)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -330,21 +379,24 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     )
 
 
-def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
-    """Featurize with the model's encoder, predict by argmax, score."""
-    if len(d_test) == 0:
-        raise EmptyDataset("evaluation dataset is empty")
-    if d_test.num_classes != m.num_classes:
-        raise DimensionError(f"model has {m.num_classes} classes, dataset {d_test.num_classes}")
-    x = featurize_dataset(d_test, m.encoder)
+def score(m: ModelParams, x: np.ndarray, labels: np.ndarray) -> Metrics:
+    """Predict each row of the feature matrix ``x`` by argmax and score it against ``labels``."""
     if x.shape[1] != m.input_dim:
         raise DimensionError(f"model takes {m.input_dim} input features, the dataset gives {x.shape[1]}")
-    labels = d_test.labels()
     _, logits = _forward_batch(m, x)
     preds = np.argmax(logits, axis=1)
     k = m.num_classes
     cm = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
     return metrics_from_confusion(cm)
+
+
+def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
+    """Featurize with the model's encoder, then :func:`score`."""
+    if len(d_test) == 0:
+        raise EmptyDataset("evaluation dataset is empty")
+    if d_test.num_classes != m.num_classes:
+        raise DimensionError(f"model has {m.num_classes} classes, dataset {d_test.num_classes}")
+    return score(m, featurize_dataset(d_test, m.encoder), d_test.labels())
 
 
 # ---------------------------------------------------------------------------

@@ -565,3 +565,60 @@ def test_experiment_command(tmp_path, capsys):
     assert len(lines) == 3  # header + cme + raw cells
     assert lines[1].startswith("iwl,0.3,none,cme,1,")
     assert "wrote 2 result rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_experiment_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    spec = tmp_path / "grid.txt"
+    spec.write_text(EXPERIMENT_SPEC)
+    out = tmp_path / "results.csv"
+    assert main(["experiment", "--spec", str(spec), "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Unwritable outputs
+
+
+@pytest.mark.parametrize(
+    "command", ["experiment", "train-out", "train-log", "eval-out", "eval-confusion", "gradcheck", "analyze", "encode",
+                "synth", "resample"]
+)
+def test_unwritable_output_exits_2(tmp_path, data_dir, model_file, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.txt").write_text(EXPERIMENT_SPEC)
+    (tmp_path / "synth.txt").write_text(SYNTH_SPEC)
+    (tmp_path / "afile").write_text("")
+    missing = str(tmp_path / "missing" / "out.csv")
+    train = ["train", "--data", str(data_dir), *TRAIN_FLAGS]
+    argv = {
+        "experiment": ["experiment", "--spec", "grid.txt", "--out", missing],
+        "train-out": [*train, "--out", missing],
+        "train-log": [*train, "--out", "m.bin", "--log", missing],
+        "eval-out": ["eval", "--model", str(model_file), "--data", str(data_dir), "--out", missing],
+        "eval-confusion": ["eval", "--model", str(model_file), "--data", str(data_dir), "--confusion", missing],
+        "gradcheck": ["gradcheck", "--loss", "iwl", "--trials", "1", "--out", missing],
+        "analyze": ["analyze", "--data", str(data_dir), "--out", missing],
+        "encode": ["encode", "--data", str(data_dir), "--out", "afile", "--height", "4", "--width", "10",
+                   "--skip", "0", "--take", "80"],
+        "synth": ["synth", "--spec", "synth.txt", "--out", "afile"],
+        "resample": ["resample", "--data", str(data_dir), "--alpha", "0.5", "--out", "afile"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+def test_experiment_checks_its_output_directory_before_the_grid(tmp_path, monkeypatch, capsys):
+    from ecgbalance import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    spec = tmp_path / "grid.txt"
+    spec.write_text(EXPERIMENT_SPEC)
+    for out in (tmp_path / "missing" / "results.csv", tmp_path):
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err

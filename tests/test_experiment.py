@@ -1,18 +1,26 @@
 import dataclasses
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ecgbalance import (
     EncoderSpec,
     ExperimentSpec,
+    SplitSpec,
     TrainConfig,
+    cli,
     experiment,
     generate_synthetic,
     longtail_counts,
     parse_experiment_spec,
     resample,
+    resample_positions,
     run_experiment,
+    split,
+    synth_labels,
+    write_csv_dataset,
     write_results_csv,
 )
 from ecgbalance.errors import ConfigError, SpecError
@@ -28,6 +36,7 @@ from ecgbalance.experiment import (
     run_cell,
     synth_spec_from_mapping,
 )
+from ecgbalance.trainer import featurize_dataset
 
 TINY_SPEC = """\
 # A grid small enough to run in seconds.
@@ -270,31 +279,111 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
+def seed_blocks(calls, seed):
+    """The datasets generate_synthetic returned for ``seed``, in call order."""
+    return [d for args, d in calls["generate_synthetic"] if args[0].seed == seed]
+
+
 def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path))
-    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split")
+    monkeypatch.setattr(experiment, "BLOCK_RECORDS", 5)
+    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split_positions")
     run_experiment(spec, jobs=1)
-    assert [args[0].seed for args, _ in calls["generate_synthetic"]] == list(spec.seeds)
+    for seed in spec.seeds:
+        blocks = seed_blocks(calls, seed)
+        assert len(blocks) > 1 and max(len(d) for d in blocks) == 5
+        # alpha none keeps every record: each is synthesized exactly once, in dataset order.
+        full = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
+        built = [r for d in blocks for r in d]
+        assert [r.record_id for r in built] == [r.record_id for r in full]
+        assert all(a.channels.tobytes() == b.channels.tobytes() for a, b in zip(built, full))
     # One resample_positions per seed and non-None alpha (0.5), and one split per seed and alpha.
     assert len(calls["resample_positions"]) == len(spec.seeds)
-    assert len(calls["split"]) == len(spec.seeds) * len(spec.alphas)
+    assert len(calls["split_positions"]) == len(spec.seeds) * len(spec.alphas)
 
 
 def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path, TINY_SPEC.replace("alpha = none, 0.5", "alpha = 0.5")))
-    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split")
+    monkeypatch.setattr(experiment, "BLOCK_RECORDS", 4)
+    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "train_stack", "score")
     run_experiment(spec, jobs=1)
-    synthesized = [len(d) for _, d in calls["generate_synthetic"]]
-    kept = [len(positions) for _, positions in calls["resample_positions"]]
-    assert len(synthesized) == len(spec.seeds)
-    assert synthesized == kept
-    assert all(n < sum(spec.synth.per_class_counts) for n in kept)
-    # Each seed splits exactly what resampling its full dataset would keep.
-    for seed, ((d, _), _) in zip(spec.seeds, calls["split"]):
+    assert len(calls["resample_positions"]) == len(spec.seeds)
+    # Per seed: one stack per encode, each holding the three loss cells, and one score per cell.
+    stacks_per_seed, cells_per_stack = len(spec.encodes), 3
+    assert len(calls["train_stack"]) == len(spec.seeds) * stacks_per_seed
+    for k, seed in enumerate(spec.seeds):
+        kept = calls["resample_positions"][k][1]
         full = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
         expected = resample(full, longtail_counts(full.class_counts(), 0.5), seed)
-        assert [r.record_id for r in d] == [r.record_id for r in expected]
-        assert all(a.channels.tobytes() == b.channels.tobytes() for a, b in zip(d, expected))
+        # Each kept record is synthesized exactly once, and nothing else is.
+        ids = [r.record_id for d in seed_blocks(calls, seed) for r in d]
+        assert len(ids) == len(set(ids)) == len(kept) < len(full)
+        assert sorted(ids) == sorted(r.record_id for r in expected)
+        # Features row r is record ids[r]; each stack's train and test rows are split's sides.
+        d_train, d_test = split(expected, SplitSpec(train_fraction=spec.train_fraction, seed=seed))
+        stacks = calls["train_stack"][k * stacks_per_seed : (k + 1) * stacks_per_seed]
+        scores = calls["score"][k * stacks_per_seed * cells_per_stack : (k + 1) * stacks_per_seed * cells_per_stack]
+        for s, ((x, rows, labels, cfgs, _), models) in enumerate(stacks):
+            assert len(cfgs) == len(models) == cells_per_stack
+            assert [ids[r] for r in rows] == [r.record_id for r in d_train]
+            assert labels.tolist() == d_train.labels().tolist()
+            assert x[rows].tobytes() == featurize_dataset(d_train, cfgs[0].encode).tobytes()
+            for (model, x_test, test_labels), _ in scores[s * cells_per_stack : (s + 1) * cells_per_stack]:
+                assert x_test.tobytes() == featurize_dataset(d_test, model.encoder).tobytes()
+                assert test_labels.tolist() == d_test.labels().tolist()
+
+
+MIXED_GRID = """loss = iwl, ce, focal, cb, cb_focal, ldam
+beta = 0.3, 2
+alpha = none, 0.5
+encode = cme, raw
+seeds = 0, 3
+"""
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data.dir"])
+def test_mixed_loss_grid_writes_one_csv_at_any_worker_count(tmp_path, source):
+    base = TINY_SPEC.split("seeds = 0, 1\n", 1)[1]
+    if source == "data.dir":
+        data = tmp_path / "data"
+        write_csv_dataset(generate_synthetic(synth_spec_from_mapping(parse_kv_file(write_spec(tmp_path)), "data.")), data)
+        base = base.split("data.classes")[0] + f"data.dir = {data}\n"
+    spec_path = write_spec(tmp_path, MIXED_GRID + base)
+    spec = parse_experiment_spec(spec_path)
+    assert len(grid_cells(spec)) == 28
+    outputs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"results_{jobs}.csv"
+        assert cli.main(["experiment", "--spec", str(spec_path), "--out", str(out), "--jobs", str(jobs)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # Each cell alone, a stack of one, gives what its stack gave.
+    write_results_csv([_aggregate(cell, run_cell(spec, cell)) for cell in grid_cells(spec)], tmp_path / "cells.csv")
+    assert (tmp_path / "cells.csv").read_bytes() == outputs[0]
+
+
+def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):
+    # Long records, small images: the features are a sliver of the raw records.
+    spec = parse_experiment_spec(
+        write_spec(
+            tmp_path,
+            "loss = iwl, ce\nalpha = 0.5\nencode = cme\nepochs = 1\nhidden = 8\nimage.height = 4\n"
+            "image.width = 20\nwindow.skip = 0\nwindow.take = 2000\ndata.classes = 3\ndata.head_count = 200\n"
+            "data.channels = 4\ndata.length = 2000\ndata.noise_sd = 0.5\n",
+        )
+    )
+    cells = grid_cells(spec)
+    labels = synth_labels(dataclasses.replace(spec.synth, seed=0))
+    kept = resample_positions(labels, longtail_counts(np.bincount(labels), 0.5), 0)
+    kept_bytes = kept.size * spec.synth.n_channels * spec.synth.length * 8
+    tracemalloc.start()
+    try:
+        experiment._fit_seed(spec, cells, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept_bytes > 4e6
+    assert peak < kept_bytes, (peak, kept_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ SMALL_ENC = EncoderSpec(kind="cme", height=4, width=10, skip=0, take=60)
 RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
 
 
+def stack_of(m: ModelParams) -> ModelParams:
+    """A stack of one variant whose theta is a view of ``m.theta``."""
+    return ModelParams(m.dims, m.theta[None], m.encoder, m.class_names)
+
+
 def small_config(**overrides):
     defaults = dict(
         epochs=6,
@@ -135,7 +140,7 @@ def test_backward_matches_finite_differences():
     x = np.array([[0.8, -0.3, 1.5]])
     y = np.array([1])
     grad = np.empty_like(m.theta)
-    _backward_batch(m, x, y, loss, grad)
+    _backward_batch(stack_of(m), x, y, [loss], grad[None])
     w_grads, b_grads = zip(*_layers(m.dims, grad))
     h = 1e-6
 
@@ -167,12 +172,12 @@ def test_backward_accepts_config_and_validates_label():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
     loss = make_loss(IwlConfig(beta=0.3))
     grad = np.full_like(m.theta, np.nan)
-    value = _backward_batch(m, np.ones((1, 3)), np.array([0]), loss, grad)
+    [value] = _backward_batch(stack_of(m), np.ones((1, 3)), np.array([0]), [loss], grad[None])
     assert math.isfinite(value) and np.isfinite(grad).all()
     assert [gw.shape for gw, _ in _layers(m.dims, grad)] == [w.shape for w in m.weights]
     assert len(_layers(m.dims, grad)) == 2
     with pytest.raises(DimensionError):
-        _backward_batch(m, np.ones((1, 3)), np.array([3]), loss, grad)
+        _backward_batch(stack_of(m), np.ones((1, 3)), np.array([3]), [loss], grad[None])
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +217,12 @@ def test_a_training_step_allocates_less_than_the_parameters():
     loss = make_loss(IwlConfig(beta=0.3))
     x = rng.normal(0.0, 1.0, size=(64, 3000))
     y = rng.integers(0, 9, size=64)
-    state = adam_init(m)
-    grad = np.empty_like(m.theta)
-    _backward_batch(m, x, y, loss, grad)
-    adam_step(m, state, grad, lr=0.001)
-    for step in (lambda: _backward_batch(m, x, y, loss, grad), lambda: adam_step(m, state, grad, lr=0.001)):
+    stack = stack_of(m)
+    state = adam_init(stack)
+    grad = np.empty_like(stack.theta)
+    _backward_batch(stack, x, y, [loss], grad)
+    adam_step(stack, state, grad, lr=0.001)
+    for step in (lambda: _backward_batch(stack, x, y, [loss], grad), lambda: adam_step(stack, state, grad, lr=0.001)):
         tracemalloc.start()
         try:
             step()
