@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,12 +169,23 @@ class SplitSpec:
 # CSV ingestion and export
 
 
+def _read_text(path: Path) -> str:
+    """The whole file decoded as UTF-8; a file that cannot be read or decoded raises
+    MalformedRecord naming the file (and the offset of the first undecodable byte)."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise MalformedRecord(str(path), f"cannot read file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(str(path), f"not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def _read_manifest(path: Path):
     if not path.exists():
         raise MalformedRecord(str(path), "manifest file not found")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
         header = tuple(reader.fieldnames or ())
         for f in MANIFEST_FIELDS:
             if f not in header:
@@ -190,6 +202,8 @@ def _read_manifest(path: Path):
                 )
             except (TypeError, ValueError) as exc:
                 raise MalformedRecord(str(path), f"manifest line {lineno} is unparsable: {exc}") from exc
+    except csv.Error as exc:
+        raise MalformedRecord(str(path), f"manifest is not valid CSV: {exc}") from exc
     return rows
 
 
@@ -212,7 +226,8 @@ def load_csv(path, manifest=None, class_names: Optional[Sequence[str]] = None) -
     channels) and, by default, ``manifest.csv`` with the columns
     ``file,record_id,label,sample_rate``. Class names come from the
     ``class_names`` argument, else ``classes.txt`` in the directory, else
-    generated placeholder names sized by the largest label seen.
+    generated placeholder names sized by the largest label seen. The
+    manifest and ``classes.txt`` must be UTF-8 text.
     """
     base = Path(path)
     mpath = Path(manifest) if manifest is not None else base / "manifest.csv"
@@ -220,7 +235,7 @@ def load_csv(path, manifest=None, class_names: Optional[Sequence[str]] = None) -
     if class_names is None:
         cfile = base / "classes.txt"
         if cfile.exists():
-            class_names = tuple(ln.strip() for ln in cfile.read_text().splitlines() if ln.strip())
+            class_names = tuple(ln.strip() for ln in _read_text(cfile).splitlines() if ln.strip())
         else:
             top = max((label for _, _, label, _ in rows), default=1)
             class_names = tuple(f"class_{i}" for i in range(max(top + 1, 2)))
@@ -249,10 +264,10 @@ def write_csv_dataset(d: Dataset, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "classes.txt", "w") as fh:
+    with open(out / "classes.txt", "w", encoding="utf-8") as fh:
         for name in d.class_names:
             fh.write(name + "\n")
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_FIELDS)
         for r in d.records:

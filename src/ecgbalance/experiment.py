@@ -314,18 +314,20 @@ def _featurize_blocks(build, wanted: np.ndarray, encoders: dict[str, EncoderSpec
     return features
 
 
-def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tuple[float, float]]:
+def _fit_seed(
+    spec: ExperimentSpec, cells: list[CellKey], seed: int, source: Optional[Dataset]
+) -> list[tuple[float, float]]:
     """(accuracy, macro F1) of every cell on one seed's data.
 
-    Each distinct alpha picks its record positions, and then its train and
-    test rows, from the seed's labels. Only the union of those positions is
-    synthesized (or, for ``data.dir``, taken from the loaded dataset) and
-    featurized, once, in blocks, into one matrix per encode. The cells of
-    each (alpha, encode) train as one stack on that matrix. Nothing of this
-    seed outlives the call.
+    ``source`` is the dataset loaded from ``data.dir``, or None to
+    synthesize from ``spec.synth``. Each distinct alpha picks its record
+    positions, and then its train and test rows, from the seed's labels.
+    Only the union of those positions is synthesized (or taken from
+    ``source``) and featurized, once, in blocks, into one matrix per
+    encode. The cells of each (alpha, encode) train as one stack on that
+    matrix. Nothing of this seed outlives the call.
     """
-    if spec.data_dir is not None:
-        source = load_csv(spec.data_dir)
+    if source is not None:
         labels, class_names = source.labels(), source.class_names
 
         def build(at: np.ndarray) -> Dataset:
@@ -377,10 +379,12 @@ def _fit_seed(spec: ExperimentSpec, cells: list[CellKey], seed: int) -> list[tup
 
 
 def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[list[tuple[float, float]]]:
-    """(accuracy, macro F1) per seed for each of ``cells``, seeds outermost."""
+    """(accuracy, macro F1) per seed for each of ``cells``, seeds outermost.
+    A ``data.dir`` dataset is loaded once, for every seed."""
+    source = None if spec.data_dir is None else load_csv(spec.data_dir)
     out: list[list[tuple[float, float]]] = [[] for _ in cells]
     for seed in spec.seeds:
-        for pairs, fit in zip(out, _fit_seed(spec, cells, seed)):
+        for pairs, fit in zip(out, _fit_seed(spec, cells, seed, source)):
             pairs.append(fit)
     return out
 

@@ -1,10 +1,12 @@
 import argparse
 import json
 import re
+import shutil
 import struct
 import subprocess
 import sys
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -423,6 +425,10 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
         del header["encoder"]
     elif damage == "missing_encoder_field":
         del header["encoder"]["raw_take"]
+    elif damage == "float_encoder_field":
+        header["encoder"]["height"] = 4.0
+    elif damage == "string_encoder_field":
+        header["encoder"]["raw_take"] = "80"
     else:
         header["encoder"]["dilation"] = 1
     blob = json.dumps(header).encode()
@@ -431,7 +437,10 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
 
 @pytest.mark.parametrize(
     "damage",
-    ["truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field", "extra_encoder_field"],
+    [
+        "truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field",
+        "float_encoder_field", "string_encoder_field", "extra_encoder_field",
+    ],
 )
 def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):
     bad = tmp_path / "bad.bin"
@@ -475,6 +484,56 @@ def test_spec_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, comma
     err = capsys.readouterr().err
     assert "error" in err and "spec.txt" in err and "UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, content, offset",
+    [("classes.txt", b"class_\xdd1\n", 6), ("manifest.csv", b"file,record_id,label,sample_rate\n\xff", 33)],
+)
+def test_dataset_text_file_that_is_not_utf8_exits_2(tmp_path, data_dir, model_file, capsys, name, content, offset):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / name).write_bytes(content)
+    train = ["train", "--out", str(tmp_path / "m.bin"), *TRAIN_FLAGS]
+    for argv in (["analyze"], train, ["eval", "--model", str(model_file)]):
+        assert main([*argv, "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and f"not UTF-8 text (byte {offset}:" in err, err
+        assert "Traceback" not in err
+
+
+def _fuzzed(blob: bytes, rng: np.random.Generator) -> bytes:
+    """``blob`` cut short, or with one to four bytes replaced by random values."""
+    if rng.random() < 0.3:
+        return blob[: rng.integers(0, len(blob))]
+    out = bytearray(blob)
+    for at in rng.integers(0, len(out), size=rng.integers(1, 5)):
+        out[at] = rng.integers(0, 256)
+    return bytes(out)
+
+
+FUZZ_TRIALS = 40
+
+
+@pytest.mark.parametrize("target", ["manifest.csv", "classes.txt", "record", "model"])
+def test_damaged_inputs_end_in_exit_0_1_or_2(tmp_path, data_dir, model_file, capsys, target):
+    # Seeded per target: any damage either loads or is a typed error, never a traceback.
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    model = tmp_path / "model.bin"
+    shutil.copy(model_file, model)
+    path = {"record": min(data.glob("synth-*.csv")), "model": model}.get(target, data / target)
+    original = path.read_bytes()
+    rng = np.random.default_rng(zlib.crc32(target.encode()))
+    for trial in range(FUZZ_TRIALS):
+        path.write_bytes(_fuzzed(original, rng))
+        for argv in (["analyze", "--data", str(data)], ["eval", "--model", str(model), "--data", str(data)]):
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - the failure names the damage that caused it
+                pytest.fail(f"{target} trial {trial}: {argv[0]} raised {exc!r}")
+            assert code in (0, 1, 2), (trial, argv[0], code)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])

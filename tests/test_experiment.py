@@ -362,6 +362,36 @@ def test_mixed_loss_grid_writes_one_csv_at_any_worker_count(tmp_path, source):
     assert (tmp_path / "cells.csv").read_bytes() == outputs[0]
 
 
+# The results of the data.dir spec below, as written when every seed loaded the dataset again.
+DATA_DIR_RESULTS = """\
+loss,beta,alpha,encode,seeds,accuracy_mean,accuracy_sd,macro_f1_mean,macro_f1_sd
+iwl,0.1,none,cme,3,88.9,19.2,85.2,25.7
+iwl,0.1,none,raw,3,100.0,0.0,100.0,0.0
+iwl,0.1,0.5,cme,3,91.7,14.4,86.7,23.1
+iwl,0.1,0.5,raw,3,100.0,0.0,100.0,0.0
+iwl,0.9,none,cme,3,88.9,19.2,85.2,25.7
+iwl,0.9,none,raw,3,100.0,0.0,100.0,0.0
+iwl,0.9,0.5,cme,3,91.7,14.4,86.7,23.1
+iwl,0.9,0.5,raw,3,100.0,0.0,100.0,0.0
+cross_entropy,,none,cme,3,88.9,19.2,85.2,25.7
+cross_entropy,,none,raw,3,100.0,0.0,100.0,0.0
+cross_entropy,,0.5,cme,3,91.7,14.4,86.7,23.1
+cross_entropy,,0.5,raw,3,100.0,0.0,100.0,0.0
+"""
+
+
+def test_data_dir_is_loaded_once_for_every_seed(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    write_csv_dataset(generate_synthetic(synth_spec_from_mapping(parse_kv_file(write_spec(tmp_path)), "data.")), data)
+    text = TINY_SPEC.split("data.classes")[0].replace("seeds = 0, 1", "seeds = 0, 1, 2") + f"data.dir = {data}\n"
+    spec_path = write_spec(tmp_path, text)
+    calls = count_calls(monkeypatch, "load_csv")
+    out = tmp_path / "results.csv"
+    assert cli.main(["experiment", "--spec", str(spec_path), "--out", str(out), "--jobs", "1"]) == 0
+    assert [args for args, _ in calls["load_csv"]] == [(str(data),)]
+    assert out.read_text() == DATA_DIR_RESULTS
+
+
 def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):
     # Long records, small images: the features are a sliver of the raw records.
     spec = parse_experiment_spec(
@@ -378,7 +408,7 @@ def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):
     kept_bytes = kept.size * spec.synth.n_channels * spec.synth.length * 8
     tracemalloc.start()
     try:
-        experiment._fit_seed(spec, cells, 0)
+        experiment._fit_seed(spec, cells, 0, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

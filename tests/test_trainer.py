@@ -27,7 +27,7 @@ from ecgbalance import (
     train,
 )
 from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
-from ecgbalance.trainer import _backward_batch, _forward_batch, _layers, featurize_dataset
+from ecgbalance.trainer import ADAM_SLICE, _backward_batch, _forward_batch, _layers, featurize_dataset, train_stack
 
 SMALL_ENC = EncoderSpec(kind="cme", height=4, width=10, skip=0, take=60)
 RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
@@ -201,12 +201,17 @@ def test_adam_first_steps_move_by_learning_rate():
 
 
 def test_adam_state_shapes_follow_model():
-    m = init_model(3, 2, SMALL_ENC, hidden=(5,), rng=np.random.default_rng(0))
-    state = adam_init(m)
-    assert isinstance(state, AdamState)
-    assert [w.shape for w, _ in _layers(m.dims, state.m)] == [w.shape for w in m.weights]
-    assert all(a.shape == m.theta.shape for a in (state.m, state.v, state.num, state.den))
-    assert all(np.all(b == 0.0) for _, b in _layers(m.dims, state.v))
+    small = init_model(3, 2, SMALL_ENC, hidden=(5,), rng=np.random.default_rng(0))
+    large = init_model(3000, 9, RAW_ENC, hidden=(16,), rng=np.random.default_rng(0))
+    assert small.theta.size < ADAM_SLICE < large.theta.size
+    for m in (small, large):
+        state = adam_init(m)
+        assert isinstance(state, AdamState)
+        assert [w.shape for w, _ in _layers(m.dims, state.m)] == [w.shape for w in m.weights]
+        # Moments full size, work vectors slice size.
+        assert state.m.shape == state.v.shape == m.theta.shape
+        assert state.num.shape == state.den.shape == (min(m.theta.size, ADAM_SLICE),)
+        assert all(np.all(b == 0.0) for _, b in _layers(m.dims, state.v))
 
 
 def test_a_training_step_allocates_less_than_the_parameters():
@@ -230,6 +235,25 @@ def test_a_training_step_allocates_less_than_the_parameters():
         finally:
             tracemalloc.stop()
         assert peak < m.theta.nbytes
+
+
+def test_a_raw_sized_stack_peaks_below_its_features_and_five_parameter_vectors():
+    # The stack's theta, both moments and the gradient are the only parameter-sized
+    # arrays: Adam's work vectors are slice-sized, and the initial weights are not
+    # kept beside the stack.
+    rng = np.random.default_rng(0)
+    n, width = 48, 12000
+    labels = rng.integers(0, 9, size=n)
+    cfg = TrainConfig(epochs=1, batch_size=16, encode=EncoderSpec(kind="raw", raw_take=1000))
+    tracemalloc.start()
+    try:
+        x = rng.normal(0.0, 1.0, size=(n, width))
+        [(model, _)] = train_stack(x, np.arange(n), labels, [cfg], tuple(f"c{k}" for k in range(9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.theta.size > 20 * ADAM_SLICE
+    assert peak < x.nbytes + 5 * model.theta.nbytes, (peak, x.nbytes, model.theta.nbytes)
 
 
 # ---------------------------------------------------------------------------

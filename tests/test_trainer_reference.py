@@ -10,7 +10,8 @@ saved files to the same bytes.
 The second is the per-cell ``train`` loop on one flat ``theta``, as it
 stood before models that differ only in their loss trained as one stack.
 Every variant of a stack is held to it bit for bit: parameters and
-per-epoch losses.
+per-epoch losses. Adam's slice-by-slice step is held to that loop's
+whole-vector step.
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ from ecgbalance import (
     train_stack,
 )
 from ecgbalance.errors import ConfigError, DimensionError
-from ecgbalance.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _backward_batch, featurize_dataset
+from ecgbalance.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_SLICE, _backward_batch, featurize_dataset
 
 
 def _ref_init(input_dim, num_classes, rng, hidden):
@@ -193,6 +194,28 @@ def _ref_flat_adam(theta, state, grad, lr):
     den += ADAM_EPS
     np.multiply(np.divide(m, c1, out=num), lr, out=num)
     theta -= np.divide(num, den, out=num)
+
+
+@pytest.mark.parametrize(
+    "variants, size",
+    [(1, 1000), (1, ADAM_SLICE), (1, ADAM_SLICE + 1), (1, 4 * ADAM_SLICE), (3, ADAM_SLICE + 12345)],
+)
+def test_sliced_adam_matches_the_whole_vector_step_bit_for_bit(variants, size):
+    # Three variants of ADAM_SLICE + 12345: the variant boundaries fall inside the
+    # second and third slices, and the last slice is short.
+    rng = np.random.default_rng(size)
+    theta = rng.normal(0.0, 1.0, size=(variants, size))
+    model = ModelParams((size - 1, 1), theta.copy(), EncoderSpec(kind="raw"))
+    state = adam_init(model)
+    ref = {"step": 0, **{k: np.zeros_like(theta) for k in ("m", "v", "num", "den")}}
+    for _ in range(40):
+        grad = rng.normal(0.0, 1.0, size=theta.shape) * 10.0 ** rng.integers(-8, 4, size=theta.shape)
+        grad[rng.random(theta.shape) < 0.1] = 0.0
+        adam_step(model, state, grad, 0.01)
+        _ref_flat_adam(theta, ref, grad, 0.01)
+    assert state.step == ref["step"] == 40
+    assert model.theta.tobytes() == theta.tobytes()
+    assert state.m.tobytes() == ref["m"].tobytes() and state.v.tobytes() == ref["v"].tobytes()
 
 
 def _ref_train(d, cfg):
