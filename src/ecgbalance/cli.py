@@ -9,7 +9,6 @@ configuration error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import sys
@@ -19,10 +18,13 @@ from . import __version__
 from .data import (
     Dataset,
     SplitSpec,
+    csv_text,
     generate_synthetic,
     load_csv,
+    make_output_dir,
     split,
     write_csv_dataset,
+    write_output,
 )
 from .equalizer import (
     BLOCK_RECORDS,
@@ -156,15 +158,6 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.data, manifest=getattr(args, "manifest", None))
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Report a failure to write ``path`` as an OutputError."""
-    try:
-        yield
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _check_out_file(path) -> None:
     """Fail before any work when ``path`` cannot be created as a file."""
     out = Path(path)
@@ -187,8 +180,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     d = generate_synthetic(spec)
-    with _writing(args.out):
-        write_csv_dataset(d, args.out)
+    write_csv_dataset(d, args.out)
     print(f"wrote {len(d)} records over {d.num_classes} classes to {args.out}")
     return 0
 
@@ -197,8 +189,7 @@ def _cmd_analyze(args) -> int:
     d = _load_dataset(args)
     stats = channel_stats(d)
     if args.out:
-        with _writing(args.out):
-            write_stats_csv(stats, d.class_names, args.out)
+        write_stats_csv(stats, d.class_names, args.out)
         print(f"wrote channel stats for {d.num_channels} channels to {args.out}")
     else:
         for c in range(d.num_channels):
@@ -209,8 +200,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_encode(args) -> int:
     d = _load_dataset(args)
     out = Path(args.out)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
     records = d.records
     if args.record is not None:
         records = tuple(r for r in records if r.record_id == args.record)
@@ -221,12 +211,11 @@ def _cmd_encode(args) -> int:
         images = featurize_records(
             block, args.height, args.width, args.skip, args.take, args.mode, equalize=not args.no_equalize
         )
-        with _writing(out):
-            for r, img in zip(block, images):
-                if args.format in ("csv", "both"):
-                    write_image_csv(img, out / f"{r.record_id}.csv")
-                if args.format in ("raw", "both"):
-                    write_image_raw(img, out / f"{r.record_id}.f64")
+        for r, img in zip(block, images):
+            if args.format in ("csv", "both"):
+                write_image_csv(img, out / f"{r.record_id}.csv")
+            if args.format in ("raw", "both"):
+                write_image_raw(img, out / f"{r.record_id}.f64")
     print(f"encoded {len(records)} records at {args.height}x{args.width} into {out}")
     return 0
 
@@ -242,9 +231,8 @@ def _cmd_resample(args) -> int:
         profile = longtail_counts(before, args.alpha)
         out_d = resample(d, profile, args.seed)
     out = Path(args.out)
-    with _writing(out):
-        write_csv_dataset(out_d, out)
-        write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
+    write_csv_dataset(out_d, out)
+    write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
     print(f"wrote {len(out_d)} records to {out}")
     return 0
 
@@ -268,13 +256,8 @@ def _cmd_gradcheck(args) -> int:
             f"{res.max_rel_error:.3e} (threshold {res.threshold:g}): {status}"
         )
     if args.out:
-        with _writing(args.out), open(args.out, "w") as fh:
-            fh.write("loss,trials,max_rel_error,threshold,status\n")
-            for res in results:
-                fh.write(
-                    f"{res.loss},{res.trials},{repr(res.max_rel_error)},{repr(res.threshold)},"
-                    f"{'pass' if res.passed else 'fail'}\n"
-                )
+        rows = [(r.loss, r.trials, r.max_rel_error, r.threshold, "pass" if r.passed else "fail") for r in results]
+        write_output(args.out, csv_text([("loss", "trials", "max_rel_error", "threshold", "status"), *rows]))
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -284,13 +267,9 @@ def _cmd_train(args) -> int:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
     cfg = _train_config_from_args(args)
     model, log = train(d, cfg)
-    with _writing(args.out):
-        save_model(model, args.out)
+    save_model(model, args.out)
     if args.log:
-        with _writing(args.log), open(args.log, "w") as fh:
-            fh.write("epoch,mean_loss\n")
-            for epoch, value in enumerate(log):
-                fh.write(f"{epoch},{repr(value)}\n")
+        write_output(args.log, csv_text([("epoch", "mean_loss"), *enumerate(log)]))
     final = log[-1] if log else float("nan")
     print(f"trained {cfg.epochs} epochs on {len(d)} records; final mean loss {final:.6g}; model at {args.out}")
     return 0
@@ -303,26 +282,18 @@ def _cmd_eval(args) -> int:
         d_train, d_test = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.split_seed))
         d = d_train if args.split == "train" else d_test
     metrics = evaluate(model, d)
-    lines = ["metric,value", f"accuracy,{repr(metrics.accuracy)}", f"macro_f1,{repr(metrics.macro_f1)}", ""]
-    lines.append("class,precision,recall,f1,support")
-    support = metrics.confusion.sum(axis=1)
-    for m, name in enumerate(d.class_names):
-        lines.append(
-            f"{name},{repr(float(metrics.per_class_precision[m]))},"
-            f"{repr(float(metrics.per_class_recall[m]))},"
-            f"{repr(float(metrics.per_class_f1[m]))},{int(support[m])}"
-        )
-    text = "\n".join(lines) + "\n"
+    table = [("metric", "value"), ("accuracy", metrics.accuracy), ("macro_f1", metrics.macro_f1), ()]
+    table.append(("class", "precision", "recall", "f1", "support"))
+    columns = (metrics.per_class_precision, metrics.per_class_recall, metrics.per_class_f1)
+    table.extend(zip(d.class_names, *columns, metrics.confusion.sum(axis=1).tolist()))
+    text = csv_text(table)
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(text)
+        write_output(args.out, text)
     else:
         sys.stdout.write(text)
     if args.confusion:
-        with _writing(args.confusion), open(args.confusion, "w") as fh:
-            fh.write("," + ",".join(d.class_names) + "\n")
-            for m, name in enumerate(d.class_names):
-                fh.write(name + "," + ",".join(str(int(v)) for v in metrics.confusion[m]) + "\n")
+        rows = ((name, *counts) for name, counts in zip(d.class_names, metrics.confusion.tolist()))
+        write_output(args.confusion, csv_text([("", *d.class_names), *rows]))
     print(f"accuracy {metrics.accuracy:.4f}, macro F1 {metrics.macro_f1:.4f} on {len(d)} records")
     return 0
 
@@ -333,8 +304,7 @@ def _cmd_experiment(args) -> int:
     spec = parse_experiment_spec(args.spec)
     _check_out_file(args.out)
     rows = run_experiment(spec, jobs=args.jobs)
-    with _writing(args.out):
-        write_results_csv(rows, args.out)
+    write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
 

@@ -25,6 +25,7 @@ from .errors import (
     EmptyDataset,
     MalformedRecord,
     NonFiniteSample,
+    OutputError,
     SpecError,
     UnknownClass,
     WindowOutOfRange,
@@ -166,25 +167,64 @@ class SplitSpec:
 
 
 # ---------------------------------------------------------------------------
+# Files: every file the package reads or writes goes through these helpers
+
+
+def read_input(path, fail, text: bool = False):
+    """The file's bytes, or with ``text`` its UTF-8 text. A file that cannot be
+    read or decoded raises ``fail(reason)``; the reason names the offset of the
+    first undecodable byte."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return blob.decode("utf-8") if text else blob
+    except OSError as exc:
+        raise fail(f"cannot read file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise fail(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def write_output(path, *chunks) -> None:
+    """Write ``chunks`` to ``path`` in order: a ``str`` as UTF-8, anything else
+    (bytes or a contiguous array) as is. A failure raises OutputError."""
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_output_dir(path) -> None:
+    """Create the directory ``path`` and its parents; a failure raises OutputError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text: ``\n`` after each row, floats (numpy's too) as their
+    shortest round-trip ``repr``, and a field quoted only when it holds a comma,
+    a quote or a line break. A 2-D float array never needs quoting, so its rows
+    are joined directly, faster than the CSV writer would write them."""
+    if isinstance(rows, np.ndarray):
+        return "".join(",".join(map(repr, row)) + "\n" for row in rows.astype(np.float64, copy=False).tolist())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # CSV ingestion and export
 
 
-def _read_text(path: Path) -> str:
-    """The whole file decoded as UTF-8; a file that cannot be read or decoded raises
-    MalformedRecord naming the file (and the offset of the first undecodable byte)."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise MalformedRecord(str(path), f"cannot read file: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(str(path), f"not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-
-
 def _read_manifest(path: Path):
-    if not path.exists():
-        raise MalformedRecord(str(path), "manifest file not found")
     rows = []
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    text = read_input(path, lambda reason: MalformedRecord(str(path), reason), text=True)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         header = tuple(reader.fieldnames or ())
         for f in MANIFEST_FIELDS:
@@ -208,10 +248,9 @@ def _read_manifest(path: Path):
 
 
 def _read_record_csv(path: Path, record_id: str) -> np.ndarray:
-    if not path.exists():
-        raise MalformedRecord(record_id, f"record file {path} not found")
+    text = read_input(path, lambda reason: MalformedRecord(record_id, f"{path}: {reason}"), text=True)
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        data = np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise MalformedRecord(record_id, str(exc)) from exc
     if data.size == 0:
@@ -235,7 +274,8 @@ def load_csv(path, manifest=None, class_names: Optional[Sequence[str]] = None) -
     if class_names is None:
         cfile = base / "classes.txt"
         if cfile.exists():
-            class_names = tuple(ln.strip() for ln in _read_text(cfile).splitlines() if ln.strip())
+            text = read_input(cfile, lambda reason: MalformedRecord(str(cfile), reason), text=True)
+            class_names = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
         else:
             top = max((label for _, _, label, _ in rows), default=1)
             class_names = tuple(f"class_{i}" for i in range(max(top + 1, 2)))
@@ -262,28 +302,17 @@ def write_csv_dataset(d: Dataset, out_dir) -> None:
     Output is deterministic: record order, file naming, and float
     formatting (shortest round-trip repr) depend only on the dataset.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "classes.txt", "w", encoding="utf-8") as fh:
-        for name in d.class_names:
-            fh.write(name + "\n")
-    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_FIELDS)
-        for r in d.records:
-            if r.label is None:
-                raise SpecError(f"record {r.record_id!r} has no label; cannot write a training manifest")
-            writer.writerow([f"{r.record_id}.csv", r.record_id, r.label, repr(float(r.sample_rate))])
+    manifest = [MANIFEST_FIELDS]
     for r in d.records:
-        _write_record_csv(r, out / f"{r.record_id}.csv")
-
-
-def _write_record_csv(r: EcgRecord, path: Path) -> None:
-    rows = r.channels.T.tolist()
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(repr(v) for v in row))
-            fh.write("\n")
+        if r.label is None:
+            raise SpecError(f"record {r.record_id!r} has no label; cannot write a training manifest")
+        manifest.append((f"{r.record_id}.csv", r.record_id, r.label, float(r.sample_rate)))
+    out = Path(out_dir)
+    make_output_dir(out)
+    write_output(out / "classes.txt", "".join(name + "\n" for name in d.class_names))
+    write_output(out / "manifest.csv", csv_text(manifest))
+    for r in d.records:
+        write_output(out / f"{r.record_id}.csv", csv_text(r.channels.T))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +374,9 @@ class SynthSpec:
             raise SpecError(
                 f"channel_gain has {len(self.channel_gain)} entries for {self.n_channels} channels"
             )
+        for name in ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing", "channel_gain"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         if any(g <= 0 for g in self.channel_gain):
             raise SpecError("channel gains must be positive")
         if self.noise_sd < 0:
@@ -362,21 +394,26 @@ class SynthSpec:
 def _class_waveform(spec: SynthSpec, m: int) -> np.ndarray:
     """Clean (channels, length) waveform for class ``m``, gains applied; read-only.
 
-    Deterministic in (spec geometry, m): no randomness enters here.
+    Deterministic in (spec geometry, m): no randomness enters here. Finite
+    parameters whose waveform overflows raise SpecError.
     """
-    t = np.arange(spec.length, dtype=np.float64) / spec.sample_rate
-    f0 = spec.base_frequency + spec.frequency_spacing * m
-    sharpness = 2.0 + 1.5 * (m % 4)
-    mix = 0.25 + 0.05 * m
-    rows = np.empty((spec.n_channels, spec.length), dtype=np.float64)
-    for c in range(spec.n_channels):
-        phase = 2.0 * np.pi * f0 * t + 0.35 * c
-        pulse = np.exp(sharpness * (np.cos(phase) - 1.0))
-        pulse -= pulse.mean()
-        rows[c] = pulse + mix * np.sin(2.0 * phase + 0.6 * m)
-    rms = float(np.sqrt(np.mean(rows * rows)))
-    rows *= spec.amplitude / rms
-    rows *= np.asarray(spec.channel_gain, dtype=np.float64)[:, None]
+    # Overflow is caught by the finiteness check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.arange(spec.length, dtype=np.float64) / spec.sample_rate
+        f0 = spec.base_frequency + spec.frequency_spacing * m
+        sharpness = 2.0 + 1.5 * (m % 4)
+        mix = 0.25 + 0.05 * m
+        rows = np.empty((spec.n_channels, spec.length), dtype=np.float64)
+        for c in range(spec.n_channels):
+            phase = 2.0 * np.pi * f0 * t + 0.35 * c
+            pulse = np.exp(sharpness * (np.cos(phase) - 1.0))
+            pulse -= pulse.mean()
+            rows[c] = pulse + mix * np.sin(2.0 * phase + 0.6 * m)
+        rms = np.sqrt(np.mean(rows * rows))
+        rows *= spec.amplitude / rms
+        rows *= np.asarray(spec.channel_gain, dtype=np.float64)[:, None]
+    if not np.all(np.isfinite(rows)):
+        raise SpecError(f"the waveform of class {m} is not finite for these parameters")
     rows.flags.writeable = False
     return rows
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, EcgRecord, window_records
+from .data import Dataset, EcgRecord, csv_text, read_input, window_records, write_output
 from .errors import DimensionError, EmptyDataset, EncodeError, SpecError
 
 MAGNITUDE_MODES = ("rms", "l2")
@@ -45,6 +44,10 @@ def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
 class ChannelMagnitudeStats:
     """Per-channel and per-class magnitude summary of a labeled dataset.
 
+    ``per_channel_rms`` is each channel's RMS over all samples of all
+    records. ``per_channel_mean_power`` is, despite its name, the mean
+    *absolute amplitude* over the same samples, not a mean square; the name
+    stays so the ``mean_power`` column of the stats file does not change.
     ``per_class_scale[m, c]`` is the mean per-record RMS of channel ``c``
     over class-``m`` records, divided by the grand mean RMS over all
     (record, channel) pairs. Classes with no records get a NaN row and a
@@ -182,6 +185,11 @@ def cme_factors(r: EcgRecord, mode: str = "rms") -> np.ndarray:
 
     The denominator is an exactly rounded float sum, so the factors are
     invariant under channel permutation, not merely close.
+
+    The factors depend on the record's units, because the softmax takes
+    absolute magnitudes: scaling a record by ``s`` moves them toward ``1/C``
+    as ``s`` goes to 0 and toward one-hot on the quietest channel as ``s``
+    grows. Only magnitudes of order one leave every channel a share.
     """
     return _factors(r.channels[None], mode)[0]
 
@@ -205,15 +213,9 @@ def write_stats_csv(stats: ChannelMagnitudeStats, class_names, path) -> None:
         raise DimensionError(
             f"stats cover {stats.per_class_scale.shape[0]} classes, got {len(names)} names"
         )
-    with open(path, "w") as fh:
-        header = ["channel", "rms", "mean_power"] + [f"scale_{n}" for n in names]
-        fh.write(",".join(header) + "\n")
-        for c in range(stats.per_channel_rms.size):
-            cells = [str(c), repr(float(stats.per_channel_rms[c])), repr(float(stats.per_channel_mean_power[c]))]
-            for m in range(len(names)):
-                v = stats.per_class_scale[m, c]
-                cells.append("nan" if not np.isfinite(v) else repr(float(v)))
-            fh.write(",".join(cells) + "\n")
+    header = ["channel", "rms", "mean_power"] + [f"scale_{n}" for n in names]
+    columns = (range(stats.per_channel_rms.size), stats.per_channel_rms, stats.per_channel_mean_power)
+    write_output(path, csv_text([header, *zip(*columns, *stats.per_class_scale)]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +224,25 @@ def write_stats_csv(stats: ChannelMagnitudeStats, class_names, path) -> None:
 
 def write_image_csv(pixels: np.ndarray, path) -> None:
     """Rows of comma-separated shortest round-trip decimals."""
-    with open(path, "w") as fh:
-        for row in pixels.tolist():
-            fh.write(",".join(repr(v) for v in row))
-            fh.write("\n")
+    write_output(path, csv_text(pixels))
 
 
 def read_image_csv(path) -> np.ndarray:
-    out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return out
+    text = read_input(path, lambda reason: EncodeError(f"{path}: {reason}"), text=True)
+    try:
+        return np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise EncodeError(f"{path}: {exc}") from exc
 
 
 def write_image_raw(pixels: np.ndarray, path) -> None:
     """16-byte header (height, width as little-endian uint64), then
     row-major little-endian float64 pixels. Byte-exact round trip."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", *pixels.shape))
-        fh.write(np.ascontiguousarray(pixels, dtype="<f8").tobytes())
+    write_output(path, struct.pack("<QQ", *pixels.shape), np.ascontiguousarray(pixels, dtype="<f8"))
 
 
 def read_image_raw(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+    blob = read_input(path, lambda reason: EncodeError(f"{path}: {reason}"))
     if len(blob) < 16:
         raise EncodeError(f"{path} is too short to hold a raw image header")
     height, width = struct.unpack("<QQ", blob[:16])

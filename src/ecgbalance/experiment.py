@@ -24,24 +24,30 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, SynthSpec, generate_synthetic, load_csv, split_positions, synth_labels
+from .data import (
+    Dataset,
+    SplitSpec,
+    SynthSpec,
+    csv_text,
+    generate_synthetic,
+    load_csv,
+    read_input,
+    split_positions,
+    synth_labels,
+    write_output,
+)
 from .equalizer import BLOCK_RECORDS
 from .errors import SpecError
 from .imbalance import longtail_counts, resample_positions
 from .losses import IwlConfig, canonical_loss_name, loss_config
 from .trainer import ENCODE_KINDS, EncoderSpec, TrainConfig, featurize_dataset, score, train_stack
-
-# Not called here, but kept as module globals: perfbench/tracing.py wraps these
-# names in this module (tests/test_trace_points.py checks that they exist).
-from .data import split  # noqa: F401
-from .trainer import evaluate, train  # noqa: F401
 
 RESULT_COLUMNS = (
     "loss",
@@ -76,12 +82,7 @@ SYNTH_KEYS = (
 def parse_kv_file(path) -> dict[str, str]:
     """``key = value`` lines; '#' starts a comment; blank lines ignored."""
     mapping: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"spec file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    text = read_input(path, lambda reason: SpecError(f"spec file {path}: {reason}"), text=True)
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -389,11 +390,6 @@ def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[list[tuple[fl
     return out
 
 
-def run_cell(spec: ExperimentSpec, cell: CellKey) -> list[tuple[float, float]]:
-    """(accuracy, macro F1) per seed for one grid cell."""
-    return _run_cells(spec, [cell])[0]
-
-
 def _aggregate(cell: CellKey, pairs: list[tuple[float, float]]) -> ResultRow:
     acc = np.array([a for a, _ in pairs])
     f1 = np.array([f for _, f in pairs])
@@ -426,31 +422,18 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     return [_aggregate(cell, pairs) for cell, pairs in zip(cells, results)]
 
 
-def _fmt_pct(v: float) -> str:
-    return f"{100.0 * v:.1f}"
-
-
 def write_results_csv(rows: list[ResultRow], path) -> None:
     """One row per cell; accuracy and F1 as percentages with one decimal."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.cell.loss,
-                    "" if row.cell.beta is None else repr(float(row.cell.beta)),
-                    "none" if row.cell.alpha is None else repr(float(row.cell.alpha)),
-                    row.cell.encode,
-                    row.n_seeds,
-                    _fmt_pct(row.accuracy_mean),
-                    _fmt_pct(row.accuracy_sd),
-                    _fmt_pct(row.macro_f1_mean),
-                    _fmt_pct(row.macro_f1_sd),
-                ]
-            )
+    table = [RESULT_COLUMNS]
+    for row in rows:
+        cell = row.cell
+        beta = "" if cell.beta is None else float(cell.beta)
+        alpha = "none" if cell.alpha is None else float(cell.alpha)
+        pcts = (f"{100.0 * v:.1f}" for v in (row.accuracy_mean, row.accuracy_sd, row.macro_f1_mean, row.macro_f1_sd))
+        table.append((cell.loss, beta, alpha, cell.encode, row.n_seeds, *pcts))
+    write_output(path, csv_text(table))
 
 
 def read_results_csv(path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    text = read_input(path, lambda reason: SpecError(f"results file {path}: {reason}"), text=True)
+    return list(csv.DictReader(io.StringIO(text, newline="")))

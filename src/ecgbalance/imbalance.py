@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, csv_text, write_output
 from .errors import DimensionError, EmptyDataset, SpecError
 
 
@@ -62,10 +62,7 @@ def write_histogram_csv(class_names, before, after, path) -> None:
     after = np.asarray(after, dtype=np.int64)
     if not len(class_names) == before.size == after.size:
         raise DimensionError("class names and histograms must have equal length")
-    with open(path, "w") as fh:
-        fh.write("class,before,after\n")
-        for name, b, a in zip(class_names, before, after):
-            fh.write(f"{name},{int(b)},{int(a)}\n")
+    write_output(path, csv_text([("class", "before", "after"), *zip(class_names, before.tolist(), after.tolist())]))
 
 
 def resample_positions(labels, p: ImbalanceProfile, seed: int) -> np.ndarray:

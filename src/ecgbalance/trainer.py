@@ -24,12 +24,11 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, window_records
+from .data import Dataset, read_input, window_records, write_output
 from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
 from .losses import BatchLoss, IwlConfig, LossConfig, make_loss
@@ -424,19 +423,12 @@ def save_model(m: ModelParams, path) -> None:
     m.validate()
     header = {"layer_dims": list(m.dims), "encoder": asdict(m.encoder), "class_names": list(m.class_names)}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(m.theta.astype("<f8", copy=False).tobytes())
+    write_output(path, _MODEL_MAGIC, struct.pack("<Q", len(blob)), blob, m.theta.astype("<f8", copy=False))
 
 
 def load_model(path) -> ModelParams:
     """Read a file written by save_model; any damage raises ConfigError."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
+    raw = read_input(path, lambda reason: ConfigError(f"model file {path}: {reason}"))
     if not raw.startswith(_MODEL_MAGIC):
         raise ConfigError(f"{path} is not a model file")
     offset = len(_MODEL_MAGIC) + 8

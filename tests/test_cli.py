@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import re
 import shutil
@@ -500,6 +501,65 @@ def test_dataset_text_file_that_is_not_utf8_exits_2(tmp_path, data_dir, model_fi
         err = capsys.readouterr().err
         assert name in err and f"not UTF-8 text (byte {offset}:" in err, err
         assert "Traceback" not in err
+
+
+def test_record_path_that_is_a_directory_exits_2(tmp_path, data_dir, model_file, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    record = load_csv(data_dir).records[0].record_id
+    (data / f"{record}.csv").unlink()
+    (data / f"{record}.csv").mkdir()
+    train = ["train", "--out", str(tmp_path / "m.bin"), *TRAIN_FLAGS]
+    for argv in (["analyze"], train, ["eval", "--model", str(model_file)]):
+        assert main([*argv, "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"record {record!r}" in err and "cannot read file" in err, err
+        assert "Traceback" not in err
+
+
+# Class names a CSV writer must quote: a comma, and a quote.
+AWKWARD_NAMES = ("x,y", 'b "q"', "c")
+
+
+def test_class_names_holding_a_comma_or_quote_round_trip_through_every_csv(tmp_path, data_dir, model_file):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "classes.txt").write_text("".join(name + "\n" for name in AWKWARD_NAMES))
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "stats.csv")]) == 0
+    assert main(["resample", "--data", str(data), "--alpha", "0.5", "--out", str(tmp_path / "tail")]) == 0
+    eval_args = ["eval", "--model", str(model_file), "--data", str(data)]
+    assert main([*eval_args, "--out", str(tmp_path / "m.csv"), "--confusion", str(tmp_path / "c.csv")]) == 0
+
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    stats = rows(tmp_path / "stats.csv")
+    assert stats[0][3:] == [f"scale_{name}" for name in AWKWARD_NAMES]
+    histogram = rows(tmp_path / "tail" / "histogram.csv")
+    assert [r[0] for r in histogram[1:]] == list(AWKWARD_NAMES)
+    confusion = rows(tmp_path / "c.csv")
+    assert confusion[0] == ["", *AWKWARD_NAMES] and [r[0] for r in confusion[1:]] == list(AWKWARD_NAMES)
+    metrics = rows(tmp_path / "m.csv")
+    per_class = metrics[metrics.index(["class", "precision", "recall", "f1", "support"]):]
+    assert [r[0] for r in per_class[1:]] == list(AWKWARD_NAMES)
+    for table in (stats, histogram, confusion, per_class, metrics[:3]):
+        assert all(len(r) == len(table[0]) for r in table), table
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["noise_sd = nan", "sample_rate = inf", "base_frequency = inf", "channel_gain = 1e308, 1"],
+)
+def test_synth_rejects_non_finite_parameters_without_numpy_warnings(tmp_path, capsys, line):
+    spec = tmp_path / "synth.txt"
+    spec.write_text("classes = 3\nhead_count = 2\nchannels = 2\nlength = 80\n" + line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err, err
+    assert not (tmp_path / "data").exists()
 
 
 def _fuzzed(blob: bytes, rng: np.random.Generator) -> bytes:

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from ecgbalance import (
     window_record,
     write_csv_dataset,
 )
+from ecgbalance.data import csv_text, make_output_dir, read_input, write_output
 from ecgbalance.errors import (
     MalformedRecord,
     NonFiniteSample,
+    OutputError,
     SpecError,
     UnknownClass,
     WindowOutOfRange,
@@ -175,6 +180,65 @@ def test_write_csv_dataset_is_byte_deterministic(tmp_path, dataset):
     assert files_a == files_b
     for name in files_a:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# File helpers
+
+
+def test_csv_text_formats_floats_and_quotes_only_where_needed():
+    rows = [
+        ("name", "value", "count"),
+        ("plain", 0.1, 3),
+        ("x,y", np.float64(1 / 3), np.int64(7)),
+        ('b "q"', float("nan"), np.float32(0.5)),
+        ("two\nlines", -0.0, True),
+        (),
+        ("", "tail"),
+    ]
+    text = csv_text(rows)
+    assert text == (
+        "name,value,count\n"
+        "plain,0.1,3\n"
+        '"x,y",0.3333333333333333,7\n'
+        '"b ""q""",nan,0.5\n'
+        '"two\nlines",-0.0,True\n'
+        "\n"
+        ",tail\n"
+    )
+    back = list(csv.reader(io.StringIO(text, newline="")))
+    assert [r[0] for r in back if r] == ["name", "plain", "x,y", 'b "q"', "two\nlines", ""]
+    # A float matrix takes a faster path to the same text.
+    matrix = np.array([[0.1, np.nan, 1e300], [1 / 3, -0.0, 5.0]])
+    assert csv_text(matrix) == csv_text(list(matrix)) == "0.1,nan,1e+300\n0.3333333333333333,-0.0,5.0\n"
+
+
+def test_file_helpers_read_what_they_write(tmp_path):
+    path = tmp_path / "a" / "b"
+    make_output_dir(path)
+    make_output_dir(path)  # an existing directory is fine
+    out = path / "f.bin"
+    theta = np.arange(4.0)
+    write_output(out, "é,", b"\x00", theta)
+    assert read_input(out, SpecError) == "é,".encode() + b"\x00" + theta.tobytes()
+    write_output(out, "é\n")
+    assert read_input(out, SpecError, text=True) == "é\n"
+
+
+def test_file_helpers_raise_typed_errors(tmp_path):
+    (tmp_path / "latin1.txt").write_bytes(b"ab\xe9")
+    with pytest.raises(SpecError, match=r"not UTF-8 text \(byte 2:"):
+        read_input(tmp_path / "latin1.txt", SpecError, text=True)
+    assert read_input(tmp_path / "latin1.txt", SpecError) == b"ab\xe9"
+    for missing in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(SpecError, match="cannot read file"):
+            read_input(missing, SpecError)
+    with pytest.raises(OutputError, match="cannot write"):
+        write_output(tmp_path, "x")
+    with pytest.raises(OutputError, match="cannot write"):
+        write_output(tmp_path / "missing" / "f.csv", "x")
+    with pytest.raises(OutputError, match="cannot write"):
+        make_output_dir(tmp_path / "latin1.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +420,36 @@ def test_generator_rejects_bad_positions(positions):
 def test_generator_rejects_negative_seed():
     with pytest.raises(SpecError, match="seed"):
         generate_synthetic(dataclasses.replace(POSITIONS_SPEC, seed=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_sd", float("nan")),
+        ("noise_sd", float("inf")),
+        ("amplitude", float("inf")),
+        ("sample_rate", float("inf")),
+        ("base_frequency", float("inf")),
+        ("frequency_spacing", float("nan")),
+        ("channel_gain", (1.0, float("inf"))),
+        ("channel_gain", (float("nan"), 1.0)),
+    ],
+)
+def test_generator_rejects_non_finite_parameters(field, value):
+    with pytest.raises(SpecError, match="finite"):
+        generate_synthetic(dataclasses.replace(POSITIONS_SPEC, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"channel_gain": (1e308, 1.0)}, {"amplitude": 1e308}, {"sample_rate": 1e-310}],
+    ids=["gain", "amplitude", "sample_rate"],
+)
+def test_generator_waveform_overflow_is_a_spec_error_without_warnings(changes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="waveform of class 0 is not finite"):
+            generate_synthetic(dataclasses.replace(POSITIONS_SPEC, **changes))
 
 
 # ---------------------------------------------------------------------------

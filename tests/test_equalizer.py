@@ -161,6 +161,20 @@ def test_factors_l2_mode_is_length_sensitive():
     assert k_long[0] > k_short[0]
 
 
+def test_factors_depend_on_the_record_units():
+    # A softmax over absolute RMS: toward 1/C as the record shrinks, toward
+    # one-hot on the quietest channel as it grows.
+    gains = np.array([1.0, 0.9, 0.3, 0.1, 0.01])[:, None]
+    r = make_record(np.random.default_rng(0).normal(size=(5, 200)) * gains)
+    scaled = {s: cme_factors(make_record(s * r.channels)) for s in (1e-9, 1.0, 5.0, 1e4)}
+    assert np.allclose(scaled[1e-9], 1.0 / 5.0, rtol=0.0, atol=1e-9)
+    quiet = np.argmin(np.sqrt(np.mean(r.channels**2, axis=1)))
+    assert quiet == 4 and scaled[1e4][quiet] == 1.0 and scaled[1e4].sum() == 1.0
+    assert not np.array_equal(scaled[5.0], scaled[1.0])
+    # The spread grows with the scale: the quietest channel's share rises monotonically.
+    assert scaled[1e-9][quiet] < scaled[1.0][quiet] < scaled[5.0][quiet] < scaled[1e4][quiet]
+
+
 def test_factors_unknown_mode():
     r = make_record(np.ones((2, 4)))
     with pytest.raises(SpecError):
@@ -398,3 +412,14 @@ def test_image_raw_truncation_detected(tmp_path):
     path.write_bytes(struct.pack("<QQ", 2, 3) + b"\x00" * 10)
     with pytest.raises(EncodeError):
         read_image_raw(path)
+
+
+def test_unreadable_image_files_are_encode_errors(tmp_path):
+    (tmp_path / "ragged.csv").write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(EncodeError, match="ragged.csv"):
+        read_image_csv(tmp_path / "ragged.csv")
+    for read in (read_image_csv, read_image_raw):
+        with pytest.raises(EncodeError, match="cannot read file"):
+            read(tmp_path / "missing")
+        with pytest.raises(EncodeError, match="cannot read file"):
+            read(tmp_path)

@@ -30,10 +30,10 @@ from ecgbalance.experiment import (
     RESULT_COLUMNS,
     CellKey,
     _aggregate,
+    _run_cells,
     grid_cells,
     parse_kv_file,
     read_results_csv,
-    run_cell,
     synth_spec_from_mapping,
 )
 from ecgbalance.trainer import featurize_dataset
@@ -240,8 +240,8 @@ def test_grid_cells_order_and_beta_scope(tmp_path):
 def test_run_cell_is_deterministic(tmp_path):
     spec = parse_experiment_spec(write_spec(tmp_path))
     cell = grid_cells(spec)[0]
-    first = run_cell(spec, cell)
-    second = run_cell(spec, cell)
+    first = _run_cells(spec, [cell])[0]
+    second = _run_cells(spec, [cell])[0]
     assert first == second
     assert len(first) == len(spec.seeds)
     for acc, f1 in first:
@@ -255,7 +255,7 @@ def test_run_experiment_worker_count_does_not_change_results(tmp_path):
     assert run_experiment(spec, jobs=2) == serial
     # 12 cells over 5 workers: groups of 3, 3, 2, 2 and 2 cells.
     assert run_experiment(spec, jobs=5) == serial
-    assert serial == [_aggregate(cell, run_cell(spec, cell)) for cell in cells]
+    assert serial == [_aggregate(cell, _run_cells(spec, [cell])[0]) for cell in cells]
     assert [r.cell for r in serial] == cells
     assert all(r.n_seeds == 2 for r in serial)
 
@@ -358,7 +358,7 @@ def test_mixed_loss_grid_writes_one_csv_at_any_worker_count(tmp_path, source):
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     # Each cell alone, a stack of one, gives what its stack gave.
-    write_results_csv([_aggregate(cell, run_cell(spec, cell)) for cell in grid_cells(spec)], tmp_path / "cells.csv")
+    write_results_csv([_aggregate(cell, _run_cells(spec, [cell])[0]) for cell in grid_cells(spec)], tmp_path / "cells.csv")
     assert (tmp_path / "cells.csv").read_bytes() == outputs[0]
 
 

@@ -23,7 +23,7 @@ from ecgbalance import (
 
 # (module, name) pairs the tracer wraps to compute the benchmark's per-layer metrics.
 TRACED = (
-    [(experiment, name) for name in ("generate_synthetic", "split", "longtail_counts", "train", "evaluate", "run_cell")]
+    [(experiment, name) for name in ("generate_synthetic", "longtail_counts")]
     + [(cli, "resample")]
     + [(trainer, name) for name in ("train", "evaluate", "featurize_dataset", "adam_step", "make_loss")]
 )
