@@ -99,6 +99,10 @@ class Dataset:
             raise SpecError("a dataset needs at least two class names")
         if len(set(self.class_names)) != len(self.class_names):
             raise SpecError("class names must be distinct")
+        for name in self.class_names:
+            # classes.txt holds one stripped, nonempty name per line.
+            if name != name.strip() or name.splitlines() != [name]:
+                raise SpecError(f"class name {name!r} must be nonempty, one line, and not start or end in whitespace")
         rates = {r.sample_rate for r in self.records}
         chans = {r.num_channels for r in self.records}
         if len(rates) > 1 or len(chans) > 1:
@@ -438,8 +442,8 @@ def _synth_order(spec: SynthSpec) -> np.ndarray:
 
 def synth_labels(spec: SynthSpec) -> np.ndarray:
     """Labels of ``generate_synthetic(spec)`` in dataset order, drawing no noise."""
-    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_counts)
-    return labels[_synth_order(spec)]
+    order = _synth_order(spec)  # validates the spec before its counts are used
+    return np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_counts)[order]
 
 
 def _check_positions(positions, n: int) -> np.ndarray:

@@ -28,8 +28,13 @@ MAGNITUDE_MODES = ("rms", "l2")
 CANONICAL_SKIP = 500
 CANONICAL_TAKE = 2500
 
-# Records featurized per block: bounds the window and image temporaries.
-BLOCK_RECORDS = 64
+# Records synthesized and featurized per block: bounds the window and image
+# temporaries. At 12 leads x 1000 samples and a 166+832 window, featurizing 64
+# records held 9.03 MiB of temporaries beyond its output at 64 per block and
+# 2.63 MiB at 16 (tracemalloc); 16 keeps each window stack and squares array
+# below numpy's 4 MiB huge-page threshold, so training, not featurization,
+# sets a criterion-7 seed's peak RSS.
+BLOCK_RECORDS = 16
 
 
 def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
@@ -77,13 +82,19 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
     abs_sum = np.zeros(n_channels)
     total_samples = 0
     per_record_rms = np.empty((len(d), n_channels))
-    for i, r in enumerate(d.records):
-        x = r.channels
-        sq_sum += np.sum(x * x, axis=1)
-        abs_sum += np.sum(np.abs(x), axis=1)
-        total_samples += r.length
-        per_record_rms[i] = _channel_magnitude(x, "rms")
+    # Overflow is caught by the finiteness check below, not warned about.
+    with np.errstate(over="ignore"):
+        for i, r in enumerate(d.records):
+            x = r.channels
+            sq_sum += np.sum(x * x, axis=1)
+            abs_sum += np.sum(np.abs(x), axis=1)
+            total_samples += r.length
+            per_record_rms[i] = _channel_magnitude(x, "rms")
     grand_mean = float(per_record_rms.mean())
+    if not np.all(np.isfinite(sq_sum)):
+        raise SpecError("channel magnitudes overflow float64")
+    if grand_mean == 0.0:
+        raise EmptyDataset("channel statistics need a record with nonzero RMS; every record's RMS is zero")
     scale = np.full((n_classes, n_channels), np.nan)
     defined = np.zeros(n_classes, dtype=bool)
     for m in range(n_classes):

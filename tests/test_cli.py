@@ -562,6 +562,18 @@ def test_synth_rejects_non_finite_parameters_without_numpy_warnings(tmp_path, ca
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("value, message", [(0.0, "nonzero RMS"), (1e200, "overflow")], ids=["all-zero", "overflowing"])
+def test_analyze_exits_2_on_records_without_a_finite_nonzero_scale(tmp_path, capsys, value, message):
+    d = dataset_from_arrays([np.full((2, 10), value)] * 4, [0, 1, 0, 1], ("a", "b"))
+    write_csv_dataset(d, tmp_path / "data")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "stats.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: channel") and message in err, err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 def _fuzzed(blob: bytes, rng: np.random.Generator) -> bytes:
     """``blob`` cut short, or with one to four bytes replaced by random values."""
     if rng.random() < 0.3:
@@ -575,19 +587,33 @@ def _fuzzed(blob: bytes, rng: np.random.Generator) -> bytes:
 FUZZ_TRIALS = 40
 
 
-@pytest.mark.parametrize("target", ["manifest.csv", "classes.txt", "record", "model"])
+@pytest.mark.parametrize("target", ["manifest.csv", "classes.txt", "record", "model", "experiment-spec", "synth-spec"])
 def test_damaged_inputs_end_in_exit_0_1_or_2(tmp_path, data_dir, model_file, capsys, target):
     # Seeded per target: any damage either loads or is a typed error, never a traceback.
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     model = tmp_path / "model.bin"
     shutil.copy(model_file, model)
-    path = {"record": min(data.glob("synth-*.csv")), "model": model}.get(target, data / target)
+    spec = tmp_path / "spec.txt"
+    spec.write_text(EXPERIMENT_SPEC if target == "experiment-spec" else SYNTH_SPEC)
+    path = {"record": min(data.glob("synth-*.csv")), "model": model, "experiment-spec": spec, "synth-spec": spec}.get(
+        target, data / target
+    )
+    analyze_and_eval = [["analyze", "--data", str(data)], ["eval", "--model", str(model), "--data", str(data)]]
+    commands = {
+        "model": analyze_and_eval,
+        "experiment-spec": [["experiment", "--spec", str(spec), "--out", str(tmp_path / "results.csv")]],
+        "synth-spec": [["synth", "--spec", str(spec), "--out", str(tmp_path / "synth")]],
+    }.get(target, analyze_and_eval + [
+        ["train", "--data", str(data), "--out", str(tmp_path / "trained.bin"), *TRAIN_FLAGS],
+        ["encode", "--data", str(data), "--out", str(tmp_path / "images"), "--height", "4", "--width", "10",
+         "--skip", "0", "--take", "80"],
+    ])
     original = path.read_bytes()
     rng = np.random.default_rng(zlib.crc32(target.encode()))
     for trial in range(FUZZ_TRIALS):
         path.write_bytes(_fuzzed(original, rng))
-        for argv in (["analyze", "--data", str(data)], ["eval", "--model", str(model), "--data", str(data)]):
+        for argv in commands:
             try:
                 code = main(argv)
             except Exception as exc:  # noqa: BLE001 - the failure names the damage that caused it
@@ -684,6 +710,16 @@ def test_experiment_command(tmp_path, capsys):
     assert len(lines) == 3  # header + cme + raw cells
     assert lines[1].startswith("iwl,0.3,none,cme,1,")
     assert "wrote 2 result rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["data.head_count = -1", "data.counts = 5, 5"])
+def test_experiment_rejects_unusable_class_counts(tmp_path, capsys, line):
+    spec = tmp_path / "grid.txt"
+    spec.write_text(EXPERIMENT_SPEC.replace("data.head_count = 5", line))
+    out = tmp_path / "results.csv"
+    assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -91,6 +91,19 @@ def test_dataset_rejects_duplicate_class_names():
         Dataset(records=(), class_names=("a", "a"))
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\u2028b", " a", "a ", "\ta", "a\n", ""])
+def test_dataset_rejects_class_names_classes_txt_cannot_carry(name):
+    with pytest.raises(SpecError, match="class name"):
+        Dataset(records=(), class_names=(name, "c"))
+
+
+def test_class_names_round_trip_through_classes_txt(tmp_path):
+    names = ("a b", "x,y", 'q "r"', "\u00e9t\u00e9", "c")
+    records = tuple(make_record(np.zeros((1, 4)), label=i, record_id=f"r{i}") for i in range(len(names)))
+    write_csv_dataset(Dataset(records=records, class_names=names), tmp_path / "out")
+    assert load_csv(tmp_path / "out").class_names == names
+
+
 def test_class_counts_and_labels(dataset):
     counts = dataset.class_counts()
     assert counts.tolist() == [4, 4, 4]

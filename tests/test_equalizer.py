@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_stats_need_records():
 
     with pytest.raises(EmptyDataset):
         channel_stats(Dataset(records=(), class_names=("a", "b")))
+
+
+def test_stats_reject_magnitudes_without_a_finite_nonzero_scale():
+    zero = dataset_from_arrays([np.zeros((2, 10))] * 4, [0, 1, 0, 1], ("a", "b"))
+    with pytest.raises(EmptyDataset, match="nonzero RMS"):
+        channel_stats(zero)
+    # Squares that underflow leave no scale either.
+    tiny = dataset_from_arrays([np.full((2, 10), 1e-200)] * 2, [0, 1], ("a", "b"))
+    with pytest.raises(EmptyDataset, match="nonzero RMS"):
+        channel_stats(tiny)
+    huge = dataset_from_arrays([np.full((2, 10), 1e200)] * 2, [0, 1], ("a", "b"))
+    with pytest.raises(SpecError, match="overflow"):
+        channel_stats(huge)
 
 
 def test_stats_csv_lists_every_channel(tmp_path):
@@ -328,7 +342,7 @@ def test_featurize_matches_per_record_reference():
     for i in range(320):
         # i % 5 picks the corner case, i % 2 the mode, i % 3 ragged lengths;
         # every 35th geometry has a take beyond numpy's 8192-element summation
-        # blocks and every 25th spans more than one 64-record block.
+        # blocks and every 25th spans more than one featurization block.
         c = 1 if i % 5 == 0 else int(rng.integers(2, 9))
         take = int(rng.integers(8190, 8400)) if i % 35 == 3 else int(rng.integers(2, 90))
         skip = int(rng.integers(0, 20))
@@ -381,6 +395,23 @@ def test_featurize_records_checks_every_block():
     huge = make_record(np.tile([1.7e308, -1.7e308], (2, 20)), record_id="huge")
     with pytest.raises(EncodeError, match="non-finite pixels"):
         featurize_records(good + [huge], 2, 8, skip=0, take=40, equalize=False)
+
+
+def test_featurize_records_temporaries_stay_below_the_huge_page_threshold():
+    # Criterion-7 geometry: 12 leads x 1000 samples, a 166+832 window, a 12x125 image.
+    # A block's window stack and its squares temporary each stay under numpy's
+    # 4 MiB huge-page threshold, so featurizing many records holds little beyond its output.
+    rng = np.random.default_rng(7)
+    gains = np.geomspace(1.0, 0.01, 12)[:, None]
+    records = [make_record(rng.normal(size=(12, 1000)) * gains, record_id=f"r{i}") for i in range(64)]
+    tracemalloc.start()
+    try:
+        images = featurize_records(records, 12, 125, skip=166, take=832)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert images.shape == (64, 12, 125)
+    assert peak - images.nbytes < 4 * 2**20, f"{(peak - images.nbytes) / 2**20:.2f} MiB beyond the output"
 
 
 # ---------------------------------------------------------------------------
