@@ -9,9 +9,8 @@ import statistics
 from dataclasses import replace
 
 from ecgbalance import (
-    BaselineLossConfig,
     EncoderSpec,
-    IwlConfig,
+    LossConfig,
     SplitSpec,
     SynthSpec,
     TrainConfig,
@@ -56,9 +55,9 @@ def run(loss_cfg, seed):
 
 print(f"9 classes, head 24 records, tail ratio 0.05, {len(SEEDS)} seeds\n")
 for name, cfg in (
-    ("cross-entropy", BaselineLossConfig(kind="cross_entropy")),
-    ("iwl beta=0.3 ", IwlConfig(beta=0.3)),
-    ("iwl beta=5   ", IwlConfig(beta=5.0)),
+    ("cross-entropy", LossConfig(kind="cross_entropy")),
+    ("iwl beta=0.3 ", LossConfig(kind="iwl", beta=0.3)),
+    ("iwl beta=5   ", LossConfig(kind="iwl", beta=5.0)),
 ):
     f1s = [run(cfg, seed).macro_f1 for seed in SEEDS]
     print(f"{name}  macro F1 {[round(v, 3) for v in f1s]}  "

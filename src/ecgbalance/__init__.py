@@ -59,11 +59,10 @@ from .experiment import (
 )
 from .imbalance import ImbalanceProfile, longtail_counts, resample, resample_positions
 from .losses import (
-    GRADCHECK_LOSSES,
-    BaselineLossConfig,
+    LOSS_KINDS,
     BatchLoss,
     GradCheckResult,
-    IwlConfig,
+    LossConfig,
     canonical_loss_name,
     effective_number_weights,
     finite_difference_grad,
@@ -71,7 +70,6 @@ from .losses import (
     iwl_point_value,
     iwl_weight,
     ldam_margins,
-    loss_config,
     make_loss,
     relative_gradient_error,
     softmax,

@@ -45,14 +45,7 @@ from .experiment import (
     write_results_csv,
 )
 from .imbalance import longtail_counts, resample, write_histogram_csv
-from .losses import (
-    GRADCHECK_LOSSES,
-    BaselineLossConfig,
-    IwlConfig,
-    LossConfig,
-    gradient_check,
-    loss_config,
-)
+from .losses import LOSS_KINDS, LossConfig, gradient_check
 from .trainer import (
     ENCODE_KINDS,
     EncoderSpec,
@@ -79,8 +72,8 @@ _LOG_BASES = {"e": math.e, "10": 10.0}
 
 
 def _loss_config_from_args(args, name: str) -> LossConfig:
-    return loss_config(
-        name,
+    return LossConfig(
+        kind=name,
         beta=args.beta,
         epsilon=args.epsilon,
         log_base=_LOG_BASES[args.log_base],
@@ -93,22 +86,22 @@ def _loss_config_from_args(args, name: str) -> LossConfig:
 
 
 def _add_loss_flags(p: argparse.ArgumentParser, default: str = "iwl") -> None:
-    log_base = next(k for k, v in _LOG_BASES.items() if v == IwlConfig.log_base)
+    log_base = next(k for k, v in _LOG_BASES.items() if v == LossConfig.log_base)
     p.add_argument("--loss", default=default, help=f"iwl, ce, focal, cb, cb_focal, or ldam (default: {default})")
-    p.add_argument("--beta", type=float, default=IwlConfig.beta, help="IWL temperature")
-    p.add_argument("--epsilon", type=float, default=IwlConfig.epsilon, help="IWL weight denominator guard")
+    p.add_argument("--beta", type=float, default=LossConfig.beta, help="IWL temperature")
+    p.add_argument("--epsilon", type=float, default=LossConfig.epsilon, help="IWL weight denominator guard")
     p.add_argument("--log-base", choices=tuple(_LOG_BASES), default=log_base, help="base of both IWL logarithms")
     p.add_argument(
         "--stop-weight-gradient",
         action="store_true",
         help="treat the IWL weight as a constant during differentiation",
     )
-    p.add_argument("--gamma", type=float, default=BaselineLossConfig.gamma, help="focal exponent")
+    p.add_argument("--gamma", type=float, default=LossConfig.gamma, help="focal exponent")
     p.add_argument(
-        "--cb-beta", type=float, default=BaselineLossConfig.cb_beta, help="class-balanced effective-number parameter"
+        "--cb-beta", type=float, default=LossConfig.cb_beta, help="class-balanced effective-number parameter"
     )
-    p.add_argument("--ldam-mu", type=float, default=BaselineLossConfig.ldam_mu, help="LDAM maximum margin")
-    p.add_argument("--ldam-s", type=float, default=BaselineLossConfig.ldam_s, help="LDAM logit scale")
+    p.add_argument("--ldam-mu", type=float, default=LossConfig.ldam_mu, help="LDAM maximum margin")
+    p.add_argument("--ldam-s", type=float, default=LossConfig.ldam_s, help="LDAM logit scale")
 
 
 def _add_image_flags(p: argparse.ArgumentParser) -> None:
@@ -238,7 +231,7 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    names = GRADCHECK_LOSSES if args.loss == "all" else (args.loss,)
+    names = LOSS_KINDS if args.loss == "all" else (args.loss,)
     results = [
         gradient_check(
             _loss_config_from_args(args, name),

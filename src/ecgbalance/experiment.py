@@ -26,7 +26,7 @@ import csv
 import dataclasses
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ from .data import (
 from .equalizer import BLOCK_RECORDS
 from .errors import SpecError
 from .imbalance import longtail_counts, resample_positions
-from .losses import IwlConfig, canonical_loss_name, loss_config
+from .losses import LossConfig, canonical_loss_name
 from .trainer import ENCODE_KINDS, EncoderSpec, TrainConfig, featurize_dataset, score, train_stack
 
 RESULT_COLUMNS = (
@@ -144,19 +144,18 @@ _SCALAR_KEYS = (*_SCALAR_FIELDS, "data.dir", *("data." + k for k in SYNTH_KEYS))
 class ExperimentSpec:
     """Fully resolved grid plus shared training and data settings.
 
-    ``train`` is the recipe every cell starts from; each run replaces its
-    seed, its loss and its encoder kind. ``loss_params`` holds the
-    loss settings given by the spec, passed to :func:`loss_config`.
+    ``train`` is the recipe every cell starts from, loss settings
+    included; each run replaces its seed, its loss kind (and, for iwl, its
+    beta) and its encoder kind.
     """
 
     losses: tuple[str, ...] = ("iwl",)
-    betas: tuple[float, ...] = (IwlConfig.beta,)
+    betas: tuple[float, ...] = (LossConfig.beta,)
     alphas: tuple[Optional[float], ...] = (None,)
     encodes: tuple[str, ...] = ("cme",)
     seeds: tuple[int, ...] = (0,)
     train_fraction: float = 0.9
     train: TrainConfig = TrainConfig(epochs=30)
-    loss_params: dict = field(default_factory=dict)
     data_dir: Optional[str] = None
     synth: Optional[SynthSpec] = None
 
@@ -168,8 +167,8 @@ class ExperimentSpec:
                 raise SpecError(f"the experiment grid has no {axis}")
         if min(self.seeds) < 0:
             raise SpecError(f"seeds must be nonnegative, got {self.seeds}")
-        for name in self.losses:
-            loss_config(name, **self.loss_params)
+        for cell in grid_cells(self):
+            _cell_loss(self.train.loss, cell)
         for enc in self.encodes:
             if enc not in ENCODE_KINDS:
                 raise SpecError(f"unknown encode {enc!r}; expected cme or raw")
@@ -226,11 +225,16 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             parts[part][name] = conv(key, mapping[key])
     base = ExperimentSpec.train
     kwargs["train"] = dataclasses.replace(
-        base, encode=dataclasses.replace(base.encode, **parts["encode"]), **parts["train"]
+        base,
+        encode=dataclasses.replace(base.encode, **parts["encode"]),
+        loss=dataclasses.replace(base.loss, **parts["loss"]),
+        **parts["train"],
     )
-    kwargs["loss_params"] = parts["loss"]
 
     if "data.dir" in mapping:
+        ignored = [key for key in mapping if key.startswith("data.") and key != "data.dir"]
+        if ignored:
+            raise SpecError(f"data.dir loads a dataset, so synthetic-data keys do not apply: {ignored}")
         kwargs["data_dir"] = mapping["data.dir"]
     else:
         kwargs["synth"] = synth_spec_from_mapping(mapping, prefix="data.")
@@ -294,6 +298,13 @@ def grid_cells(spec: ExperimentSpec) -> list[CellKey]:
                 for encode in spec.encodes:
                     cells.append(CellKey(loss=loss, beta=beta, alpha=alpha, encode=encode))
     return cells
+
+
+def _cell_loss(base: LossConfig, cell: CellKey) -> LossConfig:
+    """``base`` with the cell's loss kind and, for iwl, its beta."""
+    if cell.beta is None:
+        return dataclasses.replace(base, kind=cell.loss)
+    return dataclasses.replace(base, kind=cell.loss, beta=cell.beta)
 
 
 def _featurize_blocks(build, wanted: np.ndarray, encoders: dict[str, EncoderSpec]) -> dict[str, np.ndarray]:
@@ -366,10 +377,7 @@ def _fit_seed(
     for (alpha, enc), members in stacks.items():
         train_rows, test_rows = rows[alpha]
         base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
-        cfgs = [
-            dataclasses.replace(base, loss=loss_config(cells[i].loss, beta=cells[i].beta, **spec.loss_params))
-            for i in members
-        ]
+        cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
         x = features[enc]
         models = train_stack(x, train_rows, row_labels[train_rows], cfgs, class_names)
         x_test, test_labels = x[test_rows], row_labels[test_rows]

@@ -20,23 +20,19 @@ stable log-softmax, and the term returns p * d(value)/dp, not d(value)/dp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-LOSS_KINDS = ("cross_entropy", "focal", "class_balanced", "cb_focal", "ldam")
-
-# Every loss with an analytical gradient worth checking.
-GRADCHECK_LOSSES = ("iwl",) + LOSS_KINDS
+LOSS_KINDS = ("iwl", "cross_entropy", "focal", "class_balanced", "cb_focal", "ldam")
 
 # Aliases accepted by config files and CLI flags.
 LOSS_ALIASES = {
     "ce": "cross_entropy",
     "cb": "class_balanced",
-    "iwl": "iwl",
 }
 
 # Losses whose terms depend on the training split's class counts.
@@ -48,8 +44,8 @@ _LN10 = math.log(10.0)
 def canonical_loss_name(name: str) -> str:
     key = name.strip().lower()
     key = LOSS_ALIASES.get(key, key)
-    if key != "iwl" and key not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss {name!r}; expected iwl or one of {LOSS_KINDS}")
+    if key not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss {name!r}; expected one of {LOSS_KINDS}")
     return key
 
 
@@ -71,50 +67,28 @@ def softmax(logits) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IwlConfig:
-    """IWL parameters.
+class LossConfig:
+    """Selection and parameters of one loss; each loss reads only its own fields.
 
-    beta is the temperature: 0 recovers plain cross-entropy, larger values
-    weight low-confidence records more sharply. epsilon guards the weight's
-    denominator (it sits inside the weight only, never under -log p).
-    log_base selects the base of both logarithms; the natural base is the
-    default and short-circuits to exact arithmetic so beta=0 reproduces
-    cross-entropy bit for bit. stop_weight_gradient treats the weight as a
-    constant during differentiation rather than backpropagating through it.
+    iwl: beta is the temperature, where 0 recovers plain cross-entropy and
+    larger values weight low-confidence records more sharply. epsilon guards
+    the weight's denominator (it sits inside the weight only, never under
+    -log p). log_base selects the base of both logarithms; the natural base
+    is the default and short-circuits to exact arithmetic so beta=0
+    reproduces cross-entropy bit for bit. stop_weight_gradient treats the
+    weight as a constant during differentiation rather than backpropagating
+    through it.
+
+    focal and cb_focal use gamma; class_balanced and cb_focal use cb_beta;
+    ldam uses ldam_mu and ldam_s. class_counts are the per-class training-set
+    sizes, required by the class-balanced and LDAM variants.
     """
 
+    kind: str = "iwl"
     beta: float = 0.3
     epsilon: float = 1e-12
     log_base: float = math.e
     stop_weight_gradient: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.log_base) and self.log_base > 1.0):
-            raise ConfigError(f"log_base must be finite and exceed 1, got {self.log_base}")
-
-    @property
-    def _ln_base(self) -> float:
-        # Exact 1.0 for the natural base, so no rounding detour through log(e).
-        return 1.0 if self.log_base == math.e else math.log(self.log_base)
-
-    @property
-    def kind(self) -> str:
-        return "iwl"
-
-
-@dataclass(frozen=True)
-class BaselineLossConfig:
-    """Selection and parameters for the comparison losses.
-
-    class_counts are the per-class training-set sizes; they are required
-    by the class-balanced and LDAM variants and ignored by the others.
-    """
-
-    kind: str = "cross_entropy"
     gamma: float = 2.0
     cb_beta: float = 0.999
     ldam_mu: float = 0.2
@@ -123,8 +97,12 @@ class BaselineLossConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_loss_name(self.kind))
-        if self.kind == "iwl":
-            raise ConfigError("use IwlConfig for the iwl loss")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.log_base) and self.log_base > 1.0):
+            raise ConfigError(f"log_base must be finite and exceed 1, got {self.log_base}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 <= self.cb_beta < 1.0:
@@ -141,27 +119,10 @@ class BaselineLossConfig:
                 raise ConfigError("class_counts must be positive integers")
             object.__setattr__(self, "class_counts", counts)
 
-
-LossConfig = Union[IwlConfig, BaselineLossConfig]
-
-_IWL_PARAMS = frozenset(f.name for f in fields(IwlConfig))
-_BASELINE_PARAMS = frozenset(f.name for f in fields(BaselineLossConfig)) - {"kind"}
-
-
-def loss_config(name: str, **params) -> LossConfig:
-    """The config for loss ``name``, built from the params that loss uses.
-
-    ``params`` may carry settings for every loss at once, as the command
-    line and experiment specs do; each config takes only its own fields and
-    leaves the rest at their defaults. A param no loss knows is an error.
-    """
-    unknown = set(params) - _IWL_PARAMS - _BASELINE_PARAMS
-    if unknown:
-        raise ConfigError(f"unknown loss parameters: {sorted(unknown)}")
-    kind = canonical_loss_name(name)
-    if kind == "iwl":
-        return IwlConfig(**{k: v for k, v in params.items() if k in _IWL_PARAMS})
-    return BaselineLossConfig(kind=kind, **{k: v for k, v in params.items() if k in _BASELINE_PARAMS})
+    @property
+    def _ln_base(self) -> float:
+        # Exact 1.0 for the natural base, so no rounding detour through log(e).
+        return 1.0 if self.log_base == math.e else math.log(self.log_base)
 
 
 def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
@@ -190,7 +151,7 @@ def ldam_margins(mu: float, class_counts) -> np.ndarray:
 # The loss core: rows of logits, integer labels -> per-row values + grads
 
 
-def _iwl_log_term(p, cfg: IwlConfig):
+def _iwl_log_term(p, cfg: LossConfig):
     """log_b(10 / (p + eps)), the quantity the IWL weight raises to beta."""
     return (_LN10 - np.log(p + cfg.epsilon)) / cfg._ln_base
 
@@ -254,12 +215,12 @@ def _core(logits2d, labels, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
 # IWL point helpers (used for monotonicity studies over p directly)
 
 
-def iwl_weight(p, cfg: IwlConfig = IwlConfig()):
+def iwl_weight(p, cfg: LossConfig = LossConfig()):
     """The weight factor (log_b(10/(p+eps)))**beta as a function of p."""
     return _iwl_log_term(np.asarray(p, dtype=np.float64), cfg) ** cfg.beta
 
 
-def iwl_point_value(p, cfg: IwlConfig = IwlConfig()):
+def iwl_point_value(p, cfg: LossConfig = LossConfig()):
     """IWL value as a function of the true-class probability alone."""
     arr = np.asarray(p, dtype=np.float64)
     return iwl_weight(arr, cfg) * (-np.log(arr) / cfg._ln_base)
@@ -295,8 +256,6 @@ class BatchLoss:
 
 def make_loss(cfg: LossConfig, class_counts=None) -> BatchLoss:
     """Build a BatchLoss from a config, filling in class counts if needed."""
-    if not isinstance(cfg, (IwlConfig, BaselineLossConfig)):
-        raise ConfigError(f"unsupported loss config type {type(cfg).__name__}")
     if cfg.kind in _COUNTED_KINDS and cfg.class_counts is None:
         if class_counts is None:
             raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
@@ -364,17 +323,21 @@ def gradient_check(
     one-row batch; losses that need class counts get a fresh random
     histogram per trial as well, so the check covers the count-dependent
     terms too. A config with pinned class_counts fixes num_classes to the
-    histogram's length.
+    histogram's length. There must be at least two classes.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    pinned = getattr(cfg, "class_counts", None)
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {threshold}")
+    pinned = cfg.class_counts
     if num_classes is None:
         num_classes = len(pinned) if pinned is not None else 9
     elif pinned is not None and len(pinned) != num_classes:
         raise ConfigError(f"num_classes {num_classes} does not match {len(pinned)} pinned class counts")
+    if num_classes < 2:
+        raise ConfigError(f"need at least two classes, got {num_classes}")
     rng = np.random.default_rng(seed)
     randomize_counts = cfg.kind in _COUNTED_KINDS and pinned is None
     errors = []
@@ -385,7 +348,7 @@ def gradient_check(
         # A parameter that overflows gives a NaN error, which fails the check; it is not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             _, grads = batch.per_record(logits[None, :], [label])
-            if getattr(cfg, "stop_weight_gradient", False):
+            if cfg.kind == "iwl" and cfg.stop_weight_gradient:
                 # The analytic gradient holds the weight constant, so difference
                 # the weight at this trial point times the (base-b) cross-entropy.
                 w0 = float(iwl_weight(softmax(logits)[label], cfg))

@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, read_input, window_records, write_output
 from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
-from .losses import BatchLoss, IwlConfig, LossConfig, make_loss
+from .losses import BatchLoss, LossConfig, make_loss
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,7 +127,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 64
     seed: int = 0
-    loss: LossConfig = field(default_factory=IwlConfig)
+    loss: LossConfig = field(default_factory=LossConfig)
     encode: EncoderSpec = field(default_factory=EncoderSpec)
     hidden: tuple[int, ...] = (64, 32)
 
@@ -271,7 +271,7 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
 
 
 def _loss_label(cfg: LossConfig) -> str:
-    return f"{cfg.kind} (beta {cfg.beta!r})" if isinstance(cfg, IwlConfig) else cfg.kind
+    return f"{cfg.kind} (beta {cfg.beta!r})" if cfg.kind == "iwl" else cfg.kind
 
 
 def train_stack(

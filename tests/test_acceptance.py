@@ -15,9 +15,8 @@ from conftest import dataset_from_arrays, make_record
 from mpmath import mp, mpf
 
 from ecgbalance import (
-    BaselineLossConfig,
     EncoderSpec,
-    IwlConfig,
+    LossConfig,
     SynthSpec,
     TrainConfig,
     cme_factors,
@@ -49,8 +48,8 @@ mp.dps = 60
 def test_criterion_1_iwl_ce_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    iwl = make_loss(IwlConfig(beta=0.0))
-    ce = make_loss(BaselineLossConfig(kind="cross_entropy"))
+    iwl = make_loss(LossConfig(beta=0.0))
+    ce = make_loss(LossConfig(kind="cross_entropy"))
     worst_value = 0.0
     worst_grad = 0.0
     for _ in range(1000):
@@ -78,14 +77,14 @@ def test_criterion_1_iwl_ce_equivalence():
 def test_criterion_2_gradient_oracle():
     t0 = time.perf_counter()
     configs = [
-        ("ce", BaselineLossConfig(kind="cross_entropy")),
-        ("iwl(0.3)", IwlConfig(beta=0.3)),
-        ("iwl(1)", IwlConfig(beta=1.0)),
-        ("iwl(3)", IwlConfig(beta=3.0)),
-        ("focal(2)", BaselineLossConfig(kind="focal", gamma=2.0)),
-        ("cb", BaselineLossConfig(kind="class_balanced")),
-        ("cb_focal", BaselineLossConfig(kind="cb_focal")),
-        ("ldam(0.2,20)", BaselineLossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0)),
+        ("ce", LossConfig(kind="cross_entropy")),
+        ("iwl(0.3)", LossConfig(beta=0.3)),
+        ("iwl(1)", LossConfig(beta=1.0)),
+        ("iwl(3)", LossConfig(beta=3.0)),
+        ("focal(2)", LossConfig(kind="focal", gamma=2.0)),
+        ("cb", LossConfig(kind="class_balanced")),
+        ("cb_focal", LossConfig(kind="cb_focal")),
+        ("ldam(0.2,20)", LossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0)),
     ]
     worst = {}
     for tag, cfg in configs:
@@ -109,7 +108,7 @@ def test_criterion_3_iwl_monotonicity():
     t0 = time.perf_counter()
     grid = np.arange(1, 100, dtype=np.float64) / 100.0
     for beta in (0.1, 0.3, 1.0, 5.0):
-        cfg = IwlConfig(beta=beta)
+        cfg = LossConfig(beta=beta)
         values = iwl_point_value(grid, cfg)
         weights = iwl_weight(grid, cfg)
         assert np.all(np.diff(values) < 0.0), f"loss not strictly decreasing at beta={beta}"

@@ -14,9 +14,9 @@ import pytest
 from conftest import dataset_from_arrays
 
 from ecgbalance import (
-    GRADCHECK_LOSSES,
+    LOSS_KINDS,
     EncoderSpec,
-    IwlConfig,
+    LossConfig,
     TrainConfig,
     load_csv,
     load_model,
@@ -24,6 +24,7 @@ from ecgbalance import (
 )
 from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
 from ecgbalance.errors import ConfigError
+from ecgbalance.experiment import _GRID_KEYS, _SCALAR_KEYS, SYNTH_KEYS, _cell_loss, grid_cells, parse_experiment_spec
 
 SYNTH_SPEC = """\
 classes = 3
@@ -143,7 +144,7 @@ def test_every_command_keeps_its_options_and_defaults():
 
 def test_train_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["train", "--data", "d", "--out", "m"])
-    assert _train_config_from_args(args) == TrainConfig(loss=IwlConfig(), encode=EncoderSpec())
+    assert _train_config_from_args(args) == TrainConfig(loss=LossConfig(), encode=EncoderSpec())
 
 
 # Every loss flag set away from its default.
@@ -158,8 +159,27 @@ def test_gradcheck_and_train_build_the_same_loss_configs():
     for flags in ([], LOSS_FLAGS):
         check = parser.parse_args(["gradcheck", *flags])
         fit = parser.parse_args(["train", "--data", "d", "--out", "m", *flags])
-        for name in GRADCHECK_LOSSES:
+        for name in LOSS_KINDS:
             assert _loss_config_from_args(check, name) == _loss_config_from_args(fit, name)
+
+
+def test_spec_loss_keys_and_loss_flags_build_equal_loss_configs(tmp_path):
+    # Every loss setting a spec can hold, away from its default, set both ways.
+    spec_path = tmp_path / "grid.txt"
+    spec_path.write_text(
+        "loss = iwl, ce, focal, cb, cb_focal, ldam\nbeta = 1.5\ndata.classes = 3\n"
+        "iwl.epsilon = 1e-6\nfocal.gamma = 1\ncb.beta = 0.9\nldam.mu = 0.4\nldam.s = 8\n"
+    )
+    spec = parse_experiment_spec(spec_path)
+    flags = ["--epsilon", "1e-6", "--gamma", "1", "--cb-beta", "0.9", "--ldam-mu", "0.4", "--ldam-s", "8"]
+    assert len(grid_cells(spec)) == 6
+    for cell in grid_cells(spec):
+        # beta is a grid axis that only iwl cells take.
+        beta = ["--beta", "1.5"] if cell.loss == "iwl" else []
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "m", "--loss", cell.loss, *flags, *beta])
+        from_flags = _train_config_from_args(args).loss
+        assert _cell_loss(spec.train.loss, cell) == from_flags
+        assert from_flags != LossConfig(kind=cell.loss)
 
 
 def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
@@ -168,7 +188,7 @@ def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
     report = tmp_path / "gc.csv"
     assert main(["gradcheck", "--trials", "50", "--out", str(report), *LOSS_FLAGS]) == 0
     rows = report.read_text().splitlines()[1:]
-    assert [r.split(",")[0] for r in rows] == list(GRADCHECK_LOSSES)
+    assert [r.split(",")[0] for r in rows] == list(LOSS_KINDS)
     assert all(float(r.split(",")[2]) < 1e-4 for r in rows)
 
 
@@ -363,6 +383,26 @@ def test_gradcheck_non_finite_error_fails(capsys, tmp_path):
 
 def test_gradcheck_base_ten(capsys):
     assert main(["gradcheck", "--loss", "iwl", "--log-base", "10", "--trials", "10"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--classes", "0"], "at least two classes"),
+        (["--classes", "-3"], "at least two classes"),
+        (["--classes", "1"], "at least two classes"),
+        (["--threshold", "nan"], "threshold"),
+        (["--threshold", "inf"], "threshold"),
+        (["--threshold", "0"], "threshold"),
+        (["--threshold", "-1"], "threshold"),
+    ],
+)
+def test_gradcheck_rejects_unusable_classes_and_thresholds(capsys, flags, message):
+    # Each is refused before any trial runs, for every loss.
+    assert main(["gradcheck", "--trials", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +659,49 @@ def test_damaged_inputs_end_in_exit_0_1_or_2(tmp_path, data_dir, model_file, cap
             except Exception as exc:  # noqa: BLE001 - the failure names the damage that caused it
                 pytest.fail(f"{target} trial {trial}: {argv[0]} raised {exc!r}")
             assert code in (0, 1, 2), (trial, argv[0], code)
+    capsys.readouterr()
+
+
+# Awkward values for any key: signs, zero, non-finite, overflowing and
+# subnormal floats, a non-ASCII digit, empty, a list, and number spellings
+# Python's int() and float() accept or refuse. None sizes a large dataset.
+LOSS_KEYS = ("iwl.epsilon", "focal.gamma", "cb.beta", "ldam.mu", "ldam.s")
+AWKWARD_VALUES = ("-1", "0", "nan", "inf", "1e309", "1e-320", "\u0663", "", "1,2", "0x10", "1_0", "2.5")
+
+
+def _with_value(spec: str, key: str, value: str) -> str:
+    """``spec`` with ``key`` set to ``value``: its line replaced, or one appended."""
+    lines = [line for line in spec.splitlines() if line.split("=", 1)[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}", ""])
+
+
+@pytest.mark.parametrize("command", ["experiment", "synth"])
+def test_every_spec_key_takes_awkward_values_without_a_traceback(tmp_path, capsys, command):
+    # One key at a time, each value in turn: a run succeeds or is a typed error.
+    keys, spec_text = {
+        "experiment": ((*_GRID_KEYS, *_SCALAR_KEYS), EXPERIMENT_SPEC),
+        "synth": (SYNTH_KEYS, SYNTH_SPEC),
+    }[command]
+    spec, out = tmp_path / "spec.txt", tmp_path / "out"
+    codes = set()
+    for key in keys:
+        for value in AWKWARD_VALUES:
+            spec.write_text(_with_value(spec_text, key, value), encoding="utf-8")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([command, "--spec", str(spec), "--out", str(out)])
+            except Exception as exc:  # noqa: BLE001 - the failure names the key and value that caused it
+                pytest.fail(f"{key} = {value!r}: {command} raised {exc!r}")
+            assert code in (0, 1, 2), (key, value, code)
+            # A loss setting is checked when the spec is parsed, whichever losses the grid runs.
+            if key in LOSS_KEYS and value in ("-1", "nan", "inf", "1e309"):
+                assert code == 2, (key, value)
+            codes.add(code)
+            if out.is_dir():
+                shutil.rmtree(out)
+            out.unlink(missing_ok=True)
+    assert codes == {0, 2}
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ import pytest
 from ecgbalance import (
     EncoderSpec,
     ExperimentSpec,
+    LossConfig,
     SplitSpec,
     TrainConfig,
     cli,
@@ -28,6 +29,7 @@ from ecgbalance.experiment import (
     _GRID_KEYS,
     _SCALAR_KEYS,
     RESULT_COLUMNS,
+    SYNTH_KEYS,
     CellKey,
     _aggregate,
     _run_cells,
@@ -127,7 +129,6 @@ def test_parse_spec_defaults(tmp_path):
     assert spec.train.epochs == 30
     assert spec.train.encode.height == 128 and spec.train.encode.width == 128
     assert spec.train == TrainConfig(epochs=30)
-    assert spec.loss_params == {}
     assert spec.synth.length == 3000
 
 
@@ -135,7 +136,7 @@ def test_parse_spec_loss_params(tmp_path):
     path = tmp_path / "loss.txt"
     path.write_text("data.classes = 3\niwl.epsilon = 1e-9\nfocal.gamma = 1.5\ncb.beta = 0.99\nldam.mu = 0.3\nldam.s = 10\n")
     spec = parse_experiment_spec(path)
-    assert spec.loss_params == {"epsilon": 1e-9, "gamma": 1.5, "cb_beta": 0.99, "ldam_mu": 0.3, "ldam_s": 10.0}
+    assert spec.train.loss == LossConfig(epsilon=1e-9, gamma=1.5, cb_beta=0.99, ldam_mu=0.3, ldam_s=10.0)
 
 
 def test_parse_spec_rejects_empty_spec(tmp_path):
@@ -178,6 +179,15 @@ def test_parse_spec_rejects_bad_values(tmp_path):
         path.write_text(f"data.classes = 3\n{line}\n")
         with pytest.raises(exc):
             parse_experiment_spec(path)
+
+
+@pytest.mark.parametrize("key", ["data." + k for k in SYNTH_KEYS])
+def test_parse_spec_rejects_synthetic_keys_beside_data_dir(tmp_path, key):
+    # A data.dir dataset is loaded, not synthesized, so these keys could have no effect.
+    path = tmp_path / "mixed.txt"
+    path.write_text(f"data.dir = ds\n{key} = 5\n")
+    with pytest.raises(SpecError, match=re.escape(key)):
+        parse_experiment_spec(path)
 
 
 @pytest.mark.parametrize("key", ["loss", "beta", "alpha", "encode", "seeds"])

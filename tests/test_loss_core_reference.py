@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ecgbalance import BaselineLossConfig, IwlConfig, effective_number_weights, ldam_margins, make_loss
+from ecgbalance import LossConfig, effective_number_weights, ldam_margins, make_loss
 
 _LN10 = math.log(10.0)
 
@@ -102,7 +102,7 @@ def _ref_ldam_core(logits2d, labels, cfg):
 
 
 def _ref_per_record(cfg, logits2d, labels):
-    if isinstance(cfg, IwlConfig):
+    if cfg.kind == "iwl":
         return _ref_iwl_core(logits2d, labels, cfg)
     if cfg.kind == "cross_entropy":
         return _ref_ce_core(logits2d, labels)
@@ -118,25 +118,25 @@ COUNTS = (640, 300, 120, 64, 33, 17, 9, 4, 1)
 
 CONFIGS = (
     [
-        IwlConfig(beta=beta, epsilon=eps, log_base=base, stop_weight_gradient=stop)
+        LossConfig(beta=beta, epsilon=eps, log_base=base, stop_weight_gradient=stop)
         for beta in (0.0, 0.3, 2.0)
         for base in (math.e, 10.0)
         for stop in (False, True)
         for eps in (1e-12, 1e-3)
     ]
-    + [BaselineLossConfig(kind="cross_entropy")]
-    + [BaselineLossConfig(kind="focal", gamma=g) for g in (0.0, 0.5, 2.0)]
+    + [LossConfig(kind="cross_entropy")]
+    + [LossConfig(kind="focal", gamma=g) for g in (0.0, 0.5, 2.0)]
     + [
-        BaselineLossConfig(kind=kind, cb_beta=b, class_counts=COUNTS)
+        LossConfig(kind=kind, cb_beta=b, class_counts=COUNTS)
         for kind in ("class_balanced", "cb_focal")
         for b in (0.0, 0.999)
     ]
-    + [BaselineLossConfig(kind="ldam", class_counts=COUNTS)]
+    + [LossConfig(kind="ldam", class_counts=COUNTS)]
 )
 
 
 def _config_id(cfg):
-    if isinstance(cfg, IwlConfig):
+    if cfg.kind == "iwl":
         base = "e" if cfg.log_base == math.e else "10"
         return f"iwl-b{cfg.beta}-log{base}-stop{int(cfg.stop_weight_gradient)}-eps{cfg.epsilon:g}"
     return f"{cfg.kind}-g{cfg.gamma}-cb{cfg.cb_beta}"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ecgbalance import (
-    BaselineLossConfig,
-    IwlConfig,
+    LossConfig,
     canonical_loss_name,
     effective_number_weights,
     finite_difference_grad,
@@ -13,7 +12,6 @@ from ecgbalance import (
     iwl_point_value,
     iwl_weight,
     ldam_margins,
-    loss_config,
     make_loss,
     relative_gradient_error,
     softmax,
@@ -21,7 +19,7 @@ from ecgbalance import (
 from ecgbalance.errors import ConfigError, DimensionError
 
 RNG = np.random.default_rng(0)
-CE = BaselineLossConfig(kind="cross_entropy")
+CE = LossConfig(kind="cross_entropy")
 
 
 def one_row(cfg, logits, label, class_counts=None):
@@ -76,12 +74,12 @@ def test_cross_entropy_value_and_gradient_formula():
 
 def test_iwl_point_value_oracle_beta_one():
     # p = 0.1: ln(10/0.1) * (-ln 0.1), high-precision reference.
-    v = iwl_point_value(0.1, IwlConfig(beta=1.0))
+    v = iwl_point_value(0.1, LossConfig(beta=1.0))
     assert v == pytest.approx(10.60379622093377, rel=1e-14)
 
 
 def test_iwl_weight_and_value_oracle_beta_03():
-    cfg = IwlConfig(beta=0.3)
+    cfg = LossConfig(beta=0.3)
     w = iwl_weight(0.25, cfg)
     v = iwl_point_value(0.25, cfg)
     assert w == pytest.approx(1.4793411537703097, rel=1e-14)
@@ -89,20 +87,20 @@ def test_iwl_weight_and_value_oracle_beta_03():
 
 
 def test_iwl_logit_space_oracle():
-    value, _ = one_row(IwlConfig(beta=0.3), [1.0, -0.5, 0.2], 0)
+    value, _ = one_row(LossConfig(beta=0.3), [1.0, -0.5, 0.2], 0)
     assert value == pytest.approx(0.7016861027016875, rel=1e-14)
 
 
 def test_iwl_base_ten_point_oracle():
     # log10(10/0.1) = 2, so weight = 2**0.5; -log10(0.1) = 1. The epsilon
     # guard inside the weight shifts the result by about 1e-12 relative.
-    cfg = IwlConfig(beta=0.5, log_base=10.0)
+    cfg = LossConfig(beta=0.5, log_base=10.0)
     assert iwl_point_value(0.1, cfg) == pytest.approx(math.sqrt(2.0), rel=1e-11)
 
 
 def test_iwl_epsilon_only_guards_the_weight():
     # At p = 1 the CE factor is exactly zero, so the loss is zero too.
-    cfg = IwlConfig(beta=2.0, epsilon=1e-3)
+    cfg = LossConfig(beta=2.0, epsilon=1e-3)
     assert iwl_point_value(1.0, cfg) == 0.0
     w = iwl_weight(1.0, cfg)
     assert w == pytest.approx(math.log(10.0 / (1.0 + 1e-3)) ** 2.0, rel=1e-14)
@@ -113,7 +111,7 @@ def test_iwl_epsilon_only_guards_the_weight():
 
 
 def test_iwl_beta_zero_is_cross_entropy_exactly():
-    cfg = IwlConfig(beta=0.0)
+    cfg = LossConfig(beta=0.0)
     for _ in range(200):
         k = int(RNG.integers(2, 12))
         logits = RNG.normal(0.0, 4.0, size=k)
@@ -131,7 +129,7 @@ def test_iwl_beta_zero_is_cross_entropy_exactly():
 def test_iwl_loss_strictly_decreasing_in_confidence():
     grid = np.arange(0.01, 1.0, 0.01)
     for beta in (0.1, 0.3, 1.0, 5.0):
-        cfg = IwlConfig(beta=beta)
+        cfg = LossConfig(beta=beta)
         values = np.array([iwl_point_value(p, cfg) for p in grid])
         assert np.all(np.diff(values) < 0.0)
 
@@ -139,15 +137,15 @@ def test_iwl_loss_strictly_decreasing_in_confidence():
 def test_iwl_weight_strictly_decreasing_for_positive_beta():
     grid = np.arange(0.01, 1.0, 0.01)
     for beta in (0.1, 0.3, 1.0, 5.0):
-        cfg = IwlConfig(beta=beta)
+        cfg = LossConfig(beta=beta)
         weights = np.array([iwl_weight(p, cfg) for p in grid])
         assert np.all(np.diff(weights) < 0.0)
-    flat = np.array([iwl_weight(p, IwlConfig(beta=0.0)) for p in grid])
+    flat = np.array([iwl_weight(p, LossConfig(beta=0.0)) for p in grid])
     assert np.all(flat == 1.0)
 
 
 def test_iwl_weight_upweights_hard_records():
-    cfg = IwlConfig(beta=0.3)
+    cfg = LossConfig(beta=0.3)
     assert iwl_weight(1e-4, cfg) > iwl_weight(0.5, cfg) > iwl_weight(0.99, cfg)
 
 
@@ -156,7 +154,7 @@ def test_iwl_weight_upweights_hard_records():
 
 
 def test_iwl_gradient_matches_finite_differences():
-    cfg = IwlConfig(beta=0.3)
+    cfg = LossConfig(beta=0.3)
     for _ in range(30):
         logits = RNG.normal(0.0, 3.0, size=9)
         label = int(RNG.integers(9))
@@ -168,13 +166,13 @@ def test_iwl_gradient_matches_finite_differences():
 def test_iwl_gradient_finite_at_collapsed_probability():
     # The true-class probability underflows; the gradient must stay finite.
     logits = np.array([-800.0, 0.0, 0.0])
-    value, grad = one_row(IwlConfig(beta=0.3), logits, 0)
+    value, grad = one_row(LossConfig(beta=0.3), logits, 0)
     assert np.all(np.isfinite(grad))
     assert np.isfinite(value)
 
 
 def test_iwl_stop_weight_gradient_scales_cross_entropy_gradient():
-    cfg = IwlConfig(beta=0.7, stop_weight_gradient=True)
+    cfg = LossConfig(beta=0.7, stop_weight_gradient=True)
     for _ in range(50):
         logits = RNG.normal(0.0, 3.0, size=6)
         label = int(RNG.integers(6))
@@ -187,22 +185,22 @@ def test_iwl_stop_weight_gradient_scales_cross_entropy_gradient():
 
 def test_iwl_full_gradient_differs_from_stopped_gradient():
     logits = np.array([0.5, -0.2, 0.1])
-    full_value, full_grad = one_row(IwlConfig(beta=0.7), logits, 0)
-    stopped_value, stopped_grad = one_row(IwlConfig(beta=0.7, stop_weight_gradient=True), logits, 0)
+    full_value, full_grad = one_row(LossConfig(beta=0.7), logits, 0)
+    stopped_value, stopped_grad = one_row(LossConfig(beta=0.7, stop_weight_gradient=True), logits, 0)
     assert full_value == stopped_value
     assert not np.allclose(full_grad, stopped_grad)
 
 
 def test_iwl_base_ten_gradcheck():
-    res = gradient_check(IwlConfig(beta=0.5, log_base=10.0), trials=50, seed=5)
+    res = gradient_check(LossConfig(beta=0.5, log_base=10.0), trials=50, seed=5)
     assert res.passed
 
 
 def test_iwl_stopped_weight_gradcheck_differences_a_constant_weight():
-    stopped = IwlConfig(beta=1.5, log_base=10.0, stop_weight_gradient=True)
+    stopped = LossConfig(beta=1.5, log_base=10.0, stop_weight_gradient=True)
     assert gradient_check(stopped, trials=50, seed=5).passed
     # The unstopped weight is still checked against the full loss.
-    assert gradient_check(IwlConfig(beta=1.5, log_base=10.0), trials=50, seed=5).passed
+    assert gradient_check(LossConfig(beta=1.5, log_base=10.0), trials=50, seed=5).passed
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def test_iwl_stopped_weight_gradcheck_differences_a_constant_weight():
 
 
 def test_focal_point_oracle():
-    value, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), np.log(np.array([0.25, 0.75])), 0)
+    value, _ = one_row(LossConfig(kind="focal", gamma=2.0), np.log(np.array([0.25, 0.75])), 0)
     # (1 - 0.25)**2 * (-ln 0.25)
     assert value == pytest.approx(0.7797905781299385, rel=1e-13)
 
@@ -219,7 +217,7 @@ def test_focal_gamma_zero_is_cross_entropy():
     for _ in range(50):
         logits = RNG.normal(0.0, 3.0, size=5)
         label = int(RNG.integers(5))
-        a_value, a_grad = one_row(BaselineLossConfig(kind="focal", gamma=0.0), logits, label)
+        a_value, a_grad = one_row(LossConfig(kind="focal", gamma=0.0), logits, label)
         b_value, b_grad = one_row(CE, logits, label)
         assert a_value == b_value
         assert np.array_equal(a_grad, b_grad)
@@ -228,13 +226,13 @@ def test_focal_gamma_zero_is_cross_entropy():
 def test_focal_gradient_finite_when_p_saturates():
     # p -> 1 drives (1-p)**(gamma-1) through a 0 * log(p) product.
     logits = np.array([200.0, 0.0, -50.0])
-    value, grad = one_row(BaselineLossConfig(kind="focal", gamma=2.0), logits, 0)
+    value, grad = one_row(LossConfig(kind="focal", gamma=2.0), logits, 0)
     assert np.all(np.isfinite(grad))
     assert value == 0.0
 
 
 def test_focal_downweights_easy_records():
-    easy, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), [4.0, 0.0], 0)
+    easy, _ = one_row(LossConfig(kind="focal", gamma=2.0), [4.0, 0.0], 0)
     ce_easy, _ = one_row(CE, [4.0, 0.0], 0)
     assert easy < ce_easy
 
@@ -257,7 +255,7 @@ def test_effective_number_weights_beta_zero_is_uniform():
 def test_class_balanced_scales_cross_entropy():
     logits = np.array([0.2, -1.0, 0.7])
     counts = (100, 10, 50)
-    value, grad = one_row(BaselineLossConfig(kind="class_balanced", cb_beta=0.999, class_counts=counts), logits, 1)
+    value, grad = one_row(LossConfig(kind="class_balanced", cb_beta=0.999, class_counts=counts), logits, 1)
     base_value, base_grad = one_row(CE, logits, 1)
     w = effective_number_weights(0.999, counts)[1]
     assert value == pytest.approx(w * base_value, rel=1e-14)
@@ -267,16 +265,16 @@ def test_class_balanced_scales_cross_entropy():
 def test_class_balanced_focal_inner():
     logits = np.array([0.2, -1.0, 0.7])
     counts = (100, 10, 50)
-    value, _ = one_row(BaselineLossConfig(kind="cb_focal", cb_beta=0.99, gamma=2.0), logits, 0, class_counts=counts)
+    value, _ = one_row(LossConfig(kind="cb_focal", cb_beta=0.99, gamma=2.0), logits, 0, class_counts=counts)
     w = effective_number_weights(0.99, counts)[0]
-    base_value, _ = one_row(BaselineLossConfig(kind="focal", gamma=2.0), logits, 0)
+    base_value, _ = one_row(LossConfig(kind="focal", gamma=2.0), logits, 0)
     assert value == pytest.approx(w * base_value, rel=1e-14)
 
 
 def test_class_balanced_requires_counts_by_fit_time():
     # Count-free construction is fine (counts belong to the training split);
     # building the batch loss without them is not.
-    cfg = BaselineLossConfig(kind="class_balanced")
+    cfg = LossConfig(kind="class_balanced")
     with pytest.raises(ConfigError):
         make_loss(cfg)
     assert np.isfinite(one_row(cfg, [0.1, 0.2], 0, class_counts=(100, 10))[0])
@@ -295,7 +293,7 @@ def test_ldam_margin_oracle():
 def test_ldam_value_is_scaled_ce_on_shifted_logits():
     logits = np.array([1.0, 0.0, -0.5])
     counts = (640, 64, 10)
-    value, _ = one_row(BaselineLossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0, class_counts=counts), logits, 2)
+    value, _ = one_row(LossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0, class_counts=counts), logits, 2)
     margins = ldam_margins(0.2, counts)
     shifted = logits.copy()
     shifted[2] -= margins[2]
@@ -314,7 +312,7 @@ def test_ldam_rare_class_gets_largest_margin():
 
 
 def test_batch_mean_is_order_invariant():
-    loss = make_loss(IwlConfig(beta=0.3))
+    loss = make_loss(LossConfig(beta=0.3))
     logits = RNG.normal(0.0, 2.0, size=(64, 9))
     labels = RNG.integers(0, 9, size=64)
     v1, g1 = loss.mean(logits, labels)
@@ -326,7 +324,7 @@ def test_batch_mean_is_order_invariant():
 
 
 def test_batch_labels_validated():
-    loss = make_loss(BaselineLossConfig(kind="cross_entropy"))
+    loss = make_loss(LossConfig(kind="cross_entropy"))
     with pytest.raises(DimensionError):
         loss.per_record(np.zeros((2, 3)), np.array([0, 3]))
 
@@ -334,13 +332,13 @@ def test_batch_labels_validated():
 @pytest.mark.parametrize("kind", ["ldam", "class_balanced", "cb_focal"])
 @pytest.mark.parametrize("counts", [(5, 3), (5, 3, 2, 1)])
 def test_pinned_class_counts_must_match_the_logit_width(kind, counts):
-    loss = make_loss(BaselineLossConfig(kind=kind, class_counts=counts))
+    loss = make_loss(LossConfig(kind=kind, class_counts=counts))
     with pytest.raises(DimensionError, match="class counts for 3 logit columns"):
         loss.per_record(np.zeros((1, 3)), [2])
 
 
 def test_make_loss_fills_class_counts():
-    value, _ = one_row(BaselineLossConfig(kind="ldam"), [0.1, -0.1], 0, class_counts=[10, 20])
+    value, _ = one_row(LossConfig(kind="ldam"), [0.1, -0.1], 0, class_counts=[10, 20])
     assert np.isfinite(value)
 
 
@@ -348,47 +346,32 @@ def test_loss_aliases():
     assert canonical_loss_name("ce") == "cross_entropy"
     assert canonical_loss_name("cb") == "class_balanced"
     assert canonical_loss_name("iwl") == "iwl"
+    assert LossConfig(kind=" CB ").kind == "class_balanced"
     with pytest.raises(ConfigError):
         canonical_loss_name("hinge")
 
 
-def test_loss_config_passes_each_loss_only_its_own_params():
-    params = dict(beta=0.5, epsilon=1e-9, gamma=1.0, cb_beta=0.9, ldam_mu=0.3, ldam_s=10.0)
-    assert loss_config("iwl", **params) == IwlConfig(beta=0.5, epsilon=1e-9)
-    assert loss_config("ce", **params) == BaselineLossConfig(
-        kind="cross_entropy", gamma=1.0, cb_beta=0.9, ldam_mu=0.3, ldam_s=10.0
-    )
-    assert loss_config("CB") == BaselineLossConfig(kind="class_balanced")
-    assert loss_config("iwl") == IwlConfig()
-    with pytest.raises(ConfigError, match="betta"):
-        loss_config("iwl", betta=0.5)
-    with pytest.raises(ConfigError):
-        loss_config("hinge")
-    with pytest.raises(ConfigError):
-        loss_config("focal", gamma=-1.0)
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
-        IwlConfig(beta=-0.1)
+        LossConfig(beta=-0.1)
     with pytest.raises(ConfigError):
-        IwlConfig(epsilon=0.0)
+        LossConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
-        IwlConfig(log_base=1.0)
+        LossConfig(log_base=1.0)
+    with pytest.raises(ConfigError, match="hinge"):
+        LossConfig(kind="hinge")
     with pytest.raises(ConfigError):
-        BaselineLossConfig(kind="iwl")
+        LossConfig(kind="focal", gamma=-1.0)
     with pytest.raises(ConfigError):
-        BaselineLossConfig(kind="focal", gamma=-1.0)
-    with pytest.raises(ConfigError):
-        BaselineLossConfig(kind="cross_entropy", cb_beta=1.0)
+        LossConfig(kind="cross_entropy", cb_beta=1.0)
     # NaN slips past every ordered comparison, so each parameter is also checked for finiteness.
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("beta", "epsilon", "log_base"):
             with pytest.raises(ConfigError, match=name):
-                IwlConfig(**{name: bad})
+                LossConfig(**{name: bad})
         for name in ("gamma", "ldam_mu", "ldam_s", "cb_beta"):
             with pytest.raises(ConfigError, match=name):
-                BaselineLossConfig(kind="ldam", **{name: bad})
+                LossConfig(kind="ldam", **{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +391,14 @@ def test_relative_error_guards_zero_denominator():
 
 def test_gradient_check_passes_for_every_loss_kind():
     configs = [
-        IwlConfig(beta=0.3),
-        BaselineLossConfig(kind="cross_entropy"),
-        BaselineLossConfig(kind="focal"),
+        LossConfig(beta=0.3),
+        LossConfig(kind="cross_entropy"),
+        LossConfig(kind="focal"),
         # Count-free configs exercise the per-trial random histograms.
-        BaselineLossConfig(kind="class_balanced"),
-        BaselineLossConfig(kind="cb_focal"),
-        BaselineLossConfig(kind="ldam"),
-        BaselineLossConfig(kind="ldam", class_counts=(64, 8, 100)),
+        LossConfig(kind="class_balanced"),
+        LossConfig(kind="cb_focal"),
+        LossConfig(kind="ldam"),
+        LossConfig(kind="ldam", class_counts=(64, 8, 100)),
     ]
     for cfg in configs:
         res = gradient_check(cfg, trials=20, seed=3)
@@ -423,5 +406,5 @@ def test_gradient_check_passes_for_every_loss_kind():
 
 
 def test_gradient_check_reports_failure_on_absurd_threshold():
-    res = gradient_check(IwlConfig(beta=0.3), trials=5, seed=0, threshold=1e-18)
+    res = gradient_check(LossConfig(beta=0.3), trials=5, seed=0, threshold=1e-18)
     assert not res.passed

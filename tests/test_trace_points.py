@@ -9,7 +9,7 @@ from conftest import tiny_dataset
 
 from ecgbalance import (
     EncoderSpec,
-    IwlConfig,
+    LossConfig,
     TrainConfig,
     cli,
     cme_factors,
@@ -52,7 +52,7 @@ def test_train_and_evaluate_featurize_through_the_module_global(monkeypatch):
     d = tiny_dataset()
     for enc in ENCODERS:
         calls.clear()
-        cfg = TrainConfig(epochs=1, batch_size=8, loss=IwlConfig(beta=0.3), encode=enc, hidden=(4,))
+        cfg = TrainConfig(epochs=1, batch_size=8, loss=LossConfig(beta=0.3), encode=enc, hidden=(4,))
         model, _ = train(d, cfg)
         assert calls == [len(d)]
         evaluate(model, d)

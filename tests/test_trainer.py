@@ -9,11 +9,10 @@ from conftest import tiny_dataset
 
 from ecgbalance import (
     AdamState,
-    BaselineLossConfig,
     Dataset,
     EncoderSpec,
     ExperimentSpec,
-    IwlConfig,
+    LossConfig,
     ModelParams,
     TrainConfig,
     adam_init,
@@ -44,7 +43,7 @@ def small_config(**overrides):
         learning_rate=0.01,
         batch_size=8,
         seed=0,
-        loss=IwlConfig(beta=0.3),
+        loss=LossConfig(beta=0.3),
         encode=SMALL_ENC,
         hidden=(8,),
     )
@@ -136,7 +135,7 @@ def test_forward_rejects_wrong_width():
 
 def test_backward_matches_finite_differences():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
-    loss = make_loss(IwlConfig(beta=0.3))
+    loss = make_loss(LossConfig(beta=0.3))
     x = np.array([[0.8, -0.3, 1.5]])
     y = np.array([1])
     grad = np.empty_like(m.theta)
@@ -170,7 +169,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_accepts_config_and_validates_label():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
-    loss = make_loss(IwlConfig(beta=0.3))
+    loss = make_loss(LossConfig(beta=0.3))
     grad = np.full_like(m.theta, np.nan)
     [value] = _backward_batch(stack_of(m), np.ones((1, 3)), np.array([0]), [loss], grad[None])
     assert math.isfinite(value) and np.isfinite(grad).all()
@@ -219,7 +218,7 @@ def test_a_training_step_allocates_less_than_the_parameters():
     # a step then allocates only batch-sized arrays.
     rng = np.random.default_rng(0)
     m = init_model(3000, 9, RAW_ENC, hidden=(64, 32), rng=rng)
-    loss = make_loss(IwlConfig(beta=0.3))
+    loss = make_loss(LossConfig(beta=0.3))
     x = rng.normal(0.0, 1.0, size=(64, 3000))
     y = rng.integers(0, 9, size=64)
     stack = stack_of(m)
@@ -304,15 +303,15 @@ def test_train_separable_data_reaches_full_accuracy():
 @pytest.mark.parametrize(
     "loss_cfg",
     [
-        IwlConfig(beta=0.3),
-        IwlConfig(beta=0.0),
-        BaselineLossConfig(kind="cross_entropy"),
-        BaselineLossConfig(kind="focal"),
-        BaselineLossConfig(kind="class_balanced"),
-        BaselineLossConfig(kind="cb_focal"),
-        BaselineLossConfig(kind="ldam"),
+        LossConfig(beta=0.3),
+        LossConfig(beta=0.0),
+        LossConfig(kind="cross_entropy"),
+        LossConfig(kind="focal"),
+        LossConfig(kind="class_balanced"),
+        LossConfig(kind="cb_focal"),
+        LossConfig(kind="ldam"),
     ],
-    ids=lambda c: getattr(c, "kind", "iwl") + (f"-b{c.beta}" if isinstance(c, IwlConfig) else ""),
+    ids=lambda c: c.kind + (f"-b{c.beta}" if c.kind == "iwl" else ""),
 )
 def test_train_smoke_every_loss(loss_cfg):
     d = tiny_dataset(per_class=4)
@@ -327,7 +326,7 @@ def test_train_count_losses_survive_absent_class():
     full = tiny_dataset(n_classes=3, per_class=4)
     d = Dataset(records=tuple(r for r in full if r.label != 2), class_names=full.class_names)
     assert d.num_classes == 3 and d.class_counts().tolist() == [4, 4, 0]
-    m, log = train(d, small_config(epochs=2, loss=BaselineLossConfig(kind="class_balanced")))
+    m, log = train(d, small_config(epochs=2, loss=LossConfig(kind="class_balanced")))
     assert all(np.isfinite(v) for v in log)
     assert m.num_classes == 3
 

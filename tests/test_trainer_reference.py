@@ -24,9 +24,8 @@ import numpy as np
 import pytest
 
 from ecgbalance import (
-    BaselineLossConfig,
     EncoderSpec,
-    IwlConfig,
+    LossConfig,
     ModelParams,
     SynthSpec,
     TrainConfig,
@@ -35,7 +34,6 @@ from ecgbalance import (
     generate_synthetic,
     init_model,
     load_model,
-    loss_config,
     make_loss,
     save_model,
     train,
@@ -112,9 +110,9 @@ NUM_CLASSES = 9
 COUNTS = (640, 300, 120, 64, 33, 17, 9, 4, 1)
 CLASS_NAMES = tuple(f"c{k}" for k in range(NUM_CLASSES))
 LOSSES = {
-    "iwl": IwlConfig(beta=0.3),
-    "ce": BaselineLossConfig(kind="cross_entropy"),
-    "ldam": BaselineLossConfig(kind="ldam", class_counts=COUNTS),
+    "iwl": LossConfig(beta=0.3),
+    "ce": LossConfig(kind="cross_entropy"),
+    "ldam": LossConfig(kind="ldam", class_counts=COUNTS),
 }
 STEPS = 20
 
@@ -245,13 +243,13 @@ def _ref_train(d, cfg):
 
 # Every loss the trainer knows, iwl at two temperatures.
 STACK_LOSSES = [
-    loss_config("iwl", beta=0.3),
-    loss_config("iwl", beta=2.0),
-    loss_config("cross_entropy"),
-    loss_config("focal"),
-    loss_config("class_balanced"),
-    loss_config("cb_focal"),
-    loss_config("ldam"),
+    LossConfig(kind="iwl", beta=0.3),
+    LossConfig(kind="iwl", beta=2.0),
+    LossConfig(kind="cross_entropy"),
+    LossConfig(kind="focal"),
+    LossConfig(kind="class_balanced"),
+    LossConfig(kind="cb_focal"),
+    LossConfig(kind="ldam"),
 ]
 
 
@@ -315,7 +313,7 @@ def test_a_diverging_stack_names_the_epoch_the_batch_and_the_loss():
     # iwl at beta 1000 overflows its weight on the first batch; cross-entropy does not.
     d = _stack_data()
     base = TrainConfig(epochs=2, batch_size=7, encode=EncoderSpec(kind="raw", raw_take=100), hidden=(8,))
-    cfgs = [dataclasses.replace(base, loss=loss_config("cross_entropy")), dataclasses.replace(base, loss=IwlConfig(beta=1000.0))]
+    cfgs = [dataclasses.replace(base, loss=LossConfig(kind="cross_entropy")), dataclasses.replace(base, loss=LossConfig(beta=1000.0))]
     with pytest.raises(ConfigError, match=r"non-finite training loss at epoch 0, batch 0, loss iwl \(beta 1000\.0\)"):
         train_stack(featurize_dataset(d, base.encode), np.arange(len(d)), d.labels(), cfgs, d.class_names)
     # An Adam step that overflows every variant is caught at the end of the epoch, naming the first.
