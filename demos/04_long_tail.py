@@ -17,8 +17,7 @@ d = generate_synthetic(spec)
 print(f"balanced source: {d.class_counts().tolist()}")
 
 for alpha in (0.5, 0.1, 0.05, 0.01):
-    profile = longtail_counts(d.class_counts(), alpha)
-    out = resample(d, profile, seed=0)
+    out = resample(d, longtail_counts(d.class_counts(), alpha), seed=0)
     counts = np.bincount(out.labels(), minlength=9).tolist()
     print(f"alpha={alpha:<5}: {counts}  ({len(out.records)} records)")
 

@@ -57,7 +57,7 @@ from .experiment import (
     run_experiment,
     write_results_csv,
 )
-from .imbalance import ImbalanceProfile, longtail_counts, resample, resample_positions
+from .imbalance import longtail_counts, resample, resample_positions
 from .losses import (
     LOSS_KINDS,
     BatchLoss,

@@ -221,8 +221,7 @@ def _cmd_resample(args) -> int:
     if args.no_resample:
         out_d = d
     else:
-        profile = longtail_counts(before, args.alpha)
-        out_d = resample(d, profile, args.seed)
+        out_d = resample(d, longtail_counts(before, args.alpha), args.seed)
     out = Path(args.out)
     write_csv_dataset(out_d, out)
     write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
@@ -255,6 +254,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if not 0.0 < args.train_fraction <= 1.0:
+        raise SpecError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
     d = _load_dataset(args)
     if args.train_fraction < 1.0:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))

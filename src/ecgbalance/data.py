@@ -1,7 +1,7 @@
 """ECG records and datasets: CSV ingestion, synthesis, windowing, splits.
 
 A record is a channels-by-samples float64 matrix with a sample rate and an
-optional integer class label. Record CSV files on disk use the transposed
+integer class label. Record CSV files on disk use the transposed
 layout (one row per sample, one column per channel), which is what most
 export tools produce; the loader transposes on the way in.
 
@@ -60,7 +60,7 @@ class EcgRecord:
 
     channels: np.ndarray
     sample_rate: float
-    label: Optional[int] = None
+    label: int
     record_id: str = ""
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class EcgRecord:
         if not np.isfinite(arr).all():
             chan, samp = np.argwhere(~np.isfinite(arr))[0]
             raise NonFiniteSample(self.record_id, int(samp), int(chan))
-        if self.label is not None and self.label < 0:
+        if self.label < 0:
             raise UnknownClass(f"record {self.record_id!r}: negative label {self.label}")
 
     @property
@@ -109,7 +109,7 @@ class Dataset:
             raise SpecError("all records must share channel count and sample rate")
         m = len(self.class_names)
         for r in self.records:
-            if r.label is not None and r.label >= m:
+            if r.label >= m:
                 raise UnknownClass(f"record {r.record_id!r} has label {r.label} but only {m} classes exist")
 
     def __len__(self) -> int:
@@ -135,20 +135,11 @@ class Dataset:
         return self.records[0].sample_rate
 
     def labels(self) -> np.ndarray:
-        """Labels in record order; records without a label raise."""
-        out = np.empty(len(self.records), dtype=np.int64)
-        for i, r in enumerate(self.records):
-            if r.label is None:
-                raise SpecError(f"record {r.record_id!r} has no label")
-            out[i] = r.label
-        return out
+        """Labels in record order."""
+        return np.array([r.label for r in self.records], dtype=np.int64)
 
     def class_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for r in self.records:
-            if r.label is not None:
-                counts[r.label] += 1
-        return counts
+        return np.bincount(self.labels(), minlength=self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -307,10 +298,7 @@ def write_csv_dataset(d: Dataset, out_dir) -> None:
     formatting (shortest round-trip repr) depend only on the dataset.
     """
     manifest = [MANIFEST_FIELDS]
-    for r in d.records:
-        if r.label is None:
-            raise SpecError(f"record {r.record_id!r} has no label; cannot write a training manifest")
-        manifest.append((f"{r.record_id}.csv", r.record_id, r.label, float(r.sample_rate)))
+    manifest.extend((f"{r.record_id}.csv", r.record_id, r.label, float(r.sample_rate)) for r in d.records)
     out = Path(out_dir)
     make_output_dir(out)
     write_output(out / "classes.txt", "".join(name + "\n" for name in d.class_names))

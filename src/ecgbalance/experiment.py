@@ -32,6 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .data import (
+    CANONICAL_CLASS_NAMES,
+    CANONICAL_LEADS,
     Dataset,
     SplitSpec,
     SynthSpec,
@@ -101,18 +103,22 @@ def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_number(key: str, raw: str, conv, what: str):
+    # int() and float() also read "1_0", "٣" and full-width digits; a spec number is plain ASCII.
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise SpecError(f"key {key!r}: {raw!r} is not a number") from exc
+        if raw.isascii() and "_" not in raw:
+            return conv(raw)
+    except ValueError:
+        pass
+    raise SpecError(f"key {key!r}: {raw!r} is not {what}")
+
+
+def _parse_float(key: str, raw: str) -> float:
+    return _parse_number(key, raw, float, "a number")
 
 
 def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SpecError(f"key {key!r}: {raw!r} is not an integer") from exc
+    return _parse_number(key, raw, int, "an integer")
 
 
 def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
@@ -171,7 +177,7 @@ class ExperimentSpec:
             _cell_loss(self.train.loss, cell)
         for enc in self.encodes:
             if enc not in ENCODE_KINDS:
-                raise SpecError(f"unknown encode {enc!r}; expected cme or raw")
+                raise SpecError(f"unknown encode {enc!r}; expected {' or '.join(ENCODE_KINDS)}")
         for a in self.alphas:
             if a is not None and not 0.0 < a <= 1.0:
                 raise SpecError(f"alpha must lie in (0, 1], got {a}")
@@ -263,7 +269,7 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
     def get(name: str, default: Optional[str] = None) -> Optional[str]:
         return mapping.get(prefix + name, default)
 
-    classes = _parse_int("classes", get("classes", "9"))
+    classes = _parse_int("classes", get("classes", str(len(CANONICAL_CLASS_NAMES))))
     counts_raw = get("counts")
     if counts_raw is not None:
         counts = _parse_int_list("counts", counts_raw)
@@ -274,7 +280,7 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
     if gain_raw is not None:
         gains = tuple(_parse_float("channel_gain", v) for v in _split_list(gain_raw))
     else:
-        gains = (1.0,) * _parse_int("channels", get("channels", "12"))
+        gains = (1.0,) * _parse_int("channels", get("channels", str(CANONICAL_LEADS)))
     names_raw = get("class_names")
     optional = {name: conv(name, get(name)) for name, conv in _SYNTH_OPTIONAL if get(name) is not None}
     return SynthSpec(

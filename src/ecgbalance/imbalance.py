@@ -10,7 +10,6 @@ ever discards records, it never duplicates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +17,8 @@ from .data import Dataset, csv_text, write_output
 from .errors import DimensionError, EmptyDataset, SpecError
 
 
-@dataclass(frozen=True)
-class ImbalanceProfile:
-    """Target per-class counts (indexed by class, not by rank)."""
-
-    alpha: float
-    target_counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.target_counts, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "target_counts", arr)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DimensionError("target_counts must be a 1-D vector covering at least two classes")
-        if np.any(arr < 0):
-            raise SpecError("target counts must be nonnegative")
-
-
-def longtail_counts(class_counts, alpha: float) -> ImbalanceProfile:
-    """Exponential long-tail targets for the given class histogram."""
+def longtail_counts(class_counts, alpha: float) -> np.ndarray:
+    """Exponential long-tail target counts, indexed by class, for the given class histogram."""
     counts = np.asarray(class_counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 2:
         raise DimensionError("class_counts must be a 1-D vector covering at least two classes")
@@ -53,7 +35,7 @@ def longtail_counts(class_counts, alpha: float) -> ImbalanceProfile:
     for rank, cls in enumerate(order):
         raw = math.floor(n_max * alpha ** (rank / (m_total - 1)))
         targets[cls] = min(max(1, raw), int(counts[cls]))
-    return ImbalanceProfile(alpha=alpha, target_counts=targets)
+    return targets
 
 
 def write_histogram_csv(class_names, before, after, path) -> None:
@@ -65,40 +47,37 @@ def write_histogram_csv(class_names, before, after, path) -> None:
     write_output(path, csv_text([("class", "before", "after"), *zip(class_names, before.tolist(), after.tolist())]))
 
 
-def resample_positions(labels, p: ImbalanceProfile, seed: int) -> np.ndarray:
-    """Positions of a uniform per-class subsample to the profile's targets,
-    shuffled.
+def resample_positions(labels, target_counts, seed: int) -> np.ndarray:
+    """Positions of a uniform per-class subsample to ``target_counts``, shuffled.
 
-    Deterministic in (labels, p, seed). Each class m contributes exactly
-    target_counts[m] positions, drawn without replacement.
+    Deterministic in (labels, target_counts, seed). Each class m contributes
+    exactly target_counts[m] positions, drawn without replacement.
     """
+    targets = np.asarray(target_counts, dtype=np.int64)
+    if targets.ndim != 1 or targets.size < 2:
+        raise DimensionError("target_counts must be a 1-D vector covering at least two classes")
+    if np.any(targets < 0):
+        raise SpecError("target counts must be nonnegative")
     labels = np.asarray(labels)
-    if labels.size and labels.max() >= p.target_counts.size:
-        raise DimensionError(
-            f"label {labels.max()} is outside the profile's {p.target_counts.size} classes"
-        )
+    if labels.size and labels.max() >= targets.size:
+        raise DimensionError(f"label {labels.max()} is outside the {targets.size} target classes")
     if seed < 0:
         raise SpecError(f"resample seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
-    for m in range(p.target_counts.size):
+    for m, target in enumerate(targets.tolist()):
         idx = np.flatnonzero(labels == m)
-        target = int(p.target_counts[m])
         if target > idx.size:
-            raise SpecError(
-                f"profile wants {target} records of class {m} but only {idx.size} exist"
-            )
+            raise SpecError(f"target of {target} records for class {m}, but only {idx.size} exist")
         picked = rng.choice(idx, size=target, replace=False)
         chosen.extend(int(i) for i in picked)
     order = rng.permutation(len(chosen))
     return np.asarray(chosen, dtype=np.int64)[order]
 
 
-def resample(d: Dataset, p: ImbalanceProfile, seed: int) -> Dataset:
+def resample(d: Dataset, target_counts, seed: int) -> Dataset:
     """The records of ``d`` at :func:`resample_positions`, in that order."""
-    if p.target_counts.size != d.num_classes:
-        raise DimensionError(
-            f"profile covers {p.target_counts.size} classes, dataset has {d.num_classes}"
-        )
-    positions = resample_positions(d.labels(), p, seed)
+    if np.size(target_counts) != d.num_classes:
+        raise DimensionError(f"{np.size(target_counts)} target counts for a dataset of {d.num_classes} classes")
+    positions = resample_positions(d.labels(), target_counts, seed)
     return Dataset(records=tuple(d.records[i] for i in positions), class_names=d.class_names)

@@ -20,7 +20,7 @@ stable log-softmax, and the term returns p * d(value)/dp, not d(value)/dp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,8 +80,8 @@ class LossConfig:
     through it.
 
     focal and cb_focal use gamma; class_balanced and cb_focal use cb_beta;
-    ldam uses ldam_mu and ldam_s. class_counts are the per-class training-set
-    sizes, required by the class-balanced and LDAM variants.
+    ldam uses ldam_mu and ldam_s. The class-balanced and LDAM variants also
+    need the training split's class counts, which :func:`make_loss` binds.
     """
 
     kind: str = "iwl"
@@ -93,7 +93,6 @@ class LossConfig:
     cb_beta: float = 0.999
     ldam_mu: float = 0.2
     ldam_s: float = 20.0
-    class_counts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_loss_name(self.kind))
@@ -111,13 +110,6 @@ class LossConfig:
             raise ConfigError(f"ldam_s must be finite and positive, got {self.ldam_s}")
         if not (math.isfinite(self.ldam_mu) and self.ldam_mu >= 0):
             raise ConfigError(f"ldam_mu must be finite and nonnegative, got {self.ldam_mu}")
-        # class_counts may stay None here: counts describe the training split,
-        # so make_loss fills them in at fit time and errors if still missing.
-        if self.class_counts is not None:
-            counts = tuple(int(c) for c in self.class_counts)
-            if any(c < 1 for c in counts):
-                raise ConfigError("class_counts must be positive integers")
-            object.__setattr__(self, "class_counts", counts)
 
     @property
     def _ln_base(self) -> float:
@@ -183,19 +175,19 @@ def _pointwise(p, logp, cfg: LossConfig):
     return -logp, np.full_like(p, -1.0)
 
 
-def _core(logits2d, labels, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+def _core(logits2d, labels, cfg: LossConfig, class_counts) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(logits2d, dtype=np.float64)
     t = np.asarray(labels, dtype=np.int64)
     if z.ndim != 2 or t.ndim != 1 or z.shape[0] != t.size:
         raise DimensionError(f"got logits {z.shape} for {t.size} labels")
     if np.any(t < 0) or np.any(t >= z.shape[1]):
         raise DimensionError("label outside the class range")
-    if cfg.kind in _COUNTED_KINDS and len(cfg.class_counts) != z.shape[1]:
-        raise DimensionError(f"{len(cfg.class_counts)} class counts for {z.shape[1]} logit columns")
+    if cfg.kind in _COUNTED_KINDS and class_counts.size != z.shape[1]:
+        raise DimensionError(f"{class_counts.size} class counts for {z.shape[1]} logit columns")
     rows = np.arange(t.size)
     if cfg.kind == "ldam":
         z = z.copy()
-        z[rows, t] -= ldam_margins(cfg.ldam_mu, cfg.class_counts)[t]
+        z[rows, t] -= ldam_margins(cfg.ldam_mu, class_counts)[t]
         z = cfg.ldam_s * z
     lp = _log_softmax(z)
     probs = np.exp(lp)
@@ -206,7 +198,7 @@ def _core(logits2d, labels, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
     grads = probs * (-p_dv)[:, None]
     grads[rows, t] += p_dv
     if cfg.kind in ("class_balanced", "cb_focal"):
-        w = effective_number_weights(cfg.cb_beta, cfg.class_counts)[t]
+        w = effective_number_weights(cfg.cb_beta, class_counts)[t]
         values, grads = values * w, grads * w[:, None]
     return values, grads
 
@@ -232,16 +224,17 @@ def iwl_point_value(p, cfg: LossConfig = LossConfig()):
 
 @dataclass(frozen=True)
 class BatchLoss:
-    """A loss config evaluated over rows of logits with integer labels."""
+    """A loss config, and the training split's class counts if its kind needs them, over rows of logits."""
 
     cfg: LossConfig
+    class_counts: Optional[np.ndarray] = None
 
     @property
     def name(self) -> str:
         return self.cfg.kind
 
     def per_record(self, logits2d, labels) -> tuple[np.ndarray, np.ndarray]:
-        return _core(logits2d, labels, self.cfg)
+        return _core(logits2d, labels, self.cfg, self.class_counts)
 
     def mean(self, logits2d, labels) -> tuple[float, np.ndarray]:
         """Mean value over records and the matching mean-gradient rows.
@@ -255,12 +248,16 @@ class BatchLoss:
 
 
 def make_loss(cfg: LossConfig, class_counts=None) -> BatchLoss:
-    """Build a BatchLoss from a config, filling in class counts if needed."""
-    if cfg.kind in _COUNTED_KINDS and cfg.class_counts is None:
-        if class_counts is None:
-            raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
-        cfg = replace(cfg, class_counts=tuple(int(c) for c in class_counts))
-    return BatchLoss(cfg)
+    """Build a BatchLoss from a config, binding the class counts the counted kinds need."""
+    if cfg.kind not in _COUNTED_KINDS:
+        return BatchLoss(cfg)
+    if class_counts is None:
+        raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
+    counts = np.array(class_counts, dtype=np.int64)
+    if counts.ndim != 1 or np.any(counts < 1):
+        raise ConfigError("class_counts must be a 1-D vector of positive integers")
+    counts.flags.writeable = False
+    return BatchLoss(cfg, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +312,14 @@ def gradient_check(
     trials: int = 100,
     seed: int = 0,
     threshold: float = 1e-4,
-    num_classes: int | None = None,
+    num_classes: int = 9,
 ) -> GradCheckResult:
     """Compare analytical against central finite-difference gradients.
 
     Each trial draws fresh logits (sd 3) and a label, evaluated as a
     one-row batch; losses that need class counts get a fresh random
     histogram per trial as well, so the check covers the count-dependent
-    terms too. A config with pinned class_counts fixes num_classes to the
-    histogram's length. There must be at least two classes.
+    terms too. There must be at least two classes.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
@@ -331,20 +327,15 @@ def gradient_check(
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not (math.isfinite(threshold) and threshold > 0):
         raise ConfigError(f"threshold must be finite and positive, got {threshold}")
-    pinned = cfg.class_counts
-    if num_classes is None:
-        num_classes = len(pinned) if pinned is not None else 9
-    elif pinned is not None and len(pinned) != num_classes:
-        raise ConfigError(f"num_classes {num_classes} does not match {len(pinned)} pinned class counts")
     if num_classes < 2:
         raise ConfigError(f"need at least two classes, got {num_classes}")
     rng = np.random.default_rng(seed)
-    randomize_counts = cfg.kind in _COUNTED_KINDS and pinned is None
     errors = []
     for _ in range(trials):
         logits = rng.normal(0.0, 3.0, size=num_classes)
         label = int(rng.integers(num_classes))
-        batch = make_loss(cfg, class_counts=rng.integers(1, 641, size=num_classes) if randomize_counts else None)
+        counts = rng.integers(1, 641, size=num_classes) if cfg.kind in _COUNTED_KINDS else None
+        batch = make_loss(cfg, class_counts=counts)
         # A parameter that overflows gives a NaN error, which fails the check; it is not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             _, grads = batch.per_record(logits[None, :], [label])

@@ -165,7 +165,7 @@ def test_criterion_5_resampler_exactness():
     }
     for alpha_text in ("0.05", "0.01"):
         alpha = float(alpha_text)
-        targets = longtail_counts(counts, alpha).target_counts
+        targets = longtail_counts(counts, alpha)
         oracle = [
             min(max(1, int(mp.floor(mpf(640) * mpf(alpha_text) ** (mpf(m) / 8)))), 640)
             for m in range(9)

@@ -694,6 +694,9 @@ def test_every_spec_key_takes_awkward_values_without_a_traceback(tmp_path, capsy
             except Exception as exc:  # noqa: BLE001 - the failure names the key and value that caused it
                 pytest.fail(f"{key} = {value!r}: {command} raised {exc!r}")
             assert code in (0, 1, 2), (key, value, code)
+            # No key reads a number spelled with "_" or a non-ASCII digit, though int() and float() do.
+            if value in ("\u0663", "1_0"):
+                assert code == 2, (key, value)
             # A loss setting is checked when the spec is parsed, whichever losses the grid runs.
             if key in LOSS_KEYS and value in ("-1", "nan", "inf", "1e309"):
                 assert code == 2, (key, value)
@@ -703,6 +706,21 @@ def test_every_spec_key_takes_awkward_values_without_a_traceback(tmp_path, capsy
             out.unlink(missing_ok=True)
     assert codes == {0, 2}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "nan", "inf", "0", "-0.5"])
+def test_train_rejects_a_train_fraction_outside_zero_to_one(tmp_path, data_dir, capsys, fraction):
+    model_path = tmp_path / "m.bin"
+    argv = ["train", "--data", str(data_dir), "--out", str(model_path), *TRAIN_FLAGS, "--train-fraction", fraction]
+    assert main(argv) == 2
+    assert "--train-fraction" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_train_fraction_one_trains_on_every_record(tmp_path, data_dir, capsys):
+    argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "m.bin"), *TRAIN_FLAGS, "--train-fraction", "1.0"]
+    assert main(argv) == 0
+    assert f"on {len(load_csv(data_dir))} records" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])

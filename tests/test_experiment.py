@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,11 +175,33 @@ def test_parse_spec_rejects_bad_values(tmp_path):
         ("encode = fft", SpecError),
         ("epochs = soon", SpecError),
         ("beta = warm", SpecError),
+        # Spellings Python's int() and float() read but a spec does not: "_" separators,
+        # non-ASCII digits (Arabic-Indic, full-width), in grid, scalar and data keys.
+        ("epochs = 1_0", SpecError),
+        ("seeds = \u0663", SpecError),
+        ("beta = 0.\uff13", SpecError),
+        ("learning_rate = \uff11.5", SpecError),
+        ("data.length = 8\u0660", SpecError),
+        ("data.noise_sd = 0_4", SpecError),
     ]:
         path = tmp_path / "bad.txt"
-        path.write_text(f"data.classes = 3\n{line}\n")
-        with pytest.raises(exc):
+        path.write_text(f"data.classes = 3\n{line}\n", encoding="utf-8")
+        key = line.split(" =")[0].removeprefix("data.")
+        with pytest.raises(exc, match=re.escape(key)):
             parse_experiment_spec(path)
+
+
+def test_parse_spec_accepts_a_subnormal_alpha(tmp_path):
+    # 1e-320 is plain ASCII and lies in (0, 1], so it is a valid alpha.
+    path = tmp_path / "tiny.txt"
+    path.write_text("data.classes = 3\nalpha = 1e-320\n")
+    assert parse_experiment_spec(path).alphas == (1e-320,)
+
+
+def test_readme_names_every_spec_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([\w.]+)`", readme)) | set(re.findall(r"^([\w.]+) = ", readme, re.M))
+    assert [key for key in (*_GRID_KEYS, *_SCALAR_KEYS) if key not in named] == []
 
 
 @pytest.mark.parametrize("key", ["data." + k for k in SYNTH_KEYS])

@@ -255,7 +255,7 @@ def test_effective_number_weights_beta_zero_is_uniform():
 def test_class_balanced_scales_cross_entropy():
     logits = np.array([0.2, -1.0, 0.7])
     counts = (100, 10, 50)
-    value, grad = one_row(LossConfig(kind="class_balanced", cb_beta=0.999, class_counts=counts), logits, 1)
+    value, grad = one_row(LossConfig(kind="class_balanced", cb_beta=0.999), logits, 1, class_counts=counts)
     base_value, base_grad = one_row(CE, logits, 1)
     w = effective_number_weights(0.999, counts)[1]
     assert value == pytest.approx(w * base_value, rel=1e-14)
@@ -293,7 +293,7 @@ def test_ldam_margin_oracle():
 def test_ldam_value_is_scaled_ce_on_shifted_logits():
     logits = np.array([1.0, 0.0, -0.5])
     counts = (640, 64, 10)
-    value, _ = one_row(LossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0, class_counts=counts), logits, 2)
+    value, _ = one_row(LossConfig(kind="ldam", ldam_mu=0.2, ldam_s=20.0), logits, 2, class_counts=counts)
     margins = ldam_margins(0.2, counts)
     shifted = logits.copy()
     shifted[2] -= margins[2]
@@ -331,15 +331,30 @@ def test_batch_labels_validated():
 
 @pytest.mark.parametrize("kind", ["ldam", "class_balanced", "cb_focal"])
 @pytest.mark.parametrize("counts", [(5, 3), (5, 3, 2, 1)])
-def test_pinned_class_counts_must_match_the_logit_width(kind, counts):
-    loss = make_loss(LossConfig(kind=kind, class_counts=counts))
+def test_class_counts_must_match_the_logit_width(kind, counts):
+    loss = make_loss(LossConfig(kind=kind), class_counts=counts)
     with pytest.raises(DimensionError, match="class counts for 3 logit columns"):
         loss.per_record(np.zeros((1, 3)), [2])
 
 
-def test_make_loss_fills_class_counts():
+def test_make_loss_binds_class_counts():
     value, _ = one_row(LossConfig(kind="ldam"), [0.1, -0.1], 0, class_counts=[10, 20])
     assert np.isfinite(value)
+    loss = make_loss(LossConfig(kind="ldam"), class_counts=[10, 20])
+    assert loss.class_counts.dtype == np.int64 and loss.class_counts.tolist() == [10, 20]
+    assert make_loss(LossConfig(kind="focal"), class_counts=[10, 20]).class_counts is None
+
+
+@pytest.mark.parametrize("counts", [(5, 0, 2), (5, -1), ((5, 3), (2, 1))])
+def test_make_loss_rejects_unusable_class_counts(counts):
+    with pytest.raises(ConfigError, match="positive integers"):
+        make_loss(LossConfig(kind="ldam"), class_counts=counts)
+
+
+def test_loss_config_has_no_class_counts_field():
+    # Counts come from the training split, through make_loss only.
+    with pytest.raises(TypeError):
+        LossConfig(kind="ldam", class_counts=(5, 3))
 
 
 def test_loss_aliases():
@@ -398,7 +413,6 @@ def test_gradient_check_passes_for_every_loss_kind():
         LossConfig(kind="class_balanced"),
         LossConfig(kind="cb_focal"),
         LossConfig(kind="ldam"),
-        LossConfig(kind="ldam", class_counts=(64, 8, 100)),
     ]
     for cfg in configs:
         res = gradient_check(cfg, trials=20, seed=3)

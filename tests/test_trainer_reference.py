@@ -112,7 +112,7 @@ CLASS_NAMES = tuple(f"c{k}" for k in range(NUM_CLASSES))
 LOSSES = {
     "iwl": LossConfig(beta=0.3),
     "ce": LossConfig(kind="cross_entropy"),
-    "ldam": LossConfig(kind="ldam", class_counts=COUNTS),
+    "ldam": LossConfig(kind="ldam"),
 }
 STEPS = 20
 
@@ -122,7 +122,7 @@ STEPS = 20
 @pytest.mark.parametrize("hidden", ((64, 32), (16,), ()), ids=lambda h: "h" + "x".join(map(str, h)))
 @pytest.mark.parametrize("width", (1500, 3000))
 def test_flat_trainer_matches_the_per_array_reference_bit_for_bit(tmp_path, width, hidden, batch, loss_name):
-    loss = make_loss(LOSSES[loss_name])
+    loss = make_loss(LOSSES[loss_name], class_counts=COUNTS)
     encoder = EncoderSpec(kind="raw", raw_take=width)
     ref_w, ref_b = _ref_init(width, NUM_CLASSES, np.random.default_rng(width), hidden)
     m = init_model(width, NUM_CLASSES, encoder, rng=np.random.default_rng(width), hidden=hidden, class_names=CLASS_NAMES)
