@@ -5,8 +5,6 @@ import numpy as np
 from ecgbalance import SynthSpec, generate_synthetic
 
 spec = SynthSpec(
-    n_classes=5,
-    n_channels=8,
     length=1000,
     per_class_counts=(40, 40, 40, 40, 40),
     channel_gain=(1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.05, 0.01),

@@ -8,8 +8,6 @@ so a single per-record correction is enough.
 from ecgbalance import SynthSpec, channel_stats, generate_synthetic
 
 spec = SynthSpec(
-    n_classes=4,
-    n_channels=6,
     length=1000,
     per_class_counts=(30,) * 4,
     channel_gain=(1.0, 0.8, 0.4, 0.2, 0.05, 0.01),

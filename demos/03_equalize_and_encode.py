@@ -12,8 +12,6 @@ import numpy as np
 from ecgbalance import SynthSpec, cme_factors, featurize_records, generate_synthetic, window_record
 
 spec = SynthSpec(
-    n_classes=3,
-    n_channels=6,
     length=3000,
     per_class_counts=(4, 4, 4),
     channel_gain=(1.0, 0.7, 0.4, 0.15, 0.05, 0.01),

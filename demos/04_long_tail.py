@@ -5,8 +5,6 @@ import numpy as np
 from ecgbalance import SynthSpec, generate_synthetic, longtail_counts, resample
 
 spec = SynthSpec(
-    n_classes=9,
-    n_channels=2,
     length=120,
     per_class_counts=(640,) * 9,
     channel_gain=(1.0, 0.5),

@@ -25,8 +25,6 @@ from ecgbalance import (
 SEEDS = (0, 1, 2, 3, 4)
 
 spec = SynthSpec(
-    n_classes=9,
-    n_channels=2,
     length=240,
     per_class_counts=(24,) * 9,
     channel_gain=(1.0, 0.05),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ from .experiment import (
     SYNTH_KEYS,
     parse_experiment_spec,
     parse_kv_file,
+    plain_number,
     run_experiment,
     synth_spec_from_mapping,
     write_results_csv,
@@ -62,7 +64,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting with 2."""
+    """argparse that reports usage problems instead of exiting with 2, and reads
+    ``type=int`` and ``type=float`` flags by the spec files' rule, ``plain_number``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for conv in (int, float):
+            self.register("type", conv, functools.partial(plain_number, conv))
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
@@ -122,7 +130,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
 
 def _hidden_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(h) for h in text.split(",") if h.strip())
+        return tuple(plain_number(int, h) for h in text.split(",") if h.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 

@@ -54,6 +54,11 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool, though an ``int`` in Python, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EcgRecord:
     """One multi-channel recording: a (channels, samples) amplitude matrix."""
@@ -73,8 +78,8 @@ class EcgRecord:
         if not np.isfinite(arr).all():
             chan, samp = np.argwhere(~np.isfinite(arr))[0]
             raise NonFiniteSample(self.record_id, int(samp), int(chan))
-        if self.label < 0:
-            raise UnknownClass(f"record {self.record_id!r}: negative label {self.label}")
+        if not _is_integer(self.label) or self.label < 0:
+            raise UnknownClass(f"record {self.record_id!r}: label {self.label!r} is not a nonnegative integer")
 
     @property
     def num_channels(self) -> int:
@@ -313,22 +318,21 @@ def write_csv_dataset(d: Dataset, out_dir) -> None:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for a synthetic multi-channel dataset.
+    """Recipe for a synthetic multi-channel dataset, validated on construction.
 
-    Each class gets a distinct quasi-periodic waveform (its own fundamental
-    frequency and pulse sharpness). The waveform is a pure function of the
-    class, channel count, and length; the seed only drives additive noise
-    and the record order, each from its own child stream (see
-    :func:`generate_synthetic`). ``amplitude`` is the root-mean-square of
-    the clean waveform before per-channel gain, so channel RMS is
-    approximately ``amplitude * channel_gain[c]``.
+    There is one class per ``per_class_counts`` entry and one channel per
+    ``channel_gain`` entry. Each class gets a distinct quasi-periodic
+    waveform (its own fundamental frequency and pulse sharpness). The
+    waveform is a pure function of the class, channel count, and length; the
+    seed only drives additive noise and the record order, each from its own
+    child stream (see :func:`generate_synthetic`). ``amplitude`` is the
+    root-mean-square of the clean waveform before per-channel gain, so
+    channel RMS is approximately ``amplitude * channel_gain[c]``.
     """
 
-    n_classes: int
-    n_channels: int
-    length: int
-    per_class_counts: tuple[int, ...]
-    channel_gain: tuple[float, ...]
+    length: int = 3000
+    per_class_counts: tuple[int, ...] = (64,) * len(CANONICAL_CLASS_NAMES)
+    channel_gain: tuple[float, ...] = (1.0,) * CANONICAL_LEADS
     noise_sd: float = 0.0
     seed: int = 0
     sample_rate: float = CANONICAL_SAMPLE_RATE
@@ -338,10 +342,37 @@ class SynthSpec:
     frequency_spacing: float = 1.0
 
     def __post_init__(self):
+        if not all(_is_integer(c) and c >= 0 for c in self.per_class_counts):
+            raise SpecError(f"per-class counts must be nonnegative integers, got {self.per_class_counts}")
         object.__setattr__(self, "per_class_counts", tuple(int(c) for c in self.per_class_counts))
         object.__setattr__(self, "channel_gain", tuple(float(g) for g in self.channel_gain))
         if self.class_names is not None:
             object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
+        if self.n_classes < 2:
+            raise SpecError("need at least two classes")
+        if self.n_channels < 1 or not _is_integer(self.length) or self.length < 2:
+            raise SpecError("need at least one channel and an integer length of at least two samples")
+        for name in ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing", "channel_gain"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
+        if any(g <= 0 for g in self.channel_gain):
+            raise SpecError("channel gains must be positive")
+        if self.noise_sd < 0:
+            raise SpecError("noise_sd must be nonnegative")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise SpecError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.amplitude <= 0 or self.sample_rate <= 0:
+            raise SpecError("amplitude and sample_rate must be positive")
+        if self.class_names is not None and len(self.class_names) != self.n_classes:
+            raise SpecError(f"class_names has {len(self.class_names)} names for {self.n_classes} classes")
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.per_class_counts)
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_gain)
 
     def dataset_class_names(self) -> tuple[str, ...]:
         """``class_names``, else the canonical names for nine classes, else ``class_<i>``."""
@@ -350,35 +381,6 @@ class SynthSpec:
         if self.n_classes == len(CANONICAL_CLASS_NAMES):
             return CANONICAL_CLASS_NAMES
         return tuple(f"class_{i}" for i in range(self.n_classes))
-
-    def validate(self) -> None:
-        if self.n_classes < 2:
-            raise SpecError("need at least two classes")
-        if self.n_channels < 1 or self.length < 2:
-            raise SpecError("need at least one channel and two samples")
-        if len(self.per_class_counts) != self.n_classes:
-            raise SpecError(
-                f"per_class_counts has {len(self.per_class_counts)} entries for {self.n_classes} classes"
-            )
-        if any(c < 0 for c in self.per_class_counts):
-            raise SpecError("per-class counts must be nonnegative")
-        if len(self.channel_gain) != self.n_channels:
-            raise SpecError(
-                f"channel_gain has {len(self.channel_gain)} entries for {self.n_channels} channels"
-            )
-        for name in ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing", "channel_gain"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
-        if any(g <= 0 for g in self.channel_gain):
-            raise SpecError("channel gains must be positive")
-        if self.noise_sd < 0:
-            raise SpecError("noise_sd must be nonnegative")
-        if self.seed < 0:
-            raise SpecError(f"seed must be nonnegative, got {self.seed}")
-        if self.amplitude <= 0 or self.sample_rate <= 0:
-            raise SpecError("amplitude and sample_rate must be positive")
-        if self.class_names is not None and len(self.class_names) != self.n_classes:
-            raise SpecError("class_names length must match n_classes")
 
 
 # Cached, so a dataset synthesized in blocks builds each waveform and its order once.
@@ -422,7 +424,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 @functools.lru_cache(maxsize=4)
 def _synth_order(spec: SynthSpec) -> np.ndarray:
     """Class-major record index (class 0's records first) at each dataset position; read-only."""
-    spec.validate()
     order = _stream(spec.seed, _ORDER).permutation(sum(spec.per_class_counts))
     order.flags.writeable = False
     return order
@@ -430,7 +431,7 @@ def _synth_order(spec: SynthSpec) -> np.ndarray:
 
 def synth_labels(spec: SynthSpec) -> np.ndarray:
     """Labels of ``generate_synthetic(spec)`` in dataset order, drawing no noise."""
-    order = _synth_order(spec)  # validates the spec before its counts are used
+    order = _synth_order(spec)
     return np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_counts)[order]
 
 

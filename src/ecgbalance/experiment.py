@@ -32,8 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .data import (
-    CANONICAL_CLASS_NAMES,
-    CANONICAL_LEADS,
     Dataset,
     SplitSpec,
     SynthSpec,
@@ -64,21 +62,6 @@ RESULT_COLUMNS = (
 )
 
 _GRID_KEYS = ("loss", "beta", "alpha", "encode", "seeds")
-SYNTH_KEYS = (
-    "classes",
-    "counts",
-    "head_count",
-    "channels",
-    "channel_gain",
-    "class_names",
-    "length",
-    "noise_sd",
-    "seed",
-    "sample_rate",
-    "amplitude",
-    "base_frequency",
-    "frequency_spacing",
-)
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -103,14 +86,19 @@ def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def plain_number(conv, raw: str):
+    """``conv(raw)`` for plain-ASCII ``raw`` without ``_``, else ValueError: the rule for
+    numbers in spec files and flags, as int() and float() also read "1_0", "٣" and "１"."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"{raw!r} is not plain ASCII")
+    return conv(raw)
+
+
 def _parse_number(key: str, raw: str, conv, what: str):
-    # int() and float() also read "1_0", "٣" and full-width digits; a spec number is plain ASCII.
     try:
-        if raw.isascii() and "_" not in raw:
-            return conv(raw)
+        return plain_number(conv, raw)
     except ValueError:
-        pass
-    raise SpecError(f"key {key!r}: {raw!r} is not {what}")
+        raise SpecError(f"key {key!r}: {raw!r} is not {what}") from None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -123,6 +111,23 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, v) for v in _split_list(raw))
+
+
+def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, v) for v in _split_list(raw))
+
+
+# Scalar synth key -> parser; each sets the SynthSpec field of its name.
+_SYNTH_SCALARS = {
+    "length": _parse_int,
+    "noise_sd": _parse_float,
+    "seed": _parse_int,
+    "sample_rate": _parse_float,
+    "amplitude": _parse_float,
+    "base_frequency": _parse_float,
+    "frequency_spacing": _parse_float,
+}
+SYNTH_KEYS = ("classes", "counts", "head_count", "channels", "channel_gain", "class_names", *_SYNTH_SCALARS)
 
 
 # Scalar spec key -> (the part of the spec it sets, field name, parser).
@@ -143,7 +148,8 @@ _SCALAR_FIELDS = {
     "ldam.mu": ("loss", "ldam_mu", _parse_float),
     "ldam.s": ("loss", "ldam_s", _parse_float),
 }
-_SCALAR_KEYS = (*_SCALAR_FIELDS, "data.dir", *("data." + k for k in SYNTH_KEYS))
+# Each grid seed replaces the recipe's seed (see _fit_seed), so an experiment has no data.seed.
+_SCALAR_KEYS = (*_SCALAR_FIELDS, "data.dir", *("data." + k for k in SYNTH_KEYS if k != "seed"))
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     if "loss" in mapping:
         kwargs["losses"] = tuple(canonical_loss_name(n) for n in _split_list(mapping["loss"]))
     if "beta" in mapping:
-        kwargs["betas"] = tuple(_parse_float("beta", v) for v in _split_list(mapping["beta"]))
+        kwargs["betas"] = _parse_float_list("beta", mapping["beta"])
     if "alpha" in mapping:
         kwargs["alphas"] = tuple(
             None if v.lower() == "none" else _parse_float("alpha", v) for v in _split_list(mapping["alpha"])
@@ -247,51 +253,34 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
-# SynthSpec fields a mapping may set, each left at SynthSpec's default when absent.
-_SYNTH_OPTIONAL = (
-    ("noise_sd", _parse_float),
-    ("seed", _parse_int),
-    ("sample_rate", _parse_float),
-    ("amplitude", _parse_float),
-    ("base_frequency", _parse_float),
-    ("frequency_spacing", _parse_float),
-)
-
-
 def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthSpec:
     """Build a SynthSpec from flat keys like ``classes`` / ``data.classes``.
 
-    Per-class counts come from ``counts`` (explicit list) or ``head_count``
-    (balanced at that size); the seed key is a default that callers may
-    override per run.
+    Per-class counts come from ``counts``, else ``head_count`` for each of
+    ``classes``; gains from ``channel_gain``, else 1 on each of ``channels``.
+    A ``classes`` or ``channels`` beside its list must agree with it, and an
+    absent key leaves SynthSpec's default.
     """
 
-    def get(name: str, default: Optional[str] = None) -> Optional[str]:
-        return mapping.get(prefix + name, default)
+    def get(name: str, conv, default=None):
+        raw = mapping.get(prefix + name)
+        return default if raw is None else conv(prefix + name, raw)
 
-    classes = _parse_int("classes", get("classes", str(len(CANONICAL_CLASS_NAMES))))
-    counts_raw = get("counts")
-    if counts_raw is not None:
-        counts = _parse_int_list("counts", counts_raw)
-    else:
-        head = _parse_int("head_count", get("head_count", "64"))
-        counts = (head,) * classes
-    gain_raw = get("channel_gain")
-    if gain_raw is not None:
-        gains = tuple(_parse_float("channel_gain", v) for v in _split_list(gain_raw))
-    else:
-        gains = (1.0,) * _parse_int("channels", get("channels", str(CANONICAL_LEADS)))
-    names_raw = get("class_names")
-    optional = {name: conv(name, get(name)) for name, conv in _SYNTH_OPTIONAL if get(name) is not None}
-    return SynthSpec(
-        n_classes=classes,
-        n_channels=len(gains),
-        length=_parse_int("length", get("length", "3000")),
-        per_class_counts=counts,
-        channel_gain=gains,
-        class_names=tuple(_split_list(names_raw)) if names_raw else None,
-        **optional,
-    )
+    fields = {name: get(name, conv) for name, conv in _SYNTH_SCALARS.items() if prefix + name in mapping}
+    defaults = SynthSpec()
+    classes, counts = get("classes", _parse_int), get("counts", _parse_int_list)
+    if counts is None:
+        head = get("head_count", _parse_int, defaults.per_class_counts[0])
+        counts = (head,) * (defaults.n_classes if classes is None else classes)
+    elif classes is not None and classes != len(counts):
+        raise SpecError(f"key {prefix}classes = {classes} disagrees with {len(counts)} counts in {prefix}counts")
+    channels, gains = get("channels", _parse_int), get("channel_gain", _parse_float_list)
+    if gains is None:
+        gains = defaults.channel_gain[:1] * (defaults.n_channels if channels is None else channels)
+    elif channels is not None and channels != len(gains):
+        raise SpecError(f"key {prefix}channels = {channels} disagrees with {len(gains)} gains in {prefix}channel_gain")
+    names = get("class_names", lambda key, raw: tuple(_split_list(raw)) or None)
+    return SynthSpec(per_class_counts=counts, channel_gain=gains, class_names=names, **fields)
 
 
 def grid_cells(spec: ExperimentSpec) -> list[CellKey]:

@@ -25,8 +25,6 @@ def random_record(rng, n_channels=None, length=None, scale_spread=3.0):
 def tiny_dataset(n_classes=3, per_class=4, n_channels=2, length=60, noise_sd=0.2, seed=0):
     return generate_synthetic(
         SynthSpec(
-            n_classes=n_classes,
-            n_channels=n_channels,
             length=length,
             per_class_counts=(per_class,) * n_classes,
             channel_gain=tuple(1.0 / (10.0**i) for i in range(n_channels)),

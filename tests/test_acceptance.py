@@ -221,8 +221,6 @@ def test_criterion_6_frequency_preservation():
 def test_criterion_7_directional_study():
     t0 = time.perf_counter()
     synth = SynthSpec(
-        n_classes=9,
-        n_channels=12,
         length=1000,
         per_class_counts=(640,) * 9,
         channel_gain=(1.0, 1.0, 0.9, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.02, 0.01),

@@ -132,6 +132,27 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--trials", "1_0"],
+        ["gradcheck", "--classes", "\u0663"],
+        ["gradcheck", "--threshold", "\uff11e-4"],
+        ["gradcheck", "--beta", "0.\uff13"],
+        ["synth", "--spec", "s.txt", "--out", "o", "--seed", "7_0"],
+        ["resample", "--data", "d", "--out", "o", "--alpha", "0_5"],
+        ["train", "--data", "d", "--out", "m.bin", "--hidden", "8,1_6"],
+        ["eval", "--model", "m.bin", "--data", "d", "--train-fraction", "\u0660.5"],
+        ["experiment", "--spec", "s.txt", "--out", "r.csv", "--jobs", "\uff12"],
+    ],
+    ids=lambda argv: argv[0] + argv[-2],
+)
+def test_numeric_flags_read_numbers_as_spec_files_do(capsys, argv):
+    # int() and float() read "1_0", Arabic-Indic and full-width digits; a flag, like a spec value, does not.
+    assert main(argv) == 1
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
 def test_every_command_keeps_its_options_and_defaults():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

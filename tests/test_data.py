@@ -54,6 +54,18 @@ def test_record_reports_first_nonfinite_coordinate():
     assert err.value.row == 5 and err.value.col == 2
 
 
+@pytest.mark.parametrize("label", [1.5, True, np.float64(1.0), -1])
+def test_record_label_must_be_a_nonnegative_integer(label):
+    # labels() would truncate 1.5 and True to 1, and load_csv cannot read them back from a manifest.
+    with pytest.raises(UnknownClass, match="integer"):
+        make_record(np.ones((1, 4)), label=label)
+
+
+def test_record_accepts_a_numpy_integer_label():
+    d = Dataset(records=(make_record(np.ones((1, 4)), label=np.int64(1)),), class_names=("a", "b"))
+    assert d.labels().tolist() == [1]
+
+
 def test_record_channels_are_immutable():
     r = make_record([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
@@ -260,8 +272,6 @@ def test_file_helpers_raise_typed_errors(tmp_path):
 
 def test_generator_zero_noise_makes_identical_class_records():
     spec = SynthSpec(
-        n_classes=2,
-        n_channels=3,
         length=100,
         per_class_counts=(5, 5),
         channel_gain=(1.0, 0.5, 0.25),
@@ -279,8 +289,6 @@ def test_generator_zero_noise_makes_identical_class_records():
 
 def test_generator_channel_gain_sets_rms_ratio():
     spec = SynthSpec(
-        n_classes=2,
-        n_channels=2,
         length=400,
         per_class_counts=(3, 3),
         channel_gain=(1.0, 0.01),
@@ -294,8 +302,6 @@ def test_generator_channel_gain_sets_rms_ratio():
 
 def test_generator_same_seed_is_bit_identical():
     spec = SynthSpec(
-        n_classes=3,
-        n_channels=2,
         length=80,
         per_class_counts=(4, 3, 2),
         channel_gain=(1.0, 0.2),
@@ -312,8 +318,6 @@ def test_generator_same_seed_is_bit_identical():
 def test_generator_seed_moves_only_noise_and_order():
     # With zero noise the waveforms must not depend on the seed at all.
     base = dict(
-        n_classes=3,
-        n_channels=2,
         length=90,
         per_class_counts=(3, 3, 3),
         channel_gain=(1.0, 0.3),
@@ -328,15 +332,39 @@ def test_generator_seed_moves_only_noise_and_order():
         assert np.array_equal(ra.channels, by_id_b[rid].channels)
 
 
-def test_generator_count_mismatch_is_spec_error():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"per_class_counts": (5,)},
+        {"per_class_counts": (3, -1)},
+        {"channel_gain": ()},
+        {"channel_gain": (1.0, 0.0)},
+        {"channel_gain": (1.0, float("inf"))},
+        {"length": 1},
+        {"length": 10.5},
+        {"noise_sd": -0.1},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"amplitude": float("nan")},
+        {"class_names": ("a", "b")},
+    ],
+)
+def test_synth_spec_rejects_an_invalid_recipe_on_construction(fields):
     with pytest.raises(SpecError):
-        SynthSpec(
-            n_classes=3,
-            n_channels=1,
-            length=10,
-            per_class_counts=(1, 2),
-            channel_gain=(1.0,),
-        ).validate()
+        SynthSpec(**fields)
+
+
+def test_synth_spec_shape_comes_from_its_tuples():
+    assert SynthSpec().n_classes == 9 and SynthSpec().n_channels == 12
+    spec = SynthSpec(per_class_counts=(np.int64(2), 3), channel_gain=(1.0, 0.5, 0.1))
+    assert spec.per_class_counts == (2, 3) and spec.n_classes == 2 and spec.n_channels == 3
+
+
+@pytest.mark.parametrize("counts", [(1.5, 2), (True, 2), (np.float64(2.0), 2), ("2", 2)])
+def test_synth_spec_rejects_counts_that_are_not_integers(counts):
+    # int() would truncate 1.5 and read True as 1.
+    with pytest.raises(SpecError, match="integers"):
+        SynthSpec(per_class_counts=counts)
 
 
 def test_generator_class_waveforms_differ():
@@ -351,8 +379,6 @@ def test_generator_class_waveforms_differ():
 def test_generator_nine_class_default_names():
     d = generate_synthetic(
         SynthSpec(
-            n_classes=9,
-            n_channels=1,
             length=20,
             per_class_counts=(1,) * 9,
             channel_gain=(1.0,),
@@ -363,8 +389,6 @@ def test_generator_nine_class_default_names():
 
 def test_generator_amplitude_controls_rms():
     spec = SynthSpec(
-        n_classes=2,
-        n_channels=1,
         length=500,
         per_class_counts=(1, 1),
         channel_gain=(1.0,),
@@ -375,8 +399,6 @@ def test_generator_amplitude_controls_rms():
 
 
 POSITIONS_SPEC = SynthSpec(
-    n_classes=3,
-    n_channels=2,
     length=50,
     per_class_counts=(6, 0, 5),
     channel_gain=(1.0, 0.1),

@@ -11,6 +11,7 @@ from ecgbalance import (
     ExperimentSpec,
     LossConfig,
     SplitSpec,
+    SynthSpec,
     TrainConfig,
     cli,
     experiment,
@@ -155,16 +156,18 @@ def test_spec_key_set_is_unchanged():
         "iwl.epsilon", "focal.gamma", "cb.beta", "ldam.mu", "ldam.s",
         "data.dir", "data.classes", "data.class_names", "data.counts", "data.head_count", "data.channels",
         "data.length", "data.sample_rate", "data.noise_sd", "data.amplitude", "data.channel_gain",
-        "data.base_frequency", "data.frequency_spacing", "data.seed",
+        "data.base_frequency", "data.frequency_spacing",
     }
     assert set(_GRID_KEYS) | set(_SCALAR_KEYS) == keys
     assert len(_GRID_KEYS) + len(_SCALAR_KEYS) == len(keys)
 
 
-def test_parse_spec_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("line", ["learning_rte = 0.01", "data.seed = 7"])
+def test_parse_spec_rejects_unknown_key(tmp_path, line):
+    # Each grid seed replaces the recipe's seed, so data.seed could have no effect.
     path = tmp_path / "typo.txt"
-    path.write_text("data.classes = 3\nlearning_rte = 0.01\n")
-    with pytest.raises(SpecError, match="learning_rte"):
+    path.write_text(f"data.classes = 3\n{line}\n")
+    with pytest.raises(SpecError, match=re.escape(line.split(" =")[0])):
         parse_experiment_spec(path)
 
 
@@ -241,6 +244,26 @@ def test_synth_mapping_gain_list_sets_channel_count():
     defaulted = synth_spec_from_mapping({"channels": "4"})
     assert defaulted.n_channels == 4
     assert defaulted.channel_gain == (1.0,) * 4
+
+
+def test_synth_mapping_defaults_are_synth_spec_defaults():
+    assert synth_spec_from_mapping({}) == SynthSpec()
+    assert synth_spec_from_mapping({"head_count": "5"}) == SynthSpec(per_class_counts=(5,) * 9)
+
+
+@pytest.mark.parametrize(
+    "mapping, key",
+    [
+        ({"classes": "3", "counts": "1, 2"}, "classes"),
+        ({"classes": "2", "counts": "1, 2, 3", "head_count": "4"}, "classes"),
+        ({"channels": "4", "channel_gain": "1, 0.5"}, "channels"),
+        ({"data.channels": "1", "data.channel_gain": "1, 0.5"}, "data.channels"),
+    ],
+)
+def test_synth_mapping_size_key_must_agree_with_its_list(mapping, key):
+    prefix = "data." if key.startswith("data.") else ""
+    with pytest.raises(SpecError, match=re.escape(key)):
+        synth_spec_from_mapping(mapping, prefix=prefix)
 
 
 def test_synth_mapping_prefix():

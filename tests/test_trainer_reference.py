@@ -256,7 +256,7 @@ STACK_LOSSES = [
 def _stack_data():
     # 43 records in batches of 7: every epoch ends on a one-record batch.
     spec = SynthSpec(
-        n_classes=4, n_channels=3, length=120, per_class_counts=(20, 12, 8, 3), channel_gain=(1.0, 0.3, 0.05),
+        length=120, per_class_counts=(20, 12, 8, 3), channel_gain=(1.0, 0.3, 0.05),
         noise_sd=0.6, seed=3,
     )
     return generate_synthetic(spec)
