@@ -146,11 +146,15 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels(), minlength=self.num_classes)
 
+    def take(self, positions) -> Dataset:
+        """The records at ``positions``, in order, checked as :func:`generate_synthetic` checks them."""
+        at = _check_positions(positions, len(self))
+        return Dataset(tuple(self.records[i] for i in at.tolist()), self.class_names)
+
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Stratified split description. ``test_fraction`` is derived, so the
-    two fractions sum to one by construction."""
+    """Stratified split description; the test side takes what the train side leaves."""
 
     train_fraction: float
     seed: int = 0
@@ -160,10 +164,6 @@ class SplitSpec:
             raise SpecError(f"train_fraction must lie strictly between 0 and 1, got {self.train_fraction}")
         if self.seed < 0:
             raise SpecError(f"split seed must be nonnegative, got {self.seed}")
-
-    @property
-    def test_fraction(self) -> float:
-        return 1.0 - self.train_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,8 @@ def read_input(path, fail, text: bool = False):
         raise fail(f"cannot read file: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise fail(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except ValueError as exc:  # open() refuses a path that holds a NUL byte
+        raise fail(f"cannot read file: {exc}") from exc
 
 
 def write_output(path, *chunks) -> None:
@@ -221,6 +223,20 @@ def csv_text(rows) -> str:
 # CSV ingestion and export
 
 
+def check_record_ids(ids, manifest=None) -> None:
+    """Raise MalformedRecord unless each of ``ids`` can name its own file ``{id}.csv`` in one
+    directory: none is empty, ``.`` or ``..``, holds ``/``, ``\\`` or NUL, or repeats another.
+    With a ``manifest`` path, the error names the manifest line of the id."""
+    seen = set()
+    for i, rid in enumerate(ids):
+        if rid in seen or rid in ("", ".", "..") or not set(rid).isdisjoint("/\\\0"):
+            problem = "repeats another record's id" if rid in seen else "cannot name a file"
+            if manifest is None:
+                raise MalformedRecord(rid, problem)
+            raise MalformedRecord(manifest, f"manifest line {i + 2}: record id {rid!r} {problem}")
+        seen.add(rid)
+
+
 def _read_manifest(path: Path):
     rows = []
     text = read_input(path, lambda reason: MalformedRecord(str(path), reason), text=True)
@@ -258,27 +274,27 @@ def _read_record_csv(path: Path, record_id: str) -> np.ndarray:
     return data
 
 
-def load_csv(path, manifest=None, class_names: Optional[Sequence[str]] = None) -> Dataset:
+def load_csv(path, manifest=None) -> Dataset:
     """Load a dataset directory of per-record CSV files plus a manifest.
 
     ``path`` holds one CSV per record (rows are samples, columns are
     channels) and, by default, ``manifest.csv`` with the columns
-    ``file,record_id,label,sample_rate``. Class names come from the
-    ``class_names`` argument, else ``classes.txt`` in the directory, else
-    generated placeholder names sized by the largest label seen. The
-    manifest and ``classes.txt`` must be UTF-8 text.
+    ``file,record_id,label,sample_rate``, whose record ids must pass
+    :func:`check_record_ids`. Class names come from ``classes.txt`` in the
+    directory, else generated placeholder names sized by the largest label
+    seen. The manifest and ``classes.txt`` must be UTF-8 text.
     """
     base = Path(path)
     mpath = Path(manifest) if manifest is not None else base / "manifest.csv"
     rows = _read_manifest(mpath)
-    if class_names is None:
-        cfile = base / "classes.txt"
-        if cfile.exists():
-            text = read_input(cfile, lambda reason: MalformedRecord(str(cfile), reason), text=True)
-            class_names = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
-        else:
-            top = max((label for _, _, label, _ in rows), default=1)
-            class_names = tuple(f"class_{i}" for i in range(max(top + 1, 2)))
+    check_record_ids([record_id for _, record_id, _, _ in rows], str(mpath))
+    cfile = base / "classes.txt"
+    if cfile.exists():
+        text = read_input(cfile, lambda reason: MalformedRecord(str(cfile), reason), text=True)
+        class_names = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
+    else:
+        top = max((label for _, _, label, _ in rows), default=1)
+        class_names = tuple(f"class_{i}" for i in range(max(top + 1, 2)))
     m = len(class_names)
     records = []
     for fname, record_id, label, rate in rows:
@@ -293,7 +309,7 @@ def load_csv(path, manifest=None, class_names: Optional[Sequence[str]] = None) -
                 record_id=record_id,
             )
         )
-    return Dataset(records=tuple(records), class_names=tuple(class_names))
+    return Dataset(records=tuple(records), class_names=class_names)
 
 
 def write_csv_dataset(d: Dataset, out_dir) -> None:
@@ -302,6 +318,7 @@ def write_csv_dataset(d: Dataset, out_dir) -> None:
     Output is deterministic: record order, file naming, and float
     formatting (shortest round-trip repr) depend only on the dataset.
     """
+    check_record_ids([r.record_id for r in d.records])
     manifest = [MANIFEST_FIELDS]
     manifest.extend((f"{r.record_id}.csv", r.record_id, r.label, float(r.sample_rate)) for r in d.records)
     out = Path(out_dir)
@@ -527,9 +544,4 @@ def split_positions(labels, n_classes: int, s: SplitSpec) -> tuple[np.ndarray, n
 
 def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
     """Stratified train/test split: the records at :func:`split_positions`."""
-    if len(d) == 0:
-        raise EmptyDataset("cannot split an empty dataset")
-    return tuple(
-        Dataset(tuple(d.records[i] for i in idx.tolist()), d.class_names)
-        for idx in split_positions(d.labels(), d.num_classes, s)
-    )
+    return tuple(d.take(idx) for idx in split_positions(d.labels(), d.num_classes, s))

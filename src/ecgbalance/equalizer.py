@@ -55,17 +55,15 @@ class ChannelMagnitudeStats:
     stays so the ``mean_power`` column of the stats file does not change.
     ``per_class_scale[m, c]`` is the mean per-record RMS of channel ``c``
     over class-``m`` records, divided by the grand mean RMS over all
-    (record, channel) pairs. Classes with no records get a NaN row and a
-    cleared ``class_defined`` flag.
+    (record, channel) pairs. Classes with no records get a NaN row.
     """
 
     per_channel_rms: np.ndarray
     per_channel_mean_power: np.ndarray
     per_class_scale: np.ndarray
-    class_defined: np.ndarray
 
     def __post_init__(self):
-        for name in ("per_channel_rms", "per_channel_mean_power", "per_class_scale", "class_defined"):
+        for name in ("per_channel_rms", "per_channel_mean_power", "per_class_scale"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -96,17 +94,14 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
     if grand_mean == 0.0:
         raise EmptyDataset("channel statistics need a record with nonzero RMS; every record's RMS is zero")
     scale = np.full((n_classes, n_channels), np.nan)
-    defined = np.zeros(n_classes, dtype=bool)
     for m in range(n_classes):
         mask = labels == m
         if mask.any():
             scale[m] = per_record_rms[mask].mean(axis=0) / grand_mean
-            defined[m] = True
     return ChannelMagnitudeStats(
         per_channel_rms=np.sqrt(sq_sum / total_samples),
         per_channel_mean_power=abs_sum / total_samples,
         per_class_scale=scale,
-        class_defined=defined,
     )
 
 

@@ -5,9 +5,15 @@ callers (including the command line front end) can catch one base class
 and map it to a data-error exit without swallowing genuine bugs.
 """
 
+import copyreg
+
 
 class EcgBalanceError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Rebuilt without __init__, so an error a worker process sends back keeps its type, message and attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class MalformedRecord(EcgBalanceError):

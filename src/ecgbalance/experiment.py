@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -179,6 +180,7 @@ class ExperimentSpec:
                 raise SpecError(f"the experiment grid has no {axis}")
         if min(self.seeds) < 0:
             raise SpecError(f"seeds must be nonnegative, got {self.seeds}")
+        SplitSpec(train_fraction=self.train_fraction)  # raises SpecError for a fraction outside (0, 1)
         for cell in grid_cells(self):
             _cell_loss(self.train.loss, cell)
         for enc in self.encodes:
@@ -326,56 +328,40 @@ def _fit_seed(
 ) -> list[tuple[float, float]]:
     """(accuracy, macro F1) of every cell on one seed's data.
 
-    ``source`` is the dataset loaded from ``data.dir``, or None to
-    synthesize from ``spec.synth``. Each distinct alpha picks its record
-    positions, and then its train and test rows, from the seed's labels.
-    Only the union of those positions is synthesized (or taken from
-    ``source``) and featurized, once, in blocks, into one matrix per
-    encode. The cells of each (alpha, encode) train as one stack on that
-    matrix. Nothing of this seed outlives the call.
+    The data is ``source``, the dataset loaded from ``data.dir``, or else
+    ``spec.synth`` with this seed: labels, class names and ``build(positions)``.
+    Each alpha picks its train and test positions from the labels alone. Their
+    union is built and featurized once, in blocks, into one matrix per encode
+    (row r for the r-th smallest position), and the cells of each (alpha,
+    encode) train as one stack on it. Nothing of this seed outlives the call.
     """
-    if source is not None:
-        labels, class_names = source.labels(), source.class_names
-
-        def build(at: np.ndarray) -> Dataset:
-            return Dataset(tuple(source.records[i] for i in at.tolist()), class_names)
-
-    else:
-        assert spec.synth is not None
+    if source is None:
         synth = dataclasses.replace(spec.synth, seed=seed)
         labels, class_names = synth_labels(synth), synth.dataset_class_names()
-
-        def build(at: np.ndarray) -> Dataset:
-            return generate_synthetic(synth, at)
-
+        build = functools.partial(generate_synthetic, synth)
+    else:
+        labels, class_names, build = source.labels(), source.class_names, source.take
     n_classes = len(class_names)
     counts = np.bincount(labels, minlength=n_classes)
-    positions = {
-        alpha: np.arange(labels.size)
-        if alpha is None
-        else resample_positions(labels, longtail_counts(counts, alpha), seed)
-        for alpha in dict.fromkeys(cell.alpha for cell in cells)
-    }
-    wanted = np.unique(np.concatenate(list(positions.values())))
+    split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
+    sides = {}
+    for alpha in dict.fromkeys(cell.alpha for cell in cells):
+        pos = np.arange(labels.size) if alpha is None else resample_positions(labels, longtail_counts(counts, alpha), seed)
+        sides[alpha] = tuple(pos[idx] for idx in split_positions(labels[pos], n_classes, split_spec))
+    wanted = np.unique(np.concatenate([side for pair in sides.values() for side in pair]))
     encoders = {enc: dataclasses.replace(spec.train.encode, kind=enc) for enc in dict.fromkeys(c.encode for c in cells)}
     features = _featurize_blocks(build, wanted, encoders)
-    row_labels = labels[wanted]
-    split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
-    rows = {}
-    for alpha, pos in positions.items():
-        kept = np.searchsorted(wanted, pos)
-        rows[alpha] = tuple(kept[idx] for idx in split_positions(row_labels[kept], n_classes, split_spec))
     stacks: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         stacks.setdefault((cell.alpha, cell.encode), []).append(i)
     fits: dict[int, tuple[float, float]] = {}
     for (alpha, enc), members in stacks.items():
-        train_rows, test_rows = rows[alpha]
+        train_pos, test_pos = sides[alpha]
         base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
         cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
         x = features[enc]
-        models = train_stack(x, train_rows, row_labels[train_rows], cfgs, class_names)
-        x_test, test_labels = x[test_rows], row_labels[test_rows]
+        models = train_stack(x, np.searchsorted(wanted, train_pos), labels[train_pos], cfgs, class_names)
+        x_test, test_labels = x[np.searchsorted(wanted, test_pos)], labels[test_pos]
         for i, (model, _) in zip(members, models):
             metrics = score(model, x_test, test_labels)
             fits[i] = (metrics.accuracy, metrics.macro_f1)

@@ -79,5 +79,4 @@ def resample(d: Dataset, target_counts, seed: int) -> Dataset:
     """The records of ``d`` at :func:`resample_positions`, in that order."""
     if np.size(target_counts) != d.num_classes:
         raise DimensionError(f"{np.size(target_counts)} target counts for a dataset of {d.num_classes} classes")
-    positions = resample_positions(d.labels(), target_counts, seed)
-    return Dataset(records=tuple(d.records[i] for i in positions), class_names=d.class_names)
+    return d.take(resample_positions(d.labels(), target_counts, seed))

@@ -101,6 +101,8 @@ class ModelParams:
     def validate(self) -> None:
         if not np.isfinite(self.theta).all():
             raise ConfigError("parameters must be finite")
+        if len(self.class_names) != self.num_classes:
+            raise ConfigError(f"{len(self.class_names)} class names for {self.num_classes} outputs")
 
 
 def _param_count(dims: tuple[int, ...]) -> int:
@@ -405,11 +407,9 @@ def score(m: ModelParams, x: np.ndarray, labels: np.ndarray) -> Metrics:
 
 
 def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
-    """Featurize with the model's encoder, then :func:`score`."""
-    if len(d_test) == 0:
-        raise EmptyDataset("evaluation dataset is empty")
-    if d_test.num_classes != m.num_classes:
-        raise DimensionError(f"model has {m.num_classes} classes, dataset {d_test.num_classes}")
+    """Featurize with the model's encoder (an empty dataset raises EmptyDataset there), then :func:`score`."""
+    if d_test.class_names != m.class_names:
+        raise DimensionError(f"model classes {list(m.class_names)} are not the dataset's {list(d_test.class_names)}")
     return score(m, featurize_dataset(d_test, m.encoder), d_test.labels())
 
 

@@ -491,6 +491,9 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
         header["encoder"]["height"] = 4.0
     elif damage == "string_encoder_field":
         header["encoder"]["raw_take"] = "80"
+    elif damage == "extra_class_name":
+        # eval compares class names, so the names must also match the model's outputs.
+        header["class_names"].append("class_3")
     else:
         header["encoder"]["dilation"] = 1
     blob = json.dumps(header).encode()
@@ -501,7 +504,7 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
     "damage",
     [
         "truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field",
-        "float_encoder_field", "string_encoder_field", "extra_encoder_field",
+        "float_encoder_field", "string_encoder_field", "extra_encoder_field", "extra_class_name",
     ],
 )
 def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):
@@ -578,16 +581,59 @@ def test_record_path_that_is_a_directory_exits_2(tmp_path, data_dir, model_file,
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "column, value, command, message",
+    [
+        ("record_id", "../escaped", "resample", "manifest line 2: record id '../escaped' cannot name a file"),
+        ("record_id", "../escaped", "encode", "manifest line 2: record id '../escaped' cannot name a file"),
+        ("record_id", "<the next record's id>", "resample", "manifest line 3: record id .* repeats another"),
+        ("file", "rec\0.csv", "analyze", "cannot read file: embedded null byte|NUL"),
+    ],
+    ids=["escape-resample", "escape-encode", "duplicate-resample", "nul-file-analyze"],
+)
+def test_manifest_entries_that_cannot_name_a_file_exit_2(tmp_path, data_dir, capsys, column, value, command, message):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    with open(data / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = rows[1]["record_id"] if value.startswith("<") else value
+    with open(data / "manifest.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    argv = {"resample": ["--no-resample", "--out", str(out)], "encode": ["--out", str(out)], "analyze": []}[command]
+    assert main([command, "--data", str(data), *argv]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err, err
+    # Nothing was written, inside --out or beside it.
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+    assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in data_dir.iterdir())
+
+
+def test_eval_rejects_a_model_trained_on_other_class_names(tmp_path, data_dir, model_file, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "classes.txt").write_text("x\ny\nz\n")
+    assert main(["eval", "--model", str(model_file), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "['class_0', 'class_1', 'class_2']" in err and "['x', 'y', 'z']" in err, err
+
+
 # Class names a CSV writer must quote: a comma, and a quote.
 AWKWARD_NAMES = ("x,y", 'b "q"', "c")
 
 
-def test_class_names_holding_a_comma_or_quote_round_trip_through_every_csv(tmp_path, data_dir, model_file):
+def test_class_names_holding_a_comma_or_quote_round_trip_through_every_csv(tmp_path, data_dir):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     (data / "classes.txt").write_text("".join(name + "\n" for name in AWKWARD_NAMES))
     assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "stats.csv")]) == 0
     assert main(["resample", "--data", str(data), "--alpha", "0.5", "--out", str(tmp_path / "tail")]) == 0
+    # eval takes a model trained on these class names, and the model file carries them.
+    model_file = tmp_path / "model.bin"
+    assert main(["train", "--data", str(data), "--out", str(model_file), *TRAIN_FLAGS]) == 0
+    assert load_model(model_file).class_names == AWKWARD_NAMES
     eval_args = ["eval", "--model", str(model_file), "--data", str(data)]
     assert main([*eval_args, "--out", str(tmp_path / "m.csv"), "--confusion", str(tmp_path / "c.csv")]) == 0
 

@@ -134,6 +134,18 @@ def _write_dataset_dir(tmp_path, rows_by_file, manifest_lines, classes=None):
         (tmp_path / "classes.txt").write_text("\n".join(classes) + "\n")
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [("a", "../escaped"), ("a", "x/y"), ("a", "x\\y"), ("a", "x\0y"), ("", "b"), (".", "b"), ("..", "b"), ("a", "a")],
+    ids=["parent", "slash", "backslash", "nul", "empty", "dot", "dotdot", "duplicate"],
+)
+def test_write_csv_dataset_rejects_ids_that_cannot_name_their_own_file(tmp_path, ids):
+    records = tuple(make_record(np.ones((1, 4)), label=k, record_id=rid) for k, rid in enumerate(ids))
+    with pytest.raises(MalformedRecord, match="cannot name a file|repeats another record's id"):
+        write_csv_dataset(Dataset(records=records, class_names=("a", "b")), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_csv_single_record_layout(tmp_path):
     # 3000 samples x 12 channels on disk becomes a 12 x 3000 record.
     table = np.round(np.random.default_rng(0).normal(size=(3000, 12)), 6)
@@ -141,7 +153,8 @@ def test_load_csv_single_record_layout(tmp_path):
     (tmp_path / "manifest.csv").write_text(
         "file,record_id,label,sample_rate\nrec.csv,rec,2,500.0\n"
     )
-    d = load_csv(tmp_path, class_names=("a", "b", "c"))
+    (tmp_path / "classes.txt").write_text("a\nb\nc\n")
+    d = load_csv(tmp_path)
     assert len(d) == 1
     r = d.records[0]
     assert r.num_channels == 12 and r.length == 3000 and r.label == 2
@@ -553,4 +566,24 @@ def test_split_fraction_bounds():
         SplitSpec(train_fraction=1.0)
     with pytest.raises(SpecError):
         SplitSpec(train_fraction=0.0)
-    assert SplitSpec(train_fraction=0.9).test_fraction == pytest.approx(0.1)
+
+
+def test_take_returns_the_records_at_positions_in_order(dataset):
+    taken = dataset.take(np.array([3, 0, 3]))
+    assert len(taken) == 3 and all(r is dataset.records[i] for r, i in zip(taken, (3, 0, 3)))
+    assert taken.class_names == dataset.class_names
+    assert len(dataset.take([])) == 0
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[12], [0, 13], [-1], [[0, 1]], [0.0, 1.0], [True, False], "0"],
+    ids=["past-the-end", "past-the-end-later", "negative", "2-d", "floats", "bools", "string"],
+)
+def test_take_rejects_positions_as_synthesis_does(dataset, positions):
+    assert len(dataset) == 12
+    with pytest.raises(SpecError):
+        dataset.take(positions)
+    spec = SynthSpec(length=60, per_class_counts=(4, 4, 4), channel_gain=(1.0, 0.1), noise_sd=0.2)
+    with pytest.raises(SpecError):
+        generate_synthetic(spec, positions)

@@ -78,8 +78,7 @@ def test_stats_empty_class_is_flagged_not_fabricated():
     arrays = [np.ones((2, 8)), np.ones((2, 8))]
     d = dataset_from_arrays(arrays, [0, 0], ("a", "b"))
     stats = channel_stats(d)
-    assert stats.class_defined.tolist() == [True, False]
-    assert np.isnan(stats.per_class_scale[1]).all()
+    assert np.isnan(stats.per_class_scale).all(axis=1).tolist() == [False, True]
 
 
 def test_stats_need_records():

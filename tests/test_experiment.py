@@ -186,6 +186,10 @@ def test_parse_spec_rejects_bad_values(tmp_path):
         ("learning_rate = \uff11.5", SpecError),
         ("data.length = 8\u0660", SpecError),
         ("data.noise_sd = 0_4", SpecError),
+        # SplitSpec's rule, checked when the spec is parsed rather than in the first seed's fit.
+        ("train_fraction = 1.5", SpecError),
+        ("train_fraction = 1.0", SpecError),
+        ("train_fraction = 0", SpecError),
     ]:
         path = tmp_path / "bad.txt"
         path.write_text(f"data.classes = 3\n{line}\n", encoding="utf-8")
@@ -446,6 +450,21 @@ def test_data_dir_is_loaded_once_for_every_seed(tmp_path, monkeypatch):
     assert cli.main(["experiment", "--spec", str(spec_path), "--out", str(out), "--jobs", "1"]) == 0
     assert [args for args, _ in calls["load_csv"]] == [(str(data),)]
     assert out.read_text() == DATA_DIR_RESULTS
+
+
+def test_a_worker_error_keeps_the_type_and_message_of_a_serial_run(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_csv_dataset(generate_synthetic(synth_spec_from_mapping(parse_kv_file(write_spec(tmp_path)), "data.")), data)
+    record = data / "synth-c2-r0004.csv"
+    rows = record.read_text().splitlines()
+    rows[4] = ",".join(["nan", *rows[4].split(",")[1:]])
+    record.write_text("".join(row + "\n" for row in rows))
+    spec_path = write_spec(tmp_path, TINY_SPEC.split("data.classes")[0] + f"data.dir = {data}\n")
+    errors = []
+    for jobs in ("1", "2"):
+        assert cli.main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv"), "--jobs", jobs]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: record 'synth-c2-r0004': non-finite value at row 4, column 0\n"] * 2
 
 
 def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):

@@ -124,9 +124,10 @@ def test_forward_matches_manual_affine_chain():
 
 def test_forward_rejects_wrong_width():
     # The raw encoder gives 2 x 60 features per record; the model takes 5.
-    m = init_model(5, 3, RAW_ENC, hidden=(4,), rng=np.random.default_rng(2))
-    with pytest.raises(DimensionError):
-        evaluate(m, tiny_dataset())
+    d = tiny_dataset()
+    m = init_model(5, 3, RAW_ENC, hidden=(4,), rng=np.random.default_rng(2), class_names=d.class_names)
+    with pytest.raises(DimensionError, match="model takes 5 input features"):
+        evaluate(m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +446,22 @@ def test_metrics_validation():
         metrics_from_confusion(np.zeros((3, 3)))
 
 
+def test_evaluate_rejects_empty_dataset():
+    d = tiny_dataset()
+    m, _ = train(d, small_config(epochs=0))
+    with pytest.raises(EmptyDataset):
+        evaluate(m, Dataset(records=(), class_names=d.class_names))
+
+
 def test_evaluate_class_count_mismatch():
     d = tiny_dataset(n_classes=3)
-    m = init_model(40, 2, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(0))
-    with pytest.raises(DimensionError):
+    m = init_model(40, 2, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(0), class_names=("class_0", "class_1"))
+    with pytest.raises(DimensionError, match="model classes"):
         evaluate(m, d)
+    # As many classes, other names: the names are compared, not only counted.
+    renamed = init_model(40, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(0), class_names=("x", "y", "z"))
+    with pytest.raises(DimensionError, match=r"\['x', 'y', 'z'\]"):
+        evaluate(renamed, d)
 
 
 # ---------------------------------------------------------------------------
