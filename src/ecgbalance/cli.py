@@ -36,7 +36,7 @@ from .equalizer import (
     write_image_raw,
     write_stats_csv,
 )
-from .errors import EcgBalanceError, OutputError, SpecError
+from .errors import EcgBalanceError, EmptyDataset, OutputError, SpecError
 from .experiment import (
     SYNTH_KEYS,
     parse_experiment_spec,
@@ -261,9 +261,14 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+def _check_train_fraction(fraction: float) -> None:
+    """1.0 puts every record on the train side."""
+    if not 0.0 < fraction <= 1.0:
+        raise SpecError(f"--train-fraction must lie in (0, 1], got {fraction}")
+
+
 def _cmd_train(args) -> int:
-    if not 0.0 < args.train_fraction <= 1.0:
-        raise SpecError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
+    _check_train_fraction(args.train_fraction)
     d = _load_dataset(args)
     if args.train_fraction < 1.0:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
@@ -278,9 +283,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_train_fraction(args.train_fraction)
     model = load_model(args.model)
     d = _load_dataset(args)
-    if args.split != "all":
+    if args.split == "test" and args.train_fraction == 1.0:
+        raise EmptyDataset("--train-fraction 1.0 leaves no record on the test side")
+    if args.split != "all" and args.train_fraction < 1.0:
         d_train, d_test = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.split_seed))
         d = d_train if args.split == "train" else d_test
     metrics = evaluate(model, d)

@@ -9,8 +9,10 @@ synthesized, once, in blocks, and each block is featurized straight into
 one feature matrix per encode, so no more than a block of raw records is
 alive at a time. The cells that share (alpha, encode) differ only in their
 loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`)
-and each is scored on the shared test rows. Rows aggregate mean and
-sample standard deviation over seeds.
+on the records some alpha trains on, and only after every stack has
+trained are the records that lie on test sides alone built, so they are
+never alive while a stack trains. Each cell is scored on its alpha's test
+rows. Rows aggregate mean and sample standard deviation over seeds.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
 seeds its own generator and a stacked variant trains bit for bit as it
@@ -330,10 +332,14 @@ def _fit_seed(
 
     The data is ``source``, the dataset loaded from ``data.dir``, or else
     ``spec.synth`` with this seed: labels, class names and ``build(positions)``.
-    Each alpha picks its train and test positions from the labels alone. Their
-    union is built and featurized once, in blocks, into one matrix per encode
-    (row r for the r-th smallest position), and the cells of each (alpha,
-    encode) train as one stack on it. Nothing of this seed outlives the call.
+    Each alpha picks its train and test positions from the labels alone. The
+    union of the train sides is built and featurized first, in blocks, into one
+    matrix per encode (row r for the r-th smallest position), and the cells of
+    each (alpha, encode) train as one stack on it. Only then are the test
+    positions that no train side holds built and featurized the same way, once
+    the train matrices are freed if no test side reads them, and each stack is
+    scored on its test rows in ascending position order. Every record is built
+    once, and nothing of this seed outlives the call.
     """
     if source is None:
         synth = dataclasses.replace(spec.synth, seed=seed)
@@ -347,23 +353,44 @@ def _fit_seed(
     sides = {}
     for alpha in dict.fromkeys(cell.alpha for cell in cells):
         pos = np.arange(labels.size) if alpha is None else resample_positions(labels, longtail_counts(counts, alpha), seed)
-        sides[alpha] = tuple(pos[idx] for idx in split_positions(labels[pos], n_classes, split_spec))
-    wanted = np.unique(np.concatenate([side for pair in sides.values() for side in pair]))
+        train_pos, test_pos = (pos[idx] for idx in split_positions(labels[pos], n_classes, split_spec))
+        sides[alpha] = (train_pos, np.sort(test_pos))
     encoders = {enc: dataclasses.replace(spec.train.encode, kind=enc) for enc in dict.fromkeys(c.encode for c in cells)}
-    features = _featurize_blocks(build, wanted, encoders)
     stacks: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         stacks.setdefault((cell.alpha, cell.encode), []).append(i)
-    fits: dict[int, tuple[float, float]] = {}
+
+    trained = np.unique(np.concatenate([train_pos for train_pos, _ in sides.values()]))
+    features = _featurize_blocks(build, trained, encoders)
+    fitted = {}
     for (alpha, enc), members in stacks.items():
-        train_pos, test_pos = sides[alpha]
+        train_pos = sides[alpha][0]
         base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
         cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
-        x = features[enc]
-        models = train_stack(x, np.searchsorted(wanted, train_pos), labels[train_pos], cfgs, class_names)
-        x_test, test_labels = x[np.searchsorted(wanted, test_pos)], labels[test_pos]
+        # An empty train union leaves no matrix; train_stack rejects the empty rows before reading one.
+        fitted[alpha, enc] = train_stack(
+            features.get(enc), np.searchsorted(trained, train_pos), labels[train_pos], cfgs, class_names
+        )
+
+    tested = np.unique(np.concatenate([test_pos for _, test_pos in sides.values()]))
+    test_only = np.setdiff1d(tested, trained, assume_unique=True)
+    if test_only.size == tested.size:
+        features = {}  # no test side reads a train row
+    test_features = _featurize_blocks(build, test_only, encoders)
+    fits: dict[int, tuple[float, float]] = {}
+    for (alpha, enc), members in stacks.items():
+        test_pos = sides[alpha][1]
+        models = fitted.pop((alpha, enc))
+        if np.array_equal(test_pos, test_only):
+            x_test = test_features[enc]
+        else:
+            x_test = np.empty((test_pos.size, models[0][0].input_dim))
+            for held, x in ((trained, features), (test_only, test_features)):
+                hit = np.isin(test_pos, held, assume_unique=True)
+                if hit.any():
+                    x_test[hit] = x[enc][np.searchsorted(held, test_pos[hit])]
         for i, (model, _) in zip(members, models):
-            metrics = score(model, x_test, test_labels)
+            metrics = score(model, x_test, labels[test_pos])
             fits[i] = (metrics.accuracy, metrics.macro_f1)
     return [fits[i] for i in range(len(cells))]
 

@@ -790,6 +790,30 @@ def test_train_fraction_one_trains_on_every_record(tmp_path, data_dir, capsys):
     assert f"on {len(load_csv(data_dir))} records" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("split", ["all", "train", "test"])
+def test_eval_takes_a_train_fraction_of_one_as_train_does(tmp_path, data_dir, model_file, capsys, split):
+    # 1.0 puts every record on the train side, so --split test finds an empty side.
+    out = tmp_path / "metrics.csv"
+    argv = ["eval", "--model", str(model_file), "--data", str(data_dir), "--split", split, "--train-fraction", "1.0"]
+    if split == "test":
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --train-fraction 1.0 leaves no record on the test side\n"
+        assert not out.exists()
+        return
+    assert main([*argv, "--out", str(out)]) == 0
+    assert f"on {len(load_csv(data_dir))} records" in capsys.readouterr().out
+    assert main(["eval", "--model", str(model_file), "--data", str(data_dir), "--out", str(tmp_path / "all.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
+@pytest.mark.parametrize("split", ["all", "train", "test"])
+@pytest.mark.parametrize("fraction", ["1.5", "nan", "0", "-0.5"])
+def test_eval_rejects_a_train_fraction_outside_zero_to_one(data_dir, model_file, capsys, split, fraction):
+    argv = ["eval", "--model", str(model_file), "--data", str(data_dir), "--split", split, "--train-fraction", fraction]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --train-fraction must lie in (0, 1], got {float(fraction)}\n"
+
+
 @pytest.mark.parametrize("flags", [["--hidden", "0"], ["--learning-rate", "nan"]], ids=["hidden-0", "learning-rate-nan"])
 def test_train_rejects_unusable_config(tmp_path, data_dir, capsys, flags):
     model_path = tmp_path / "m.bin"

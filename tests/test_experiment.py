@@ -22,6 +22,7 @@ from ecgbalance import (
     resample_positions,
     run_experiment,
     split,
+    split_positions,
     synth_labels,
     write_csv_dataset,
     write_results_csv,
@@ -40,7 +41,8 @@ from ecgbalance.experiment import (
     read_results_csv,
     synth_spec_from_mapping,
 )
-from ecgbalance.trainer import featurize_dataset
+from ecgbalance.equalizer import BLOCK_RECORDS
+from ecgbalance.trainer import featurize_dataset, init_model
 
 TINY_SPEC = """\
 # A grid small enough to run in seconds.
@@ -321,8 +323,10 @@ def test_run_experiment_worker_count_does_not_change_results(tmp_path):
 
 
 def count_calls(monkeypatch, *names):
-    """Record (args, result) of every call to the named experiment module globals."""
+    """Record (args, result) of every call to the named experiment module globals,
+    and (name, args, result) of all of them in the order they return under "order"."""
     calls = {name: [] for name in names}
+    calls["order"] = []
 
     def counted(name):
         original = getattr(experiment, name)
@@ -330,6 +334,7 @@ def count_calls(monkeypatch, *names):
         def wrapper(*args, **kwargs):
             result = original(*args, **kwargs)
             calls[name].append((args, result))
+            calls["order"].append((name, args, result))
             return result
 
         return wrapper
@@ -347,16 +352,35 @@ def seed_blocks(calls, seed):
 def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path))
     monkeypatch.setattr(experiment, "BLOCK_RECORDS", 5)
-    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split_positions")
+    calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split_positions", "train_stack")
     run_experiment(spec, jobs=1)
+    split_spec = lambda seed: SplitSpec(train_fraction=spec.train_fraction, seed=seed)
     for seed in spec.seeds:
         blocks = seed_blocks(calls, seed)
         assert len(blocks) > 1 and max(len(d) for d in blocks) == 5
-        # alpha none keeps every record: each is synthesized exactly once, in dataset order.
+        # alpha none keeps every record, so each is synthesized exactly once: first the records
+        # some alpha trains on, then the rest, each part in dataset order.
         full = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
+        kept = resample(full, longtail_counts(full.class_counts(), 0.5), seed)
+        train_ids = {r.record_id for d in (full, kept) for r in split(d, split_spec(seed))[0]}
+        assert 0 < len(train_ids) < len(full)
+        phases = [[r for r in full if (r.record_id in train_ids) == phase] for phase in (True, False)]
         built = [r for d in blocks for r in d]
-        assert [r.record_id for r in built] == [r.record_id for r in full]
-        assert all(a.channels.tobytes() == b.channels.tobytes() for a, b in zip(built, full))
+        by_id = {r.record_id: r for r in full}
+        assert all(r.channels.tobytes() == by_id[r.record_id].channels.tobytes() for r in built)
+        # The train-side records are built before the seed's first stack trains, the others after
+        # its last one, and no record is built while its stacks train.
+        events = [
+            (name, result)
+            for name, args, result in calls["order"]
+            if (name == "generate_synthetic" and args[0].seed == seed)
+            or (name == "train_stack" and args[3][0].seed == seed)
+        ]
+        names = [name for name, _ in events]
+        first, last = names.index("train_stack"), len(names) - 1 - names[::-1].index("train_stack")
+        assert names[first : last + 1] == ["train_stack"] * len(spec.alphas) * len(spec.encodes)
+        for phase, part in zip(phases, (events[:first], events[last + 1 :])):
+            assert [r.record_id for _, d in part for r in d] == [r.record_id for r in phase]
     # One resample_positions per seed and non-None alpha (0.5), and one split per seed and alpha.
     assert len(calls["resample_positions"]) == len(spec.seeds)
     assert len(calls["split_positions"]) == len(spec.seeds) * len(spec.alphas)
@@ -379,8 +403,11 @@ def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch)
         ids = [r.record_id for d in seed_blocks(calls, seed) for r in d]
         assert len(ids) == len(set(ids)) == len(kept) < len(full)
         assert sorted(ids) == sorted(r.record_id for r in expected)
-        # Features row r is record ids[r]; each stack's train and test rows are split's sides.
+        # Features row r is record ids[r]; each stack's train rows are split's train side, in split
+        # order, and its test rows split's test side, in dataset order.
         d_train, d_test = split(expected, SplitSpec(train_fraction=spec.train_fraction, seed=seed))
+        position = {r.record_id: k for k, r in enumerate(full)}
+        d_test = d_test.take(np.argsort([position[r.record_id] for r in d_test]))
         stacks = calls["train_stack"][k * stacks_per_seed : (k + 1) * stacks_per_seed]
         scores = calls["score"][k * stacks_per_seed * cells_per_stack : (k + 1) * stacks_per_seed * cells_per_stack]
         for s, ((x, rows, labels, cfgs, _), models) in enumerate(stacks):
@@ -481,14 +508,58 @@ def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):
     labels = synth_labels(dataclasses.replace(spec.synth, seed=0))
     kept = resample_positions(labels, longtail_counts(np.bincount(labels), 0.5), 0)
     kept_bytes = kept.size * spec.synth.n_channels * spec.synth.length * 8
-    tracemalloc.start()
-    try:
-        experiment._fit_seed(spec, cells, 0, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(experiment._fit_seed, spec, cells, 0, None)
     assert kept_bytes > 4e6
     assert peak < kept_bytes, (peak, kept_bytes)
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def raw_fit_peak(tmp_path, train_fraction, hidden):
+    """Traced peak of a one-seed, one-cell raw fit on 600 records, and the sizes that bound it:
+    bytes of one feature row, of the model's parameters, of a block of records built and
+    featurized, and of a batch; and the seed's train and test positions."""
+    spec = parse_experiment_spec(
+        write_spec(
+            tmp_path,
+            f"loss = iwl\nencode = raw\nepochs = 1\nbatch_size = 8\nhidden = {hidden}\n"
+            f"train_fraction = {train_fraction}\nraw.take = 400\ndata.classes = 3\ndata.head_count = 200\n"
+            "data.channels = 4\ndata.length = 400\ndata.noise_sd = 0.5\n",
+        )
+    )
+    cells = grid_cells(spec)
+    experiment._fit_seed(spec, cells, 1, None)  # first calls allocate what later ones reuse
+    labels = synth_labels(dataclasses.replace(spec.synth, seed=0))
+    train_pos, test_pos = split_positions(labels, spec.synth.n_classes, SplitSpec(spec.train_fraction, seed=0))
+    row = spec.synth.n_channels * spec.train.encode.raw_take * 8
+    theta = init_model(row // 8, spec.synth.n_classes, spec.train.encode, rng=np.random.default_rng(0), hidden=spec.train.hidden).theta.nbytes
+    block = BLOCK_RECORDS * (spec.synth.n_channels * spec.synth.length * 8 + row)
+    sizes = dict(row=row, theta=theta, block=block, batch=spec.train.batch_size * row)
+    return traced_peak(experiment._fit_seed, spec, cells, 0, None), sizes, train_pos, test_pos
+
+
+def test_a_raw_fit_holds_no_test_row_while_it_trains(tmp_path):
+    # A wide first layer, so that Adam's two fixed work vectors are small beside the model.
+    peak, size, train_pos, test_pos = raw_fit_peak(tmp_path, 0.75, hidden=64)
+    bound = train_pos.size * size["row"] + 5 * size["theta"] + size["block"]
+    assert test_pos.size * size["row"] > size["theta"] + size["block"]
+    assert peak < bound, (peak, bound)
+
+
+def test_a_half_split_fit_peaks_below_all_its_features(tmp_path):
+    # Half the records are test rows: a copy of them on top of the train rows breaks the bound.
+    peak, size, train_pos, test_pos = raw_fit_peak(tmp_path, 0.5, hidden=8)
+    bound = (train_pos.size + test_pos.size) * size["row"] + 5 * size["theta"] + size["batch"]
+    assert test_pos.size * size["row"] > 5 * size["theta"] + size["batch"]
+    assert peak < bound, (peak, bound)
 
 
 # ---------------------------------------------------------------------------
