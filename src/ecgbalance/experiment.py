@@ -28,7 +28,6 @@ import csv
 import dataclasses
 import functools
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -427,6 +426,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     if not cells:
         return []
     if jobs > 1 and len(cells) > 1:
+        # Imported here: loading the pool's modules costs every process start and a few MB of RSS.
+        from concurrent.futures import ProcessPoolExecutor
+
         n = min(jobs, len(cells))
         size, extra = divmod(len(cells), n)
         bounds = [i * size + min(i, extra) for i in range(n + 1)]

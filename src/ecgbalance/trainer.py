@@ -15,6 +15,12 @@ Training runs on a stack: models that differ only in their loss share the
 feature matrix, the initial weights and the batch order, so their
 parameters carry a leading variant axis and each layer of a step is one
 ``np.matmul`` over all of them. :func:`train` is a stack of one.
+
+Training holds three parameter-sized arrays: ``theta`` and Adam's two
+moments. The first layer's weight gradient, nearly all of a raw model's
+gradient, is never held whole: :func:`adam_step` forms it one block of
+input rows at a time from the batch and the first layer's delta, and steps
+each block as soon as it exists.
 """
 
 from __future__ import annotations
@@ -182,74 +188,116 @@ def _forward_batch(m: ModelParams, x2d: np.ndarray):
 
 
 def _backward_batch(
-    stack: ModelParams, x2d: np.ndarray, labels: np.ndarray, losses: Sequence[BatchLoss], grad: np.ndarray
-) -> list[float]:
-    """Writes the gradient of variant k's batch-mean loss ``losses[k]`` into ``grad[k]``,
-    laid out like ``stack.theta``, and returns each variant's mean loss. The batch mean
-    of per-record losses is what gets differentiated, so batch gradients are exactly the
-    mean of per-record gradients. Each product is one ``np.matmul`` over the variant
-    axis, which computes every variant's 2-D product bit for bit."""
+    stack: ModelParams, x2d: np.ndarray, labels: np.ndarray, losses: Sequence[BatchLoss], tail: np.ndarray
+) -> tuple[list[float], np.ndarray]:
+    """Differentiates variant k's batch-mean loss ``losses[k]`` and returns each variant's
+    mean loss with the first layer's delta, shaped (variants, batch, first layer's outputs).
+    Every gradient but the first layer's weights goes into ``tail[k]``, laid out like
+    ``stack.theta[k, D*H:]``; :func:`_first_layer_grad` forms the rest from the delta.
+    The batch mean of per-record losses is what gets differentiated, so batch gradients
+    are exactly the mean of per-record gradients. Each product is one ``np.matmul`` over
+    the variant axis, which computes every variant's 2-D product bit for bit."""
     acts, logits = _forward_batch(stack, x2d)
     values, deltas = zip(*(loss.mean(z, labels) for loss, z in zip(losses, logits, strict=True)))
     delta = np.stack(deltas)
-    for layer, (gw, gb) in reversed(list(enumerate(_layers(stack.dims, grad)))):
-        np.matmul(np.swapaxes(acts[layer], -1, -2), delta, out=gw)
+    # The tail is laid out like the parameters of the same network with no inputs.
+    for layer, (gw, gb) in reversed(list(enumerate(_layers((0, *stack.dims[1:]), tail)))):
         np.sum(delta, axis=-2, out=gb)
         if layer > 0:
+            np.matmul(np.swapaxes(acts[layer], -1, -2), delta, out=gw)
             delta = delta @ np.swapaxes(stack.weights[layer], -1, -2)
             delta = np.where(acts[layer] > 0.0, delta, 0.0)
-    return list(values)
+    return list(values), delta
+
+
+def _first_layer_grad(x2d: np.ndarray, delta: np.ndarray, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Input rows ``rows`` of one variant's first-layer weight gradient, from the batch
+    ``x2d`` and that variant's first-layer ``delta``."""
+    return np.matmul(x2d[:, rows].T, delta, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
 
-# Elements of theta stepped per slice: the slices of the six vectors a step
-# touches (1.5 MB) stay in a 2 MB L2 across its 14 passes. 2^13 and 2^17 were
-# slower on a 7-variant raw stack.
+# Elements of theta stepped per block: a block of theta, both moments, the
+# gradient, the numerator and the batch's input rows (1.5 MB) stay in a 2 MB L2
+# across the step's 14 passes. 2^13 and 2^17 were slower on a 7-variant raw
+# stack when the step ran over flat slices of the same size.
 ADAM_SLICE = 1 << 15
+
+
+def _row_blocks(dims: tuple[int, ...]) -> list[slice]:
+    """The first layer's input rows, in the blocks whose weights step together: ADAM_SLICE
+    elements' worth of rows, at least two. A last single row joins the block before it,
+    because BLAS forms a one-row product as a matrix-vector product, which sums in another
+    order than the whole layer's product does."""
+    d_in, width = dims[:2]
+    starts = list(range(0, d_in, max(2, ADAM_SLICE // width)))
+    if len(starts) > 1 and d_in - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], d_in])]
 
 
 @dataclass
 class AdamState:
-    """Step count, first/second moments shaped like ``model.theta`` (full size),
-    and two work vectors of ``min(theta.size, ADAM_SLICE)`` elements (slice size)."""
+    """Step count, first/second moments shaped like ``stack.theta`` (full size), and two
+    work vectors (block size): one block of the first layer's weight gradient, and the
+    numerator of a step."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
     num: np.ndarray
-    den: np.ndarray
 
 
-def adam_init(model: ModelParams) -> AdamState:
-    """Zero moments, full size; zero work vectors, slice size."""
-    work = min(model.theta.size, ADAM_SLICE)
-    return AdamState(0, np.zeros_like(model.theta), np.zeros_like(model.theta), np.zeros(work), np.zeros(work))
+def adam_init(stack: ModelParams) -> AdamState:
+    """Zero moments, full size; zero work vectors, big enough for one block of the first
+    layer's weights or for every variant's other parameters."""
+    variants, size = stack.theta.shape
+    first = stack.dims[0] * stack.dims[1]
+    rows = max(block.stop - block.start for block in _row_blocks(stack.dims))
+    work = max(rows * stack.dims[1], variants * (size - first))
+    return AdamState(0, np.zeros_like(stack.theta), np.zeros_like(stack.theta), np.zeros(work), np.zeros(work))
 
 
-def adam_step(model: ModelParams, state: AdamState, grad: np.ndarray, lr: float) -> None:
+def _adam_update(theta, m, v, g, num, c1: float, c2: float, lr: float) -> None:
+    """Steps ``theta``, ``m`` and ``v`` in place for the gradient ``g``; ``num`` is work
+    space, and ``g`` is overwritten."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, g, out=num), 1.0 - ADAM_BETA2, out=num)
+    den = g  # g is spent once v is updated
+    np.sqrt(np.divide(v, c2, out=den), out=den)
+    den += ADAM_EPS
+    np.multiply(np.divide(m, c1, out=num), lr, out=num)
+    theta -= np.divide(num, den, out=num)
+
+
+def adam_step(
+    stack: ModelParams, state: AdamState, x2d: np.ndarray, delta: np.ndarray, tail: np.ndarray, lr: float
+) -> None:
     """theta -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment updates, operation
-    for operation, in place through the state's work vectors: a step allocates nothing.
-    Every operation is elementwise, so the step runs slice by slice over the flattened
-    vectors, a slice may straddle two variants of a stack, and each variant steps as
-    it would alone."""
+    for operation, for the gradient :func:`_backward_batch` returned: the first layer's
+    delta and the tail (which the step overwrites). Every operation is elementwise, so the
+    first layer's weights step one block of input rows at a time, each block's gradient
+    formed by :func:`_first_layer_grad` into the state's work vector just before its step,
+    and the rest of every variant steps in one call. A step allocates nothing."""
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
-    flat = [a.reshape(-1) for a in (model.theta, state.m, state.v, grad)]
-    for start in range(0, flat[0].size, ADAM_SLICE):
-        theta, m, v, g = (a[start : start + ADAM_SLICE] for a in flat)
-        num, den = state.num[: theta.size], state.den[: theta.size]
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, g, out=num), 1.0 - ADAM_BETA2, out=num)
-        np.sqrt(np.divide(v, c2, out=den), out=den)
-        den += ADAM_EPS
-        np.multiply(np.divide(m, c1, out=num), lr, out=num)
-        theta -= np.divide(num, den, out=num)
+    d_in, width = stack.dims[:2]
+    for rows in _row_blocks(stack.dims):
+        block = slice(rows.start * width, rows.stop * width)
+        g, num = state.grad[: block.stop - block.start], state.num[: block.stop - block.start]
+        for k in range(len(delta)):
+            _first_layer_grad(x2d, delta[k], rows, out=g.reshape(-1, width))
+            _adam_update(stack.theta[k, block], state.m[k, block], state.v[k, block], g, num, c1, c2, lr)
+    rest = slice(d_in * width, None)
+    num = state.num[: tail.size].reshape(tail.shape)
+    _adam_update(stack.theta[:, rest], state.m[:, rest], state.v[:, rest], tail, num, c1, c2, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +356,7 @@ def train_stack(
     stack = ModelParams(first.dims, np.tile(first.theta, (len(cfgs), 1)), cfg.encode, first.class_names)
     del first  # the stack holds its only copy of the initial weights
     state = adam_init(stack)
-    grad = np.empty_like(stack.theta)
+    tail = np.empty((len(cfgs), stack.theta.shape[1] - stack.dims[0] * stack.dims[1]))
     logs: list[list[float]] = [[] for _ in cfgs]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -318,17 +366,20 @@ def train_stack(
             batch = start // cfg.batch_size
             # A diverging run is stopped by the checks below, not warned about.
             with np.errstate(over="ignore", invalid="ignore"):
-                values = _backward_batch(stack, x[rows[idx]], labels[idx], losses, grad)
+                x2d = x[rows[idx]]
+                values, delta = _backward_batch(stack, x2d, labels[idx], losses, tail)
                 for c, value in zip(cfgs, values):
                     if not math.isfinite(value):
                         raise ConfigError(
                             f"non-finite training loss at epoch {epoch}, batch {batch}, loss {_loss_label(c.loss)}"
                         )
-                adam_step(stack, state, grad, cfg.learning_rate)
+                adam_step(stack, state, x2d, delta, tail, cfg.learning_rate)
+                del x2d  # so the next batch is not gathered beside this one
             for k, value in enumerate(values):
                 sums[k] += value * idx.size
-        # Once per epoch: an overflow mid-epoch shows in the next batch's loss.
-        finite = np.isfinite(stack.theta).all(axis=1)
+        # Once per epoch: an overflow mid-epoch shows in the next batch's loss. min and max
+        # carry any NaN or infinity through, and allocate no mask of theta's shape.
+        finite = np.isfinite(stack.theta.min(axis=1)) & np.isfinite(stack.theta.max(axis=1))
         if not finite.all():
             raise ConfigError(
                 f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}, "

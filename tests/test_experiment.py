@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -308,6 +311,22 @@ def test_run_cell_is_deterministic(tmp_path):
     assert len(first) == len(spec.seeds)
     for acc, f1 in first:
         assert 0.0 <= acc <= 1.0 and 0.0 <= f1 <= 1.0
+
+
+def test_a_serial_process_does_not_load_the_process_pool(tmp_path):
+    # Only run_experiment's jobs > 1 branch imports the pool; the --jobs 2 tests run it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "import ecgbalance.cli\n"
+        "from ecgbalance import parse_experiment_spec\n"
+        f"parse_experiment_spec({str(write_spec(tmp_path))!r})\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_experiment_worker_count_does_not_change_results(tmp_path):

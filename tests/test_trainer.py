@@ -26,7 +26,15 @@ from ecgbalance import (
     train,
 )
 from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
-from ecgbalance.trainer import ADAM_SLICE, _backward_batch, _forward_batch, _layers, featurize_dataset, train_stack
+from ecgbalance.trainer import (
+    ADAM_SLICE,
+    _backward_batch,
+    _first_layer_grad,
+    _forward_batch,
+    _layers,
+    featurize_dataset,
+    train_stack,
+)
 
 SMALL_ENC = EncoderSpec(kind="cme", height=4, width=10, skip=0, take=60)
 RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
@@ -35,6 +43,11 @@ RAW_ENC = EncoderSpec(kind="raw", raw_take=60)
 def stack_of(m: ModelParams) -> ModelParams:
     """A stack of one variant whose theta is a view of ``m.theta``."""
     return ModelParams(m.dims, m.theta[None], m.encoder, m.class_names)
+
+
+def tail_of(stack: ModelParams) -> np.ndarray:
+    """A buffer for every gradient but the first layer's weights, one row per variant."""
+    return np.empty((stack.theta.shape[0], stack.theta.shape[1] - stack.dims[0] * stack.dims[1]))
 
 
 def small_config(**overrides):
@@ -139,8 +152,11 @@ def test_backward_matches_finite_differences():
     loss = make_loss(LossConfig(beta=0.3))
     x = np.array([[0.8, -0.3, 1.5]])
     y = np.array([1])
-    grad = np.empty_like(m.theta)
-    _backward_batch(stack_of(m), x, y, [loss], grad[None])
+    stack = stack_of(m)
+    tail = tail_of(stack)
+    _, delta = _backward_batch(stack, x, y, [loss], tail)
+    # The first layer's weights from the helper the Adam step uses per block, on every row.
+    grad = np.concatenate([_first_layer_grad(x, delta[0], slice(None)).ravel(), tail[0]])
     w_grads, b_grads = zip(*_layers(m.dims, grad))
     h = 1e-6
 
@@ -171,13 +187,15 @@ def test_backward_matches_finite_differences():
 def test_backward_accepts_config_and_validates_label():
     m = init_model(3, 3, SMALL_ENC, hidden=(4,), rng=np.random.default_rng(3))
     loss = make_loss(LossConfig(beta=0.3))
-    grad = np.full_like(m.theta, np.nan)
-    [value] = _backward_batch(stack_of(m), np.ones((1, 3)), np.array([0]), [loss], grad[None])
-    assert math.isfinite(value) and np.isfinite(grad).all()
+    stack = stack_of(m)
+    tail = np.full_like(tail_of(stack), np.nan)
+    [value], delta = _backward_batch(stack, np.ones((1, 3)), np.array([0]), [loss], tail)
+    assert math.isfinite(value) and np.isfinite(tail).all()
+    grad = np.concatenate([_first_layer_grad(np.ones((1, 3)), delta[0], slice(None)).ravel(), tail[0]])
     assert [gw.shape for gw, _ in _layers(m.dims, grad)] == [w.shape for w in m.weights]
     assert len(_layers(m.dims, grad)) == 2
     with pytest.raises(DimensionError):
-        _backward_batch(stack_of(m), np.ones((1, 3)), np.array([3]), [loss], grad[None])
+        _backward_batch(stack, np.ones((1, 3)), np.array([3]), [loss], tail)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +204,18 @@ def test_backward_accepts_config_and_validates_label():
 
 def test_adam_first_steps_move_by_learning_rate():
     m = init_model(2, 2, SMALL_ENC, hidden=(), rng=np.random.default_rng(0))
-    state = adam_init(m)
+    stack = stack_of(m)
+    state = adam_init(stack)
     before = m.weights[0].copy()
-    grad = np.empty_like(m.theta)
-    [(gw, gb)] = _layers(m.dims, grad)
-    gw[...], gb[...] = 1.0, -3.0
-    adam_step(m, state, grad, lr=0.01)
+    # A one-record batch of ones whose delta is 1: every weight's gradient is 1.
+    x, delta, tail = np.ones((1, 2)), np.ones((1, 1, 2)), tail_of(stack)
+    tail[...] = -3.0
+    adam_step(stack, state, x, delta, tail, lr=0.01)
     # Bias correction makes the very first step lr * g/(|g| + eps) ~ lr.
     assert np.allclose(before - m.weights[0], 0.01, rtol=1e-6)
     assert np.allclose(m.biases[0], 0.01, rtol=1e-6)
-    adam_step(m, state, grad, lr=0.01)
+    tail[...] = -3.0  # the step overwrites the tail
+    adam_step(stack, state, x, delta, tail, lr=0.01)
     assert np.allclose(before - m.weights[0], 0.02, rtol=1e-6)
     assert state.step == 2
 
@@ -204,19 +224,22 @@ def test_adam_state_shapes_follow_model():
     small = init_model(3, 2, SMALL_ENC, hidden=(5,), rng=np.random.default_rng(0))
     large = init_model(3000, 9, RAW_ENC, hidden=(16,), rng=np.random.default_rng(0))
     assert small.theta.size < ADAM_SLICE < large.theta.size
-    for m in (small, large):
-        state = adam_init(m)
+    # small: 3 x 5 first-layer weights, 5 + 5 x 2 + 2 others; large: 2048 rows of 16 per block.
+    for m, variants, work in ((small, 1, 17), (small, 3, 3 * 17), (large, 1, ADAM_SLICE), (large, 3, ADAM_SLICE)):
+        stack = ModelParams(m.dims, np.tile(m.theta, (variants, 1)), m.encoder)
+        state = adam_init(stack)
         assert isinstance(state, AdamState)
-        assert [w.shape for w, _ in _layers(m.dims, state.m)] == [w.shape for w in m.weights]
-        # Moments full size, work vectors slice size.
-        assert state.m.shape == state.v.shape == m.theta.shape
-        assert state.num.shape == state.den.shape == (min(m.theta.size, ADAM_SLICE),)
+        assert [w.shape for w, _ in _layers(m.dims, state.m[0])] == [w.shape for w in m.weights]
+        # Moments full size; work vectors one block of the first layer's weights,
+        # or every variant's other parameters where those are more.
+        assert state.m.shape == state.v.shape == stack.theta.shape
+        assert state.grad.shape == state.num.shape == (work,)
         assert all(np.all(b == 0.0) for _, b in _layers(m.dims, state.v))
 
 
 def test_a_training_step_allocates_less_than_the_parameters():
-    # train allocates the gradient, the moments and Adam's work vectors once;
-    # a step then allocates only batch-sized arrays.
+    # train allocates the moments, the tail's gradient and Adam's work vectors
+    # once; a step then allocates only batch-sized arrays.
     rng = np.random.default_rng(0)
     m = init_model(3000, 9, RAW_ENC, hidden=(64, 32), rng=rng)
     loss = make_loss(LossConfig(beta=0.3))
@@ -224,10 +247,11 @@ def test_a_training_step_allocates_less_than_the_parameters():
     y = rng.integers(0, 9, size=64)
     stack = stack_of(m)
     state = adam_init(stack)
-    grad = np.empty_like(stack.theta)
-    _backward_batch(stack, x, y, [loss], grad)
-    adam_step(stack, state, grad, lr=0.001)
-    for step in (lambda: _backward_batch(stack, x, y, [loss], grad), lambda: adam_step(stack, state, grad, lr=0.001)):
+    tail = tail_of(stack)
+    _, delta = _backward_batch(stack, x, y, [loss], tail)
+    adam_step(stack, state, x, delta, tail, lr=0.001)
+    steps = (lambda: _backward_batch(stack, x, y, [loss], tail), lambda: adam_step(stack, state, x, delta, tail, lr=0.001))
+    for step in steps:
         tracemalloc.start()
         try:
             step()
@@ -237,23 +261,30 @@ def test_a_training_step_allocates_less_than_the_parameters():
         assert peak < m.theta.nbytes
 
 
-def test_a_raw_sized_stack_peaks_below_its_features_and_five_parameter_vectors():
-    # The stack's theta, both moments and the gradient are the only parameter-sized
-    # arrays: Adam's work vectors are slice-sized, and the initial weights are not
-    # kept beside the stack.
+@pytest.mark.parametrize("variants", (1, 3))
+def test_a_raw_sized_stack_peaks_below_its_features_three_parameter_vectors_a_batch_and_a_block(variants):
+    # The stack's theta and both moments are the only parameter-sized arrays: the
+    # first layer's weight gradient is formed one block at a time inside the Adam
+    # step, the initial weights are not kept beside the stack, and one batch of
+    # features is gathered at a time.
     rng = np.random.default_rng(0)
-    n, width = 48, 12000
+    n, width, batch = 48, 12000, 16
     labels = rng.integers(0, 9, size=n)
-    cfg = TrainConfig(epochs=1, batch_size=16, encode=EncoderSpec(kind="raw", raw_take=1000))
+    cfg = TrainConfig(epochs=1, batch_size=batch, encode=EncoderSpec(kind="raw", raw_take=1000))
+    cfgs = [dataclasses.replace(cfg, loss=LossConfig(kind=kind)) for kind in ("iwl", "cross_entropy", "ldam")[:variants]]
     tracemalloc.start()
     try:
         x = rng.normal(0.0, 1.0, size=(n, width))
-        [(model, _)] = train_stack(x, np.arange(n), labels, [cfg], tuple(f"c{k}" for k in range(9)))
+        fits = train_stack(x, np.arange(n), labels, cfgs, tuple(f"c{k}" for k in range(9)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.theta.size > 20 * ADAM_SLICE
-    assert peak < x.nbytes + 5 * model.theta.nbytes, (peak, x.nbytes, model.theta.nbytes)
+    theta = sum(model.theta.nbytes for model, _ in fits)
+    assert fits[0][0].theta.size > 20 * ADAM_SLICE
+    # A block: Adam's two block-sized work vectors, and as much again for the
+    # tail's gradient and the batch's activations.
+    block = 4 * ADAM_SLICE * 8
+    assert peak < x.nbytes + 3 * theta + batch * width * 8 + block, (peak, x.nbytes, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ saved files to the same bytes.
 The second is the per-cell ``train`` loop on one flat ``theta``, as it
 stood before models that differ only in their loss trained as one stack.
 Every variant of a stack is held to it bit for bit: parameters and
-per-epoch losses. Adam's slice-by-slice step is held to that loop's
-whole-vector step.
+per-epoch losses. The Adam step, which forms and steps the first layer's
+weight gradient one block of input rows at a time, is held to the first
+reference at the edges of those blocks.
 """
 
 import dataclasses
@@ -40,7 +41,16 @@ from ecgbalance import (
     train_stack,
 )
 from ecgbalance.errors import ConfigError, DimensionError
-from ecgbalance.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_SLICE, _backward_batch, featurize_dataset
+from ecgbalance.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_SLICE,
+    _backward_batch,
+    _first_layer_grad,
+    _row_blocks,
+    featurize_dataset,
+)
 
 
 def _ref_init(input_dim, num_classes, rng, hidden):
@@ -134,16 +144,19 @@ def test_flat_trainer_matches_the_per_array_reference_bit_for_bit(tmp_path, widt
     # A stack of one variant whose theta is a view of m.theta.
     stack = ModelParams(m.dims, m.theta[None], encoder, CLASS_NAMES)
     state = adam_init(stack)
-    grad = np.empty_like(stack.theta)
+    tail = np.empty((1, m.theta.size - width * m.dims[1]))
     data = np.random.default_rng(7)
     for step in range(1, STEPS + 1):
         x = data.normal(0.0, 1.0, size=(batch, width))
         labels = data.integers(0, NUM_CLASSES, size=batch)
         ref_grads, ref_value = _ref_backward(ref_w, ref_b, x, labels, loss)
         _ref_adam_step(ref_params, ref_m, ref_v, step, ref_grads, 0.01)
-        assert _backward_batch(stack, x, labels, [loss], grad) == [ref_value]
-        assert np.array_equal(grad[0], _ref_flat(ref_grads[: len(ref_w)], ref_grads[len(ref_w) :]))
-        adam_step(stack, state, grad, 0.01)
+        values, delta = _backward_batch(stack, x, labels, [loss], tail)
+        assert values == [ref_value]
+        # The first layer's weight gradient from the helper the Adam step uses per block, on every row.
+        grad = np.concatenate([_first_layer_grad(x, delta[0], slice(None)).ravel(), tail[0]])
+        assert np.array_equal(grad, _ref_flat(ref_grads[: len(ref_w)], ref_grads[len(ref_w) :]))
+        adam_step(stack, state, x, delta, tail, 0.01)
     assert m.theta.tobytes() == _ref_flat(ref_w, ref_b).tobytes()
     assert state.m[0].tobytes() == _ref_flat(ref_m[: len(ref_w)], ref_m[len(ref_w) :]).tobytes()
 
@@ -194,26 +207,56 @@ def _ref_flat_adam(theta, state, grad, lr):
     theta -= np.divide(num, den, out=num)
 
 
+BLOCK_HIDDEN = (64, 32)
+BLOCK_ROWS = ADAM_SLICE // BLOCK_HIDDEN[0]
+
+
+@pytest.mark.parametrize("variants", (1, 3))
 @pytest.mark.parametrize(
-    "variants, size",
-    [(1, 1000), (1, ADAM_SLICE), (1, ADAM_SLICE + 1), (1, 4 * ADAM_SLICE), (3, ADAM_SLICE + 12345)],
+    "width, blocks",
+    [
+        (BLOCK_ROWS - 1, [BLOCK_ROWS - 1]),
+        (BLOCK_ROWS, [BLOCK_ROWS]),
+        (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),
+        (3 * BLOCK_ROWS + 5, [BLOCK_ROWS] * 3 + [5]),
+    ],
 )
-def test_sliced_adam_matches_the_whole_vector_step_bit_for_bit(variants, size):
-    # Three variants of ADAM_SLICE + 12345: the variant boundaries fall inside the
-    # second and third slices, and the last slice is short.
-    rng = np.random.default_rng(size)
-    theta = rng.normal(0.0, 1.0, size=(variants, size))
-    model = ModelParams((size - 1, 1), theta.copy(), EncoderSpec(kind="raw"))
-    state = adam_init(model)
-    ref = {"step": 0, **{k: np.zeros_like(theta) for k in ("m", "v", "num", "den")}}
-    for _ in range(40):
-        grad = rng.normal(0.0, 1.0, size=theta.shape) * 10.0 ** rng.integers(-8, 4, size=theta.shape)
-        grad[rng.random(theta.shape) < 0.1] = 0.0
-        adam_step(model, state, grad, 0.01)
-        _ref_flat_adam(theta, ref, grad, 0.01)
-    assert state.step == ref["step"] == 40
-    assert model.theta.tobytes() == theta.tobytes()
-    assert state.m.tobytes() == ref["m"].tobytes() and state.v.tobytes() == ref["v"].tobytes()
+def test_blockwise_adam_matches_the_per_array_reference_at_block_edges(width, blocks, variants):
+    # The first layer's weights step BLOCK_ROWS input rows at a time. A one-row block
+    # would be a matrix-vector product, summed in another order, so a last single row
+    # joins the block before it. Each variant of the stack trains on its own loss
+    # against its own reference.
+    assert [rows.stop - rows.start for rows in _row_blocks((width, *BLOCK_HIDDEN, NUM_CLASSES))] == blocks
+    names = sorted(LOSSES)[:variants]
+    losses = [make_loss(LOSSES[name], class_counts=COUNTS) for name in names]
+    encoder = EncoderSpec(kind="raw", raw_take=width)
+    m = init_model(width, NUM_CLASSES, encoder, rng=np.random.default_rng(width), hidden=BLOCK_HIDDEN)
+    stack = ModelParams(m.dims, np.tile(m.theta, (variants, 1)), encoder)
+    state = adam_init(stack)
+    tail = np.empty((variants, m.theta.size - width * BLOCK_HIDDEN[0]))
+    refs = []
+    for _ in names:
+        ref_w, ref_b = _ref_init(width, NUM_CLASSES, np.random.default_rng(width), BLOCK_HIDDEN)
+        params = [*ref_w, *ref_b]
+        refs.append((ref_w, ref_b, params, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]))
+    data = np.random.default_rng(11)
+    for step in range(1, STEPS + 1):
+        x = data.normal(0.0, 1.0, size=(64, width))
+        labels = data.integers(0, NUM_CLASSES, size=64)
+        ref_values = []
+        for loss, (ref_w, ref_b, params, moments, velocities) in zip(losses, refs):
+            ref_grads, ref_value = _ref_backward(ref_w, ref_b, x, labels, loss)
+            _ref_adam_step(params, moments, velocities, step, ref_grads, 0.01)
+            ref_values.append(ref_value)
+        values, delta = _backward_batch(stack, x, labels, losses, tail)
+        assert values == ref_values
+        adam_step(stack, state, x, delta, tail, 0.01)
+    assert state.step == STEPS
+    for k, (ref_w, ref_b, _, moments, velocities) in enumerate(refs):
+        half = len(ref_w)
+        assert stack.theta[k].tobytes() == _ref_flat(ref_w, ref_b).tobytes(), names[k]
+        assert state.m[k].tobytes() == _ref_flat(moments[:half], moments[half:]).tobytes(), names[k]
+        assert state.v[k].tobytes() == _ref_flat(velocities[:half], velocities[half:]).tobytes(), names[k]
 
 
 def _ref_train(d, cfg):
