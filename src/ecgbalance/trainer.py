@@ -20,7 +20,10 @@ Training holds three parameter-sized arrays: ``theta`` and Adam's two
 moments. The first layer's weight gradient, nearly all of a raw model's
 gradient, is never held whole: :func:`adam_step` forms it one block of
 input rows at a time from the batch and the first layer's delta, and steps
-each block as soon as it exists.
+each block as soon as it exists. No batch is copied either:
+:func:`train_stack` rearranges the feature matrix's rows in place each
+epoch, so that every batch is a slice of it, and restores their order
+before it returns, also on error.
 """
 
 from __future__ import annotations
@@ -324,6 +327,27 @@ def _loss_label(cfg: LossConfig) -> str:
     return f"{cfg.kind} (beta {cfg.beta!r})" if cfg.kind == "iwl" else cfg.kind
 
 
+def _arrange(x: np.ndarray, at: np.ndarray, want: np.ndarray) -> None:
+    """Moves the rows of ``x`` in place from holding original row ``at[p]`` at each position p
+    to holding ``want[p]``, and sets ``at`` to ``want``. Walks each cycle of the move with one
+    row of work space."""
+    where = np.empty_like(at)
+    where[at] = np.arange(at.size)
+    source = where[want].tolist()
+    row = np.empty_like(x[0])
+    for first in range(len(source)):
+        if source[first] == first:
+            continue
+        row[...] = x[first]
+        p = first
+        while source[p] != first:
+            x[p] = x[source[p]]
+            source[p], p = p, source[p]  # position p is done; go on to its source
+        x[p] = row
+        source[p] = p
+    at[...] = want
+
+
 def train_stack(
     x: np.ndarray, rows: np.ndarray, labels: np.ndarray, cfgs: Sequence[TrainConfig], class_names: tuple[str, ...]
 ) -> list[tuple[ModelParams, list[float]]]:
@@ -331,12 +355,19 @@ def train_stack(
 
     ``labels[i]`` is the label of ``x[rows[i]]``. The configs may differ only
     in their loss, so every variant starts from the same weights, drawn from
-    the seed, and takes the same shuffled batches, gathered as
-    ``x[rows[idx]]``. Returns (model, per-epoch mean loss) per config, each
-    bit for bit what a stack of that config alone returns. A non-finite
-    batch loss, or a parameter left non-finite at the end of an epoch,
-    stops training with a ConfigError naming the epoch, the batch (both
-    counted from 0) and the loss.
+    the seed, and takes the same shuffled batches. Returns (model, per-epoch
+    mean loss) per config, each bit for bit what a stack of that config alone
+    returns. A non-finite batch loss, or a parameter left non-finite at the
+    end of an epoch, stops training with a ConfigError naming the epoch, the
+    batch (both counted from 0) and the loss.
+
+    No batch is copied. Each epoch rearranges the rows of ``x`` in place, so
+    that the shuffled rows come first and each batch is a slice of ``x``;
+    the rows of ``x`` not in ``rows`` follow them in ascending order. Every
+    row is back in its place before this returns or raises, but ``x`` must
+    not be read by anything else while it trains. An ``x`` that is read-only
+    or not C-contiguous, or ``rows`` that repeat a row or hold a negative
+    index, train the same way on the copy ``x[rows]``.
     """
     if not cfgs:
         raise ConfigError("a stack needs at least one training config")
@@ -357,36 +388,44 @@ def train_stack(
     del first  # the stack holds its only copy of the initial weights
     state = adam_init(stack)
     tail = np.empty((len(cfgs), stack.theta.shape[1] - stack.dims[0] * stack.dims[1]))
+    # An x or rows that cannot be rearranged in place (see above) train on a copy of the rows.
+    distinct = 0 <= rows.min() and rows.max() < len(x) and np.bincount(rows).max() == 1
+    if not (x.flags.writeable and x.flags.c_contiguous and distinct):
+        x, rows = x[rows], np.arange(n)
     logs: list[list[float]] = [[] for _ in cfgs]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sums = [0.0] * len(cfgs)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = start // cfg.batch_size
-            # A diverging run is stopped by the checks below, not warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                x2d = x[rows[idx]]
-                values, delta = _backward_batch(stack, x2d, labels[idx], losses, tail)
-                for c, value in zip(cfgs, values):
-                    if not math.isfinite(value):
-                        raise ConfigError(
-                            f"non-finite training loss at epoch {epoch}, batch {batch}, loss {_loss_label(c.loss)}"
-                        )
-                adam_step(stack, state, x2d, delta, tail, cfg.learning_rate)
-                del x2d  # so the next batch is not gathered beside this one
-            for k, value in enumerate(values):
-                sums[k] += value * idx.size
-        # Once per epoch: an overflow mid-epoch shows in the next batch's loss. min and max
-        # carry any NaN or infinity through, and allocate no mask of theta's shape.
-        finite = np.isfinite(stack.theta.min(axis=1)) & np.isfinite(stack.theta.max(axis=1))
-        if not finite.all():
-            raise ConfigError(
-                f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}, "
-                f"loss {_loss_label(cfgs[int(np.argmin(finite))].loss)}"
-            )
-        for log, total in zip(logs, sums):
-            log.append(total / n)
+    at, rest = np.arange(len(x)), np.setdiff1d(np.arange(len(x)), rows, assume_unique=True)
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            _arrange(x, at, np.concatenate([rows[order], rest]))
+            sums = [0.0] * len(cfgs)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                batch = start // cfg.batch_size
+                x2d = x[start : start + idx.size]
+                # A diverging run is stopped by the checks below, not warned about.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values, delta = _backward_batch(stack, x2d, labels[idx], losses, tail)
+                    for c, value in zip(cfgs, values):
+                        if not math.isfinite(value):
+                            raise ConfigError(
+                                f"non-finite training loss at epoch {epoch}, batch {batch}, loss {_loss_label(c.loss)}"
+                            )
+                    adam_step(stack, state, x2d, delta, tail, cfg.learning_rate)
+                for k, value in enumerate(values):
+                    sums[k] += value * idx.size
+            # Once per epoch: an overflow mid-epoch shows in the next batch's loss. min and max
+            # carry any NaN or infinity through, and allocate no mask of theta's shape.
+            finite = np.isfinite(stack.theta.min(axis=1)) & np.isfinite(stack.theta.max(axis=1))
+            if not finite.all():
+                raise ConfigError(
+                    f"non-finite parameters after the Adam step at epoch {epoch}, batch {batch}, "
+                    f"loss {_loss_label(cfgs[int(np.argmin(finite))].loss)}"
+                )
+            for log, total in zip(logs, sums):
+                log.append(total / n)
+    finally:
+        _arrange(x, at, np.arange(len(x)))
     return [(ModelParams(stack.dims, theta, cfg.encode, stack.class_names), log) for theta, log in zip(stack.theta, logs)]
 
 

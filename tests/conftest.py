@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,12 @@ def dataset_from_arrays(arrays, labels, class_names, sample_rate=500.0):
         for i, (a, lbl) in enumerate(zip(arrays, labels))
     )
     return Dataset(records=records, class_names=tuple(class_names))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from ecgbalance.equalizer import (
 from ecgbalance.errors import EmptyDataset, EncodeError, SpecError, WindowOutOfRange
 from ecgbalance.trainer import featurize_dataset
 
-from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset
+from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +402,7 @@ def test_featurize_records_temporaries_stay_below_the_huge_page_threshold():
     rng = np.random.default_rng(7)
     gains = np.geomspace(1.0, 0.01, 12)[:, None]
     records = [make_record(rng.normal(size=(12, 1000)) * gains, record_id=f"r{i}") for i in range(64)]
-    tracemalloc.start()
-    try:
-        images = featurize_records(records, 12, 125, skip=166, take=832)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    images, peak = traced_peak(featurize_records, records, 12, 125, 166, 832)
     assert images.shape == (64, 12, 125)
     assert peak - images.nbytes < 4 * 2**20, f"{(peak - images.nbytes) / 2**20:.2f} MiB beyond the output"
 

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,8 @@ from ecgbalance.experiment import (
 )
 from ecgbalance.equalizer import BLOCK_RECORDS
 from ecgbalance.trainer import featurize_dataset, init_model
+
+from conftest import traced_peak
 
 TINY_SPEC = """\
 # A grid small enough to run in seconds.
@@ -527,19 +528,9 @@ def test_one_seed_fit_peaks_below_its_kept_records(tmp_path):
     labels = synth_labels(dataclasses.replace(spec.synth, seed=0))
     kept = resample_positions(labels, longtail_counts(np.bincount(labels), 0.5), 0)
     kept_bytes = kept.size * spec.synth.n_channels * spec.synth.length * 8
-    peak = traced_peak(experiment._fit_seed, spec, cells, 0, None)
+    _, peak = traced_peak(experiment._fit_seed, spec, cells, 0, None)
     assert kept_bytes > 4e6
     assert peak < kept_bytes, (peak, kept_bytes)
-
-
-def traced_peak(fn, *args):
-    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def raw_fit_peak(tmp_path, train_fraction, hidden):
@@ -562,7 +553,7 @@ def raw_fit_peak(tmp_path, train_fraction, hidden):
     theta = init_model(row // 8, spec.synth.n_classes, spec.train.encode, rng=np.random.default_rng(0), hidden=spec.train.hidden).theta.nbytes
     block = BLOCK_RECORDS * (spec.synth.n_channels * spec.synth.length * 8 + row)
     sizes = dict(row=row, theta=theta, block=block, batch=spec.train.batch_size * row)
-    return traced_peak(experiment._fit_seed, spec, cells, 0, None), sizes, train_pos, test_pos
+    return traced_peak(experiment._fit_seed, spec, cells, 0, None)[1], sizes, train_pos, test_pos
 
 
 def test_a_raw_fit_holds_no_test_row_while_it_trains(tmp_path):

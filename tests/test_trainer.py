@@ -1,11 +1,10 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import tiny_dataset
+from conftest import tiny_dataset, traced_peak
 
 from ecgbalance import (
     AdamState,
@@ -25,9 +24,11 @@ from ecgbalance import (
     save_model,
     train,
 )
+from ecgbalance import trainer
 from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
 from ecgbalance.trainer import (
     ADAM_SLICE,
+    _arrange,
     _backward_batch,
     _first_layer_grad,
     _forward_batch,
@@ -239,7 +240,8 @@ def test_adam_state_shapes_follow_model():
 
 def test_a_training_step_allocates_less_than_the_parameters():
     # train allocates the moments, the tail's gradient and Adam's work vectors
-    # once; a step then allocates only batch-sized arrays.
+    # once, and a batch is a slice of the features; a step then allocates only
+    # its activations.
     rng = np.random.default_rng(0)
     m = init_model(3000, 9, RAW_ENC, hidden=(64, 32), rng=rng)
     loss = make_loss(LossConfig(beta=0.3))
@@ -252,39 +254,33 @@ def test_a_training_step_allocates_less_than_the_parameters():
     adam_step(stack, state, x, delta, tail, lr=0.001)
     steps = (lambda: _backward_batch(stack, x, y, [loss], tail), lambda: adam_step(stack, state, x, delta, tail, lr=0.001))
     for step in steps:
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(step)
         assert peak < m.theta.nbytes
 
 
 @pytest.mark.parametrize("variants", (1, 3))
-def test_a_raw_sized_stack_peaks_below_its_features_three_parameter_vectors_a_batch_and_a_block(variants):
+def test_a_raw_sized_stack_peaks_below_its_features_three_parameter_vectors_a_block_and_a_row(variants):
     # The stack's theta and both moments are the only parameter-sized arrays: the
     # first layer's weight gradient is formed one block at a time inside the Adam
-    # step, the initial weights are not kept beside the stack, and one batch of
-    # features is gathered at a time.
+    # step, the initial weights are not kept beside the stack, and every batch is
+    # a slice of the features, whose rows move in place through one row of work space.
     rng = np.random.default_rng(0)
     n, width, batch = 48, 12000, 16
     labels = rng.integers(0, 9, size=n)
     cfg = TrainConfig(epochs=1, batch_size=batch, encode=EncoderSpec(kind="raw", raw_take=1000))
     cfgs = [dataclasses.replace(cfg, loss=LossConfig(kind=kind)) for kind in ("iwl", "cross_entropy", "ldam")[:variants]]
-    tracemalloc.start()
-    try:
+
+    def features_and_fits():
         x = rng.normal(0.0, 1.0, size=(n, width))
-        fits = train_stack(x, np.arange(n), labels, cfgs, tuple(f"c{k}" for k in range(9)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return x, train_stack(x, np.arange(n), labels, cfgs, tuple(f"c{k}" for k in range(9)))
+
+    (x, fits), peak = traced_peak(features_and_fits)
     theta = sum(model.theta.nbytes for model, _ in fits)
     assert fits[0][0].theta.size > 20 * ADAM_SLICE
     # A block: Adam's two block-sized work vectors, and as much again for the
     # tail's gradient and the batch's activations.
     block = 4 * ADAM_SLICE * 8
-    assert peak < x.nbytes + 3 * theta + batch * width * 8 + block, (peak, x.nbytes, theta)
+    assert peak < x.nbytes + 3 * theta + block + width * 8, (peak, x.nbytes, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +377,50 @@ def test_train_stops_when_an_adam_step_overflows():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ConfigError, match=r"non-finite parameters .* epoch 0, batch 0"):
             train(d, cfg)
+
+
+def test_arrange_moves_rows_from_any_order_to_any_other():
+    rng = np.random.default_rng(4)
+    original = rng.normal(size=(11, 3))
+    x, at = original.copy(), np.arange(11)
+    for want in (rng.permutation(11), np.arange(11), np.array([1, 0, *range(2, 11)]), rng.permutation(11)):
+        _arrange(x, at, want)
+        assert np.array_equal(at, want) and x.tobytes() == original[want].tobytes()
+    _arrange(x, at, np.arange(11))
+    assert x.tobytes() == original.tobytes()
+
+
+def test_a_stack_slices_its_batches_from_x_rearranged_in_place(monkeypatch):
+    # 19 of 24 rows, shuffled, in batches of 4: each batch is a view of x, and the
+    # 5 rows that do not train wait behind the others in ascending order.
+    d = tiny_dataset(per_class=8, length=80)
+    cfg = TrainConfig(epochs=2, batch_size=4, hidden=(8,), encode=EncoderSpec(kind="raw", raw_take=80))
+    x = featurize_dataset(d, cfg.encode)
+    original = x.copy()
+    rows = np.random.default_rng(3).permutation(len(d))[:19]
+    rest = np.setdiff1d(np.arange(len(d)), rows)
+    steps = []
+
+    def step(stack, state, x2d, *args):
+        steps.append((x2d.shape[0], np.shares_memory(x2d, x), np.array_equal(x[19:], original[rest])))
+        return adam_step(stack, state, x2d, *args)
+
+    monkeypatch.setattr(trainer, "adam_step", step)
+    train_stack(x, rows, d.labels()[rows], [cfg], d.class_names)
+    assert steps == [(4, True, True)] * 4 + [(3, True, True)] + [(4, True, True)] * 4 + [(3, True, True)]
+    assert x.tobytes() == original.tobytes()
+
+
+def test_a_stack_stopped_mid_epoch_leaves_x_as_it_was():
+    # A learning rate of 1e300 leaves the first batch's loss finite and overflows the second's.
+    d = tiny_dataset(per_class=8, length=80)
+    cfg = TrainConfig(epochs=2, batch_size=4, hidden=(8,), learning_rate=1e300, encode=EncoderSpec(kind="raw", raw_take=80))
+    x = featurize_dataset(d, cfg.encode)
+    before = x.tobytes()
+    rows = np.random.default_rng(3).permutation(len(d))[:19]
+    with pytest.raises(ConfigError, match="non-finite training loss at epoch 0, batch 1"):
+        train_stack(x, rows, d.labels()[rows], [cfg], d.class_names)
+    assert x.tobytes() == before
 
 
 def test_train_rejects_empty_dataset():

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from ecgbalance import (
+    Dataset,
     EncoderSpec,
     LossConfig,
     ModelParams,
@@ -337,6 +338,32 @@ def test_a_stack_trains_on_the_rows_it_is_given():
     [(model, log)] = train_stack(padded, rows, d.labels(), [cfg], d.class_names)
     ref_theta, ref_log = _ref_train(d, cfg)
     assert model.theta.tobytes() == ref_theta.tobytes() and log == ref_log
+
+
+@pytest.mark.parametrize("layout", ("in place", "read-only", "Fortran order", "repeated rows"))
+def test_a_stack_trains_as_on_gathered_batches_and_leaves_x_as_it_was(layout):
+    # 31 of 43 rows, shuffled, in batches of 7: x holds rows that do not train, and
+    # every epoch ends on a short batch. Only the first layout can be rearranged in
+    # place; the others train on a copy of their rows.
+    d = _stack_data()
+    base = TrainConfig(epochs=3, batch_size=7, learning_rate=0.01, seed=5, encode=EncoderSpec(kind="raw", raw_take=100),
+                       hidden=(16,))
+    cfgs = [dataclasses.replace(base, loss=loss) for loss in STACK_LOSSES]
+    x = featurize_dataset(d, base.encode)
+    rows = np.random.default_rng(2).permutation(len(d))[:31]
+    if layout == "read-only":
+        x.flags.writeable = False
+    elif layout == "Fortran order":
+        x = np.asfortranarray(x)
+    elif layout == "repeated rows":
+        rows[[4, 20]] = rows[9]
+    before = x.tobytes()
+    fits = train_stack(x, rows, d.labels()[rows], cfgs, d.class_names)
+    assert x.tobytes() == before
+    trained = Dataset(tuple(d.records[i] for i in rows), d.class_names)
+    for cfg, (model, log) in zip(cfgs, fits):
+        ref_theta, ref_log = _ref_train(trained, cfg)
+        assert model.theta.tobytes() == ref_theta.tobytes() and log == ref_log, cfg.loss
 
 
 def test_stacked_configs_may_differ_only_in_their_loss():
