@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -76,16 +75,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-_LOG_BASES = {"e": math.e, "10": 10.0}
-
-
 def _loss_config_from_args(args, name: str) -> LossConfig:
     return LossConfig(
         kind=name,
         beta=args.beta,
         epsilon=args.epsilon,
-        log_base=_LOG_BASES[args.log_base],
-        stop_weight_gradient=args.stop_weight_gradient,
         gamma=args.gamma,
         cb_beta=args.cb_beta,
         ldam_mu=args.ldam_mu,
@@ -94,16 +88,9 @@ def _loss_config_from_args(args, name: str) -> LossConfig:
 
 
 def _add_loss_flags(p: argparse.ArgumentParser, default: str = "iwl") -> None:
-    log_base = next(k for k, v in _LOG_BASES.items() if v == LossConfig.log_base)
     p.add_argument("--loss", default=default, help=f"iwl, ce, focal, cb, cb_focal, or ldam (default: {default})")
     p.add_argument("--beta", type=float, default=LossConfig.beta, help="IWL temperature")
     p.add_argument("--epsilon", type=float, default=LossConfig.epsilon, help="IWL weight denominator guard")
-    p.add_argument("--log-base", choices=tuple(_LOG_BASES), default=log_base, help="base of both IWL logarithms")
-    p.add_argument(
-        "--stop-weight-gradient",
-        action="store_true",
-        help="treat the IWL weight as a constant during differentiation",
-    )
     p.add_argument("--gamma", type=float, default=LossConfig.gamma, help="focal exponent")
     p.add_argument(
         "--cb-beta", type=float, default=LossConfig.cb_beta, help="class-balanced effective-number parameter"
@@ -327,6 +314,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ecgbalance", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    iwl_text = (
+        "The IWL loss of a record whose true class has probability p is (ln(10/(p+eps)))**beta * -ln(p): natural "
+        "logarithms, with the weight differentiated. In a log base b it would be this loss times (ln b)**-(1+beta)."
+    )
 
     p = sub.add_parser("synth", help="generate a synthetic dataset from a spec file")
     p.add_argument("--spec", required=True, help="key-value spec file")
@@ -359,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_resample)
 
-    p = sub.add_parser("gradcheck", help="verify analytical gradients against finite differences")
+    p = sub.add_parser("gradcheck", help="verify analytical gradients against finite differences", description=iwl_text)
     _add_loss_flags(p, default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -368,7 +359,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="write the report as CSV")
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("train", help="train a classifier")
+    p = sub.add_parser("train", help="train a classifier", description=iwl_text)
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True, help="model file path")

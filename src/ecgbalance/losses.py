@@ -2,13 +2,15 @@
 
 The centerpiece is the inverted-weight logarithmic (IWL) loss
 
-    value = (log(10 / (p + eps)))**beta * (-log p)
+    value = (ln(10 / (p + eps)))**beta * (-ln p)
 
 on the true-class probability p, which multiplies cross-entropy by a
 weight that grows as confidence falls, so rare (low-confidence) classes
-receive proportionally larger gradients. Alongside it live the usual
-imbalance baselines (focal, class-balanced, LDAM) and a central
-finite-difference oracle used to verify every analytical gradient.
+receive proportionally larger gradients. The logarithms are natural and
+the weight is differentiated; in a base b the IWL would be this loss times
+(ln b)**-(1+beta), a scale Adam cancels but for its epsilon. Alongside it
+live the usual imbalance baselines (focal, class-balanced, LDAM) and a
+central finite-difference oracle used to verify every analytical gradient.
 
 Every loss is a pointwise term on the true-class p and log p, which one
 core turns into values and logit gradients (LDAM shifts and scales the
@@ -73,11 +75,9 @@ class LossConfig:
     iwl: beta is the temperature, where 0 recovers plain cross-entropy and
     larger values weight low-confidence records more sharply. epsilon guards
     the weight's denominator (it sits inside the weight only, never under
-    -log p). log_base selects the base of both logarithms; the natural base
-    is the default and short-circuits to exact arithmetic so beta=0
-    reproduces cross-entropy bit for bit. stop_weight_gradient treats the
-    weight as a constant during differentiation rather than backpropagating
-    through it.
+    -ln p). The loss is (ln(10 / (p + epsilon)))**beta * (-ln p), weight
+    differentiated, and cross-entropy bit for bit at beta=0; in a log base b
+    it would be this loss times (ln b)**-(1+beta).
 
     focal and cb_focal use gamma; class_balanced and cb_focal use cb_beta;
     ldam uses ldam_mu and ldam_s. The class-balanced and LDAM variants also
@@ -87,8 +87,6 @@ class LossConfig:
     kind: str = "iwl"
     beta: float = 0.3
     epsilon: float = 1e-12
-    log_base: float = math.e
-    stop_weight_gradient: bool = False
     gamma: float = 2.0
     cb_beta: float = 0.999
     ldam_mu: float = 0.2
@@ -100,8 +98,6 @@ class LossConfig:
             raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.log_base) and self.log_base > 1.0):
-            raise ConfigError(f"log_base must be finite and exceed 1, got {self.log_base}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 <= self.cb_beta < 1.0:
@@ -110,11 +106,6 @@ class LossConfig:
             raise ConfigError(f"ldam_s must be finite and positive, got {self.ldam_s}")
         if not (math.isfinite(self.ldam_mu) and self.ldam_mu >= 0):
             raise ConfigError(f"ldam_mu must be finite and nonnegative, got {self.ldam_mu}")
-
-    @property
-    def _ln_base(self) -> float:
-        # Exact 1.0 for the natural base, so no rounding detour through log(e).
-        return 1.0 if self.log_base == math.e else math.log(self.log_base)
 
 
 def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
@@ -144,22 +135,21 @@ def ldam_margins(mu: float, class_counts) -> np.ndarray:
 
 
 def _iwl_log_term(p, cfg: LossConfig):
-    """log_b(10 / (p + eps)), the quantity the IWL weight raises to beta."""
-    return (_LN10 - np.log(p + cfg.epsilon)) / cfg._ln_base
+    """ln(10 / (p + eps)), the quantity the IWL weight raises to beta."""
+    return _LN10 - np.log(p + cfg.epsilon)
 
 
 def _pointwise(p, logp, cfg: LossConfig):
     """Per-record (value, p * d(value)/dp) from the true-class p and log p."""
     if cfg.kind == "iwl":
-        ln_b = cfg._ln_base
         a = _iwl_log_term(p, cfg)
-        ce_part = -logp / ln_b
+        ce_part = -logp
         weight = a**cfg.beta
-        p_dv = -weight / ln_b
-        if not cfg.stop_weight_gradient and cfg.beta != 0.0:
+        p_dv = -weight
+        if cfg.beta != 0.0:
             # Kept finite as p -> 0: the weight-term factor carries p/(p+eps)
             # instead of a bare 1/(p+eps), the CE-term factor cancels its 1/p.
-            p_dv = p_dv - cfg.beta * a ** (cfg.beta - 1.0) * (p / (p + cfg.epsilon)) * ce_part / ln_b
+            p_dv = p_dv - cfg.beta * a ** (cfg.beta - 1.0) * (p / (p + cfg.epsilon)) * ce_part
         return weight * ce_part, p_dv
     if cfg.kind in ("focal", "cb_focal"):
         q = 1.0 - p
@@ -208,14 +198,14 @@ def _core(logits2d, labels, cfg: LossConfig, class_counts) -> tuple[np.ndarray, 
 
 
 def iwl_weight(p, cfg: LossConfig = LossConfig()):
-    """The weight factor (log_b(10/(p+eps)))**beta as a function of p."""
+    """The weight factor (ln(10/(p+eps)))**beta as a function of p."""
     return _iwl_log_term(np.asarray(p, dtype=np.float64), cfg) ** cfg.beta
 
 
 def iwl_point_value(p, cfg: LossConfig = LossConfig()):
     """IWL value as a function of the true-class probability alone."""
     arr = np.asarray(p, dtype=np.float64)
-    return iwl_weight(arr, cfg) * (-np.log(arr) / cfg._ln_base)
+    return iwl_weight(arr, cfg) * -np.log(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +329,7 @@ def gradient_check(
         # A parameter that overflows gives a NaN error, which fails the check; it is not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             _, grads = batch.per_record(logits[None, :], [label])
-            if cfg.kind == "iwl" and cfg.stop_weight_gradient:
-                # The analytic gradient holds the weight constant, so difference
-                # the weight at this trial point times the (base-b) cross-entropy.
-                w0 = float(iwl_weight(softmax(logits)[label], cfg))
-                loss_fn = lambda z, t: w0 * float(-_log_softmax(z[None, :])[0, t]) / cfg._ln_base
-            else:
-                loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
+            loss_fn = lambda z, t: float(batch.per_record(z[None, :], [t])[0][0])
             numeric = finite_difference_grad(loss_fn, logits, label)
             errors.append(relative_gradient_error(grads[0], numeric))
     # np.max, unlike the builtin max, carries a NaN error through to the result.

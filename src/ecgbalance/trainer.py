@@ -57,8 +57,7 @@ class EncoderSpec:
 
     kind "cme": window (skip, take), equalize channel magnitudes, encode to
     a (height, width) image, flatten. kind "raw": window (0, raw_take) and
-    flatten; raw_take None means the whole record, so every record must
-    then have one length.
+    flatten.
     """
 
     kind: str = "cme"
@@ -66,7 +65,7 @@ class EncoderSpec:
     width: int = 128
     skip: int = CANONICAL_SKIP
     take: int = CANONICAL_TAKE
-    raw_take: Optional[int] = 3000
+    raw_take: int = 3000
     magnitude_mode: str = "rms"
 
     def __post_init__(self):
@@ -316,10 +315,7 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
             d.records, encoder.height, encoder.width, encoder.skip, encoder.take, encoder.magnitude_mode
         )
     else:
-        lengths = {r.length for r in d.records}
-        if encoder.raw_take is None and len(lengths) > 1:
-            raise DimensionError(f"raw encoding of whole records needs one length, got {min(lengths)}-{max(lengths)}")
-        x = window_records(d.records, 0, max(lengths) if encoder.raw_take is None else encoder.raw_take)
+        x = window_records(d.records, 0, encoder.raw_take)
     return x.reshape(len(d), -1)
 
 
@@ -535,9 +531,7 @@ def load_model(path) -> ModelParams:
             raise ConfigError(f"{path}: model encoder fields {sorted(enc)} are not {sorted(names)}")
         # And their JSON types: a float or string size would fail far from the file.
         default = EncoderSpec()
-        mistyped = [
-            k for k in sorted(enc) if type(enc[k]) is not type(getattr(default, k)) and (k, enc[k]) != ("raw_take", None)
-        ]
+        mistyped = [k for k in sorted(enc) if type(enc[k]) is not type(getattr(default, k))]
         if mistyped:
             raise ConfigError(f"{path}: model encoder fields {mistyped} have the wrong type")
         encoder = EncoderSpec(**enc)

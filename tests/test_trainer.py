@@ -348,6 +348,22 @@ def test_train_smoke_every_loss(loss_cfg):
     assert np.isfinite(evaluate(m, d).accuracy)
 
 
+@pytest.mark.parametrize("encode", [SMALL_ENC, RAW_ENC], ids=["cme", "raw"])
+def test_a_whole_iwl_run_at_beta_zero_is_a_cross_entropy_run_bit_for_bit(tmp_path, encode):
+    # The null control: at beta = 0 the IWL weight is exactly 1, so every step, and with them the
+    # model file and the per-epoch losses, match cross-entropy's. beta = 0.3 shows the losses differ.
+    d = tiny_dataset(per_class=60)
+    runs = {}
+    for loss in (LossConfig(beta=0.0), LossConfig(kind="cross_entropy"), LossConfig(beta=0.3)):
+        model, log = train(d, small_config(epochs=3, loss=loss, encode=encode))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        runs[loss] = (path.read_bytes(), log)
+    iwl, ce, weighted = runs.values()
+    assert iwl == ce
+    assert weighted[0] != ce[0] and weighted[1] != ce[1]
+
+
 def test_train_count_losses_survive_absent_class():
     # Class 2 exists in the label space but has no records; the resolved
     # class counts are clamped to at least 1 so CB stays finite.
@@ -464,19 +480,6 @@ def test_encoder_spec_validation_and_dims():
     d = tiny_dataset(n_channels=2, length=60)
     assert featurize_dataset(d, SMALL_ENC).shape == (len(d), 40)
     assert featurize_dataset(d, RAW_ENC).shape == (len(d), 120)
-    whole = EncoderSpec(kind="raw", raw_take=None)
-    assert featurize_dataset(tiny_dataset(n_channels=3, length=50), whole).shape[1] == 150
-
-
-def test_raw_whole_record_encoding_needs_one_length():
-    d = tiny_dataset(length=60)
-    shorter = dataclasses.replace(d.records[0], channels=d.records[0].channels[:, :50])
-    ragged = Dataset(records=(shorter,) + d.records[1:], class_names=d.class_names)
-    enc = EncoderSpec(kind="raw", raw_take=None)
-    with pytest.raises(DimensionError, match="needs one length"):
-        featurize_dataset(ragged, enc)
-    with pytest.raises(DimensionError):
-        train(ragged, small_config(encode=enc))
 
 
 # ---------------------------------------------------------------------------
