@@ -69,6 +69,10 @@ class EncoderSpec:
     magnitude_mode: str = "rms"
 
     def __post_init__(self):
+        # Exact types: a float, None or string size fails far from here; a bool windows one sample.
+        mistyped = [f.name for f in fields(self) if type(getattr(self, f.name)) is not type(f.default)]
+        if mistyped:
+            raise ConfigError(f"encoder fields {mistyped} have the wrong type")
         if self.kind not in ENCODE_KINDS:
             raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
 
@@ -528,20 +532,15 @@ def load_model(path) -> ModelParams:
         # Exact key set: EncoderSpec's defaults must not fill a damaged header.
         names = {f.name for f in fields(EncoderSpec)}
         if set(enc) != names:
-            raise ConfigError(f"{path}: model encoder fields {sorted(enc)} are not {sorted(names)}")
-        # And their JSON types: a float or string size would fail far from the file.
-        default = EncoderSpec()
-        mistyped = [k for k in sorted(enc) if type(enc[k]) is not type(getattr(default, k))]
-        if mistyped:
-            raise ConfigError(f"{path}: model encoder fields {mistyped} have the wrong type")
+            raise ConfigError(f"model encoder fields {sorted(enc)} are not {sorted(names)}")
+        # And their JSON types, which EncoderSpec checks.
         encoder = EncoderSpec(**enc)
         class_names = tuple(header["class_names"])
         theta = np.frombuffer(raw, dtype="<f8", offset=offset + hlen).astype(np.float64)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed model file ({exc!r})") from exc
-    try:
         model = ModelParams(dims, theta, encoder, class_names)
         model.validate()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed model file ({exc!r})") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return model

@@ -212,8 +212,7 @@ def test_spec_loss_keys_and_loss_flags_build_equal_loss_configs(tmp_path):
 
 
 def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
-    # Includes a stopped IWL weight at beta 1.5, log base 10: the oracle
-    # differences the loss with the weight held at its trial-point value.
+    # Includes the IWL at beta 1.5 and epsilon 1e-6.
     report = tmp_path / "gc.csv"
     assert main(["gradcheck", "--trials", "50", "--out", str(report), *LOSS_FLAGS]) == 0
     rows = report.read_text().splitlines()[1:]
@@ -408,6 +407,15 @@ def test_gradcheck_non_finite_error_fails(capsys, tmp_path):
     assert code == 3
     assert "max relative error nan" in capsys.readouterr().out
     assert out.read_text().splitlines()[1] == "iwl,3,nan,0.0001,fail"
+
+
+@pytest.mark.parametrize("beta", ["0", "1", "3"])
+def test_gradcheck_iwl_passes_across_beta(capsys, tmp_path, beta):
+    # beta 0 is cross-entropy; at beta 1 the weight's derivative loses its a**(beta - 1)
+    # factor, and above 1 that factor grows with a.
+    out = tmp_path / "report.csv"
+    assert main(["gradcheck", "--loss", "iwl", "--beta", beta, "--trials", "10", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(",pass")
 
 
 @pytest.mark.parametrize(

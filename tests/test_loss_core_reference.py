@@ -120,7 +120,7 @@ COUNTS = (640, 300, 120, 64, 33, 17, 9, 4, 1)
 CONFIGS = (
     [
         LossConfig(beta=beta, epsilon=eps)
-        for beta in (0.0, 0.3, 2.0)
+        for beta in (0.0, 0.3, 1.0, 2.0)
         for eps in (1e-12, 1e-3)
     ]
     + [LossConfig(kind="cross_entropy")]

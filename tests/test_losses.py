@@ -91,6 +91,24 @@ def test_iwl_logit_space_oracle():
     assert value == pytest.approx(0.7016861027016875, rel=1e-14)
 
 
+def test_iwl_point_value_oracle_beta_half():
+    # ln(10/0.1) = 2 ln 10, so weight = sqrt(2 ln 10); -ln 0.1 = ln 10. The epsilon
+    # guard inside the weight shifts the result by about 1e-12 relative.
+    ln10 = math.log(10.0)
+    assert iwl_point_value(0.1, LossConfig(beta=0.5)) == pytest.approx(math.sqrt(2.0 * ln10) * ln10, rel=1e-11)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("base", [2.0, 10.0])
+def test_iwl_in_another_log_base_is_the_natural_iwl_rescaled(base, beta):
+    # Both logs of the IWL in base b divide by ln b, so it is the natural-log IWL
+    # times (ln b)**-(1 + beta): a constant factor, which is why the loss has one base.
+    cfg = LossConfig(beta=beta)
+    for p in (1e-9, 0.1, 0.5, 0.99):
+        in_base = math.log(10.0 / (p + cfg.epsilon), base) ** beta * -math.log(p, base)
+        assert iwl_point_value(p, cfg) * math.log(base) ** -(1.0 + beta) == pytest.approx(in_base, rel=1e-14)
+
+
 def test_iwl_epsilon_only_guards_the_weight():
     # At p = 1 the CE factor is exactly zero, so the loss is zero too.
     cfg = LossConfig(beta=2.0, epsilon=1e-3)
@@ -154,6 +172,22 @@ def test_iwl_gradient_matches_finite_differences():
         _, grad = one_row(cfg, logits, label)
         num = finite_difference_grad(lambda z, t: one_row(cfg, z, t)[0], logits, label)
         assert relative_gradient_error(grad, num) < 1e-6
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.5])
+def test_iwl_gradient_differentiates_the_weight(beta):
+    # d/dp of a**beta * (-ln p), a = ln(10/(p + eps)), by the product rule, then through
+    # dp/dz_j = p * (delta_0j - p_j). The weight's term makes it more than weight * CE's gradient.
+    cfg = LossConfig(beta=beta)
+    logits = np.array([0.5, -0.2, 0.1])
+    _, grad = one_row(cfg, logits, 0)
+    _, ce_grad = one_row(CE, logits, 0)
+    probs = softmax(logits)
+    p = probs[0]
+    a = math.log(10.0 / (p + cfg.epsilon))
+    dv_dp = -(a**beta) / p + beta * a ** (beta - 1.0) / (p + cfg.epsilon) * math.log(p)
+    assert np.allclose(grad, dv_dp * p * (np.eye(3)[0] - probs), rtol=1e-12, atol=1e-15)
+    assert not np.allclose(grad, iwl_weight(p, cfg) * ce_grad)
 
 
 def test_iwl_gradient_finite_at_collapsed_probability():

@@ -25,7 +25,7 @@ from ecgbalance import (
     train,
 )
 from ecgbalance import trainer
-from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset
+from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset, WindowOutOfRange
 from ecgbalance.trainer import (
     ADAM_SLICE,
     _arrange,
@@ -480,6 +480,24 @@ def test_encoder_spec_validation_and_dims():
     d = tiny_dataset(n_channels=2, length=60)
     assert featurize_dataset(d, SMALL_ENC).shape == (len(d), 40)
     assert featurize_dataset(d, RAW_ENC).shape == (len(d), 120)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("raw_take", None), ("raw_take", 60.0), ("raw_take", True), ("raw_take", "60"), ("raw_take", np.int64(60)),
+        ("height", 4.0), ("skip", None), ("take", False), ("kind", None),
+    ],
+)
+def test_encoder_spec_rejects_a_mistyped_field(field, value):
+    # Each would fail far from here as a bare TypeError, or (a bool) train on one-sample windows.
+    with pytest.raises(ConfigError, match=rf"\['{field}'\] have the wrong type"):
+        EncoderSpec(**{"kind": "raw", field: value})
+
+
+def test_raw_window_longer_than_the_records_is_refused():
+    with pytest.raises(WindowOutOfRange, match="does not fit"):
+        train(tiny_dataset(length=60), small_config(encode=EncoderSpec(kind="raw", raw_take=61)))
 
 
 # ---------------------------------------------------------------------------
