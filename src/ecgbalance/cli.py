@@ -37,10 +37,12 @@ from .equalizer import (
 )
 from .errors import EcgBalanceError, EmptyDataset, OutputError, SpecError
 from .experiment import (
+    RECIPE_FIELDS,
     SYNTH_KEYS,
     parse_experiment_spec,
     parse_kv_file,
     plain_number,
+    recipe,
     run_experiment,
     synth_spec_from_mapping,
     write_results_csv,
@@ -75,84 +77,54 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _recipe_flag_type(key: str, parse):
+    """A flag's ``type``: ``parse`` as a spec reads ``key``, its SpecError a usage error."""
+
+    def read(raw: str):
+        try:
+            return parse(key, raw)
+        except SpecError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
+def _add_recipe_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One flag for each of the RECIPE_FIELDS ``keys``, defaulting to its field's default."""
+    defaults = {"train": TrainConfig(), "encode": EncoderSpec(), "loss": LossConfig()}
+    for key in keys:
+        part, name, parse, text = RECIPE_FIELDS[key]
+        flag, default = "--" + name.replace("_", "-"), getattr(defaults[part], name)
+        p.add_argument(flag, type=_recipe_flag_type(key, parse), default=default, help=f"{text}; spec key: {key}")
+
+
+def _recipe_from_args(args, base: TrainConfig) -> TrainConfig:
+    """``base`` with the value of each recipe flag ``args`` holds."""
+    flags = vars(args)
+    return recipe(base, {key: flags[row[1]] for key, row in RECIPE_FIELDS.items() if row[1] in flags})
+
+
 def _loss_config_from_args(args, name: str) -> LossConfig:
-    return LossConfig(
-        kind=name,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        cb_beta=args.cb_beta,
-        ldam_mu=args.ldam_mu,
-        ldam_s=args.ldam_s,
-    )
-
-
-def _add_loss_flags(p: argparse.ArgumentParser, default: str = "iwl") -> None:
-    p.add_argument("--loss", default=default, help=f"iwl, ce, focal, cb, cb_focal, or ldam (default: {default})")
-    p.add_argument("--beta", type=float, default=LossConfig.beta, help="IWL temperature")
-    p.add_argument("--epsilon", type=float, default=LossConfig.epsilon, help="IWL weight denominator guard")
-    p.add_argument("--gamma", type=float, default=LossConfig.gamma, help="focal exponent")
-    p.add_argument(
-        "--cb-beta", type=float, default=LossConfig.cb_beta, help="class-balanced effective-number parameter"
-    )
-    p.add_argument("--ldam-mu", type=float, default=LossConfig.ldam_mu, help="LDAM maximum margin")
-    p.add_argument("--ldam-s", type=float, default=LossConfig.ldam_s, help="LDAM logit scale")
-
-
-def _add_image_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--height", type=int, default=EncoderSpec.height, help="image height (cme)")
-    p.add_argument("--width", type=int, default=EncoderSpec.width, help="image width (cme)")
-    p.add_argument("--skip", type=int, default=EncoderSpec.skip, help="samples dropped from the start (cme)")
-    p.add_argument("--take", type=int, default=EncoderSpec.take, help="samples kept after the skip (cme)")
-    p.add_argument(
-        "--mode", choices=MAGNITUDE_MODES, default=EncoderSpec.magnitude_mode, help="channel magnitude statistic"
-    )
-
-
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encode", choices=ENCODE_KINDS, default=EncoderSpec.kind, help="input representation")
-    _add_image_flags(p)
-    p.add_argument("--raw-take", type=int, default=EncoderSpec.raw_take, help="samples kept from the start (raw)")
-
-
-def _hidden_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(plain_number(int, h) for h in text.split(",") if h.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return _recipe_from_args(args, TrainConfig(loss=LossConfig(name, args.beta))).loss
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss=_loss_config_from_args(args, args.loss),
-        encode=EncoderSpec(
-            kind=args.encode,
-            height=args.height,
-            width=args.width,
-            skip=args.skip,
-            take=args.take,
-            raw_take=args.raw_take,
-            magnitude_mode=args.mode,
-        ),
-        hidden=args.hidden,
-    )
+    loss, encode = LossConfig(args.loss, args.beta), EncoderSpec(args.encode, magnitude_mode=args.mode)
+    return _recipe_from_args(args, TrainConfig(seed=args.seed, loss=loss, encode=encode))
 
 
 def _load_dataset(args) -> Dataset:
     return load_csv(args.data, manifest=getattr(args, "manifest", None))
 
 
-def _check_out_file(path) -> None:
-    """Fail before any work when ``path`` cannot be created as a file."""
-    out = Path(path)
-    if not out.parent.is_dir():
-        raise OutputError(f"cannot write {path}: directory {out.parent} does not exist")
-    if out.is_dir():
-        raise OutputError(f"cannot write {path}: it is a directory")
+def _check_out_files(*paths) -> None:
+    """Fail before any work when one of ``paths`` cannot be created as a file; None names no file."""
+    for path in filter(None, paths):
+        out = Path(path)
+        if not out.parent.is_dir():
+            raise OutputError(f"cannot write {path}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise OutputError(f"cannot write {path}: it is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +228,7 @@ def _check_train_fraction(fraction: float) -> None:
 
 def _cmd_train(args) -> int:
     _check_train_fraction(args.train_fraction)
+    _check_out_files(args.out, args.log)
     d = _load_dataset(args)
     if args.train_fraction < 1.0:
         d, _ = split(d, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
@@ -271,6 +244,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_train_fraction(args.train_fraction)
+    _check_out_files(args.out, args.confusion)
     model = load_model(args.model)
     d = _load_dataset(args)
     if args.split == "test" and args.train_fraction == 1.0:
@@ -299,7 +273,7 @@ def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"experiment: --jobs must be at least 1, got {args.jobs}")
     spec = parse_experiment_spec(args.spec)
-    _check_out_file(args.out)
+    _check_out_files(args.out)
     rows = run_experiment(spec, jobs=args.jobs)
     write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
@@ -318,6 +292,8 @@ def build_parser() -> _Parser:
         "The IWL loss of a record whose true class has probability p is (ln(10/(p+eps)))**beta * -ln(p): natural "
         "logarithms, with the weight differentiated. In a log base b it would be this loss times (ln b)**-(1+beta)."
     )
+    beta = {"type": float, "default": LossConfig.beta, "help": "IWL temperature"}
+    mode = {"choices": MAGNITUDE_MODES, "default": EncoderSpec.magnitude_mode, "help": "channel magnitude statistic"}
 
     p = sub.add_parser("synth", help="generate a synthetic dataset from a spec file")
     p.add_argument("--spec", required=True, help="key-value spec file")
@@ -335,7 +311,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--record", default=None, help="encode only this record id")
-    _add_image_flags(p)
+    _add_recipe_flags(p, [key for key in RECIPE_FIELDS if key.startswith(("image.", "window."))])
+    p.add_argument("--mode", **mode)
     p.add_argument("--no-equalize", action="store_true", help="skip channel magnitude equalization")
     p.add_argument("--format", choices=("csv", "raw", "both"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
@@ -351,7 +328,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("gradcheck", help="verify analytical gradients against finite differences", description=iwl_text)
-    _add_loss_flags(p, default="all")
+    p.add_argument("--loss", default="all", help="iwl, ce, focal, cb, cb_focal, or ldam (default: all)")
+    p.add_argument("--beta", **beta)
+    _add_recipe_flags(p, [key for key, row in RECIPE_FIELDS.items() if row[0] == "loss"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
@@ -364,24 +343,18 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", default=None, help="per-epoch loss CSV")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument(
-        "--hidden",
-        type=_hidden_sizes,
-        default=",".join(str(h) for h in TrainConfig.hidden),
-        help="comma-separated hidden layer sizes",
-    )
     p.add_argument(
         "--train-fraction",
         type=float,
         default=1.0,
         help="train on a stratified fraction (1.0 = every record)",
     )
-    _add_loss_flags(p)
-    _add_encoder_flags(p)
+    p.add_argument("--loss", default="iwl", help="iwl, ce, focal, cb, cb_focal, or ldam (default: iwl)")
+    p.add_argument("--beta", **beta)
+    p.add_argument("--encode", choices=ENCODE_KINDS, default=EncoderSpec.kind, help="input representation")
+    p.add_argument("--mode", **mode)
+    _add_recipe_flags(p, RECIPE_FIELDS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model")

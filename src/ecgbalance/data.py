@@ -59,6 +59,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """An integer by :func:`_is_integer`'s rule, or a Python or numpy float."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class EcgRecord:
     """One multi-channel recording: a (channels, samples) amplitude matrix."""

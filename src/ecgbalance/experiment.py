@@ -132,26 +132,36 @@ _SYNTH_SCALARS = {
 SYNTH_KEYS = ("classes", "counts", "head_count", "channels", "channel_gain", "class_names", *_SYNTH_SCALARS)
 
 
-# Scalar spec key -> (the part of the spec it sets, field name, parser).
-_SCALAR_FIELDS = {
-    "epochs": ("train", "epochs", _parse_int),
-    "learning_rate": ("train", "learning_rate", _parse_float),
-    "batch_size": ("train", "batch_size", _parse_int),
-    "hidden": ("train", "hidden", _parse_int_list),
-    "train_fraction": ("spec", "train_fraction", _parse_float),
-    "image.height": ("encode", "height", _parse_int),
-    "image.width": ("encode", "width", _parse_int),
-    "window.skip": ("encode", "skip", _parse_int),
-    "window.take": ("encode", "take", _parse_int),
-    "raw.take": ("encode", "raw_take", _parse_int),
-    "iwl.epsilon": ("loss", "epsilon", _parse_float),
-    "focal.gamma": ("loss", "gamma", _parse_float),
-    "cb.beta": ("loss", "cb_beta", _parse_float),
-    "ldam.mu": ("loss", "ldam_mu", _parse_float),
-    "ldam.s": ("loss", "ldam_s", _parse_float),
+# The training recipe: spec key -> (the part of TrainConfig it sets, field name, parser, help). Each key is
+# also a flag of the commands that take it (see ecgbalance.cli): "--" and the field name, "_" written as "-".
+RECIPE_FIELDS = {
+    "epochs": ("train", "epochs", _parse_int, "passes over the training records"),
+    "learning_rate": ("train", "learning_rate", _parse_float, "Adam step size"),
+    "batch_size": ("train", "batch_size", _parse_int, "records per Adam step"),
+    "hidden": ("train", "hidden", _parse_int_list, "comma-separated hidden layer sizes"),
+    "image.height": ("encode", "height", _parse_int, "image height (cme)"),
+    "image.width": ("encode", "width", _parse_int, "image width (cme)"),
+    "window.skip": ("encode", "skip", _parse_int, "samples dropped from the start (cme)"),
+    "window.take": ("encode", "take", _parse_int, "samples kept after the skip (cme)"),
+    "raw.take": ("encode", "raw_take", _parse_int, "samples kept from the start (raw)"),
+    "iwl.epsilon": ("loss", "epsilon", _parse_float, "IWL weight denominator guard"),
+    "focal.gamma": ("loss", "gamma", _parse_float, "focal exponent"),
+    "cb.beta": ("loss", "cb_beta", _parse_float, "class-balanced effective-number parameter"),
+    "ldam.mu": ("loss", "ldam_mu", _parse_float, "LDAM maximum margin"),
+    "ldam.s": ("loss", "ldam_s", _parse_float, "LDAM logit scale"),
 }
 # Each grid seed replaces the recipe's seed (see _fit_seed), so an experiment has no data.seed.
-_SCALAR_KEYS = (*_SCALAR_FIELDS, "data.dir", *("data." + k for k in SYNTH_KEYS if k != "seed"))
+_SCALAR_KEYS = (*RECIPE_FIELDS, "train_fraction", "data.dir", *("data." + k for k in SYNTH_KEYS if k != "seed"))
+
+
+def recipe(base: TrainConfig, values: dict) -> TrainConfig:
+    """``base`` with the field of each RECIPE_FIELDS key in ``values`` set to its value."""
+    parts: dict[str, dict] = {"train": {}, "encode": {}, "loss": {}}
+    for key, value in values.items():
+        part, name = RECIPE_FIELDS[key][:2]
+        parts[part][name] = value
+    encode, loss = (dataclasses.replace(getattr(base, part), **parts[part]) for part in ("encode", "loss"))
+    return dataclasses.replace(base, encode=encode, loss=loss, **parts["train"])
 
 
 @dataclass(frozen=True)
@@ -234,17 +244,10 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     if "seeds" in mapping:
         kwargs["seeds"] = _parse_int_list("seeds", mapping["seeds"])
 
-    parts: dict[str, dict] = {"spec": kwargs, "train": {}, "encode": {}, "loss": {}}
-    for key, (part, name, conv) in _SCALAR_FIELDS.items():
-        if key in mapping:
-            parts[part][name] = conv(key, mapping[key])
-    base = ExperimentSpec.train
-    kwargs["train"] = dataclasses.replace(
-        base,
-        encode=dataclasses.replace(base.encode, **parts["encode"]),
-        loss=dataclasses.replace(base.loss, **parts["loss"]),
-        **parts["train"],
-    )
+    if "train_fraction" in mapping:
+        kwargs["train_fraction"] = _parse_float("train_fraction", mapping["train_fraction"])
+    values = {key: RECIPE_FIELDS[key][2](key, raw) for key, raw in mapping.items() if key in RECIPE_FIELDS}
+    kwargs["train"] = recipe(ExperimentSpec.train, values)
 
     if "data.dir" in mapping:
         ignored = [key for key in mapping if key.startswith("data.") and key != "data.dir"]

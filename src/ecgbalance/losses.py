@@ -22,11 +22,12 @@ stable log-softmax, and the term returns p * d(value)/dp, not d(value)/dp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .data import _is_number
 from .errors import ConfigError, DimensionError
 
 LOSS_KINDS = ("iwl", "cross_entropy", "focal", "class_balanced", "cb_focal", "ldam")
@@ -93,6 +94,11 @@ class LossConfig:
     ldam_s: float = 20.0
 
     def __post_init__(self):
+        # kind is a string and each parameter an int or float, not a bool, so a wrong type fails here.
+        fits = {f.name: _is_number(getattr(self, f.name)) for f in fields(self)} | {"kind": isinstance(self.kind, str)}
+        mistyped = [name for name, ok in fits.items() if not ok]
+        if mistyped:
+            raise ConfigError(f"loss fields {mistyped} have the wrong type")
         object.__setattr__(self, "kind", canonical_loss_name(self.kind))
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, read_input, window_records, write_output
+from .data import Dataset, _is_integer, _is_number, read_input, window_records, write_output
 from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
 from .losses import BatchLoss, LossConfig, make_loss
@@ -146,6 +146,20 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
+        # Counts and the seed are ints and learning_rate an int or float, never a bool: epochs=True would train
+        # one epoch, and a float or string fails far from here. hidden is a sequence of ints.
+        fits = {
+            "epochs": _is_integer(self.epochs),
+            "learning_rate": _is_number(self.learning_rate),
+            "batch_size": _is_integer(self.batch_size),
+            "seed": _is_integer(self.seed),
+            "loss": isinstance(self.loss, LossConfig),
+            "encode": isinstance(self.encode, EncoderSpec),
+            "hidden": isinstance(self.hidden, Sequence) and all(_is_integer(h) for h in self.hidden),
+        }
+        mistyped = [name for name, ok in fits.items() if not ok]
+        if mistyped:
+            raise ConfigError(f"train fields {mistyped} have the wrong type")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be nonnegative and batch_size positive")
         if self.seed < 0:

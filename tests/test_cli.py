@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from ecgbalance import (
 )
 from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
 from ecgbalance.errors import ConfigError
-from ecgbalance.experiment import _GRID_KEYS, _SCALAR_KEYS, SYNTH_KEYS, _cell_loss, grid_cells, parse_experiment_spec
+from ecgbalance.experiment import (
+    _GRID_KEYS,
+    _SCALAR_KEYS,
+    RECIPE_FIELDS,
+    SYNTH_KEYS,
+    _cell_loss,
+    grid_cells,
+    parse_experiment_spec,
+)
 
 SYNTH_SPEC = """\
 classes = 3
@@ -87,7 +96,7 @@ CLI_OPTIONS = {
     },
     "train": {
         "--data": None, "--manifest": None, "--out": None, "--log": None, "--epochs": 150, "--learning-rate": 0.001,
-        "--batch-size": 64, "--seed": 0, "--hidden": "64,32", "--train-fraction": 1.0, "--loss": "iwl",
+        "--batch-size": 64, "--seed": 0, "--hidden": (64, 32), "--train-fraction": 1.0, "--loss": "iwl",
         "--beta": 0.3, "--epsilon": 1e-12, "--gamma": 2.0, "--cb-beta": 0.999, "--ldam-mu": 0.2, "--ldam-s": 20.0,
         "--encode": "cme", "--height": 128, "--width": 128, "--skip": 500, "--take": 2500, "--raw-take": 3000,
         "--mode": "rms",
@@ -209,6 +218,67 @@ def test_spec_loss_keys_and_loss_flags_build_equal_loss_configs(tmp_path):
         from_flags = _train_config_from_args(args).loss
         assert _cell_loss(spec.train.loss, cell) == from_flags
         assert from_flags != LossConfig(kind=cell.loss)
+
+
+# Each recipe spec key, its flag, and a value away from both defaults.
+RECIPE_SETTINGS = [
+    ("epochs", "--epochs", "7"),
+    ("learning_rate", "--learning-rate", "0.01"),
+    ("batch_size", "--batch-size", "8"),
+    ("hidden", "--hidden", "16,8"),
+    ("image.height", "--height", "12"),
+    ("image.width", "--width", "125"),
+    ("window.skip", "--skip", "166"),
+    ("window.take", "--take", "832"),
+    ("raw.take", "--raw-take", "80"),
+    ("iwl.epsilon", "--epsilon", "1e-6"),
+    ("focal.gamma", "--gamma", "1"),
+    ("cb.beta", "--cb-beta", "0.9"),
+    ("ldam.mu", "--ldam-mu", "0.4"),
+    ("ldam.s", "--ldam-s", "8"),
+]
+
+
+def test_recipe_settings_cover_the_recipe_table():
+    assert [key for key, _, _ in RECIPE_SETTINGS] == list(RECIPE_FIELDS)
+
+
+@pytest.mark.parametrize("key, flag, value", RECIPE_SETTINGS, ids=[key for key, _, _ in RECIPE_SETTINGS])
+def test_each_recipe_key_and_its_train_flag_build_equal_train_configs(tmp_path, key, flag, value):
+    # The spec's epochs default (30) differs from train's (150) on purpose, so the spec states train's.
+    lines = {"data.classes": "3", "epochs": str(TrainConfig.epochs), key: value}
+    spec_path = tmp_path / "grid.txt"
+    spec_path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    from_spec = parse_experiment_spec(spec_path).train
+    from_flags = _train_config_from_args(build_parser().parse_args(["train", "--data", "d", "--out", "m", flag, value]))
+    assert from_flags == from_spec
+    assert from_flags != TrainConfig()
+
+
+# The recipe keys whose flags each command takes.
+COMMAND_RECIPE_KEYS = {
+    "train": [key for key, _, _ in RECIPE_SETTINGS],
+    "gradcheck": ["iwl.epsilon", "focal.gamma", "cb.beta", "ldam.mu", "ldam.s"],
+    "encode": ["image.height", "image.width", "window.skip", "window.take"],
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_every_command_prints_help_naming_its_flags_spec_keys(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    flags = {key: flag for key, flag, _ in RECIPE_SETTINGS}
+    for key in COMMAND_RECIPE_KEYS.get(command, []):
+        assert re.search(rf"{flags[key]} [^;]*; spec key: {re.escape(key)}\b", text), key
+    assert ("spec key:" in text) == (command in COMMAND_RECIPE_KEYS)
+
+
+def test_readme_recipe_table_pairs_each_spec_key_with_its_train_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)` \|", readme, re.M))
+    assert rows == {**{key: flag for key, flag, _ in RECIPE_SETTINGS}, "train_fraction": "--train-fraction"}
 
 
 def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
@@ -969,6 +1039,35 @@ def test_unwritable_output_exits_2(tmp_path, data_dir, model_file, capsys, monke
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, outputs",
+    [
+        ("train", ["--out", "missing/m.bin"]),
+        ("train", ["--out", "m.bin", "--log", "missing/log.csv"]),
+        ("eval", ["--out", "missing/metrics.csv"]),
+        ("eval", ["--out", "metrics.csv", "--confusion", "missing/confusion.csv"]),
+    ],
+    ids=["train-out", "train-log", "eval-out", "eval-confusion"],
+)
+def test_train_and_eval_check_their_output_paths_before_any_work(
+    tmp_path, data_dir, model_file, monkeypatch, capsys, command, outputs
+):
+    # Before the check, a bad --log left the model written, and a bad --out trained every epoch first.
+    from ecgbalance import cli
+
+    monkeypatch.chdir(tmp_path)
+    loads, load = [], cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: loads.append(args) or load(*args, **kwargs))
+    argv = {
+        "train": ["train", "--data", str(data_dir), *TRAIN_FLAGS],
+        "eval": ["eval", "--model", str(model_file), "--data", str(data_dir)],
+    }[command]
+    assert main([*argv, *outputs]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_checks_its_output_directory_before_the_grid(tmp_path, monkeypatch, capsys):

@@ -495,6 +495,31 @@ def test_encoder_spec_rejects_a_mistyped_field(field, value):
         EncoderSpec(**{"kind": "raw", field: value})
 
 
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (TrainConfig, "epochs", True), (TrainConfig, "epochs", 2.5), (TrainConfig, "batch_size", 2.0),
+        (TrainConfig, "seed", 1.5), (TrainConfig, "seed", "1"), (TrainConfig, "learning_rate", "0.1"),
+        (TrainConfig, "learning_rate", True), (TrainConfig, "hidden", (8.5,)), (TrainConfig, "hidden", ("8",)),
+        (TrainConfig, "hidden", 8), (TrainConfig, "hidden", (True,)), (TrainConfig, "loss", None),
+        (TrainConfig, "encode", "cme"), (LossConfig, "beta", "0.3"), (LossConfig, "beta", False),
+        (LossConfig, "epsilon", None), (LossConfig, "kind", 3), (LossConfig, "ldam_s", [20.0]),
+    ],
+)
+def test_train_and_loss_configs_reject_a_mistyped_field(config, field, value):
+    # Each was accepted (epochs=True trains one epoch, hidden=(8.5,) a width of 8) or failed far from here as a
+    # bare TypeError or AttributeError.
+    with pytest.raises(ConfigError, match=rf"\['{field}'\] have the wrong type"):
+        config(**{field: value})
+
+
+def test_train_and_loss_configs_take_any_integer_or_float_number():
+    # An int is a valid float setting (beta=0, beta=5); numpy numbers count as their Python kind.
+    assert LossConfig(beta=0, ldam_s=np.float64(20.0)) == LossConfig(beta=0.0)
+    cfg = TrainConfig(epochs=np.int64(2), learning_rate=1, seed=np.int64(3), hidden=[np.int64(8), 4])
+    assert cfg.hidden == (8, 4) and all(type(h) is int for h in cfg.hidden)
+
+
 def test_raw_window_longer_than_the_records_is_refused():
     with pytest.raises(WindowOutOfRange, match="does not fit"):
         train(tiny_dataset(length=60), small_config(encode=EncoderSpec(kind="raw", raw_take=61)))
