@@ -165,10 +165,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise SpecError(f"train_fraction must lie strictly between 0 and 1, got {self.train_fraction}")
-        if self.seed < 0:
-            raise SpecError(f"split seed must be nonnegative, got {self.seed}")
+        if not (_is_number(self.train_fraction) and 0.0 < self.train_fraction < 1.0):
+            raise SpecError(f"train_fraction must be a number strictly between 0 and 1, got {self.train_fraction!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise SpecError(f"split seed must be a nonnegative integer, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`)
 on the records some alpha trains on, and only after every stack has
 trained are the records that lie on test sides alone built, so they are
 never alive while a stack trains. Each cell is scored on its alpha's test
-rows. Rows aggregate mean and sample standard deviation over seeds.
+rows. A row holds its cell's scores on each seed and derives mean and sd.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
 seeds its own generator and a stacked variant trains bit for bit as it
@@ -24,10 +24,8 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +35,8 @@ from .data import (
     Dataset,
     SplitSpec,
     SynthSpec,
+    _is_integer,
+    _is_number,
     csv_text,
     generate_synthetic,
     load_csv,
@@ -168,9 +168,9 @@ def recipe(base: TrainConfig, values: dict) -> TrainConfig:
 class ExperimentSpec:
     """Fully resolved grid plus shared training and data settings.
 
-    ``train`` is the recipe every cell starts from, loss settings
-    included; each run replaces its seed, its loss kind (and, for iwl, its
-    beta) and its encoder kind.
+    ``train`` is the recipe every cell starts from, loss settings included;
+    each run replaces its seed, its loss kind (and, for iwl, its beta) and
+    its encoder kind. Loss names are canonicalized; a repeated value is an error.
     """
 
     losses: tuple[str, ...] = ("iwl",)
@@ -186,20 +186,27 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.data_dir is None and self.synth is None:
             raise SpecError("an experiment needs either data.dir or synthetic data settings")
-        for axis in ("losses", "betas", "alphas", "encodes", "seeds"):
-            if not getattr(self, axis):
-                raise SpecError(f"the experiment grid has no {axis}")
-        if min(self.seeds) < 0:
-            raise SpecError(f"seeds must be nonnegative, got {self.seeds}")
-        SplitSpec(train_fraction=self.train_fraction)  # raises SpecError for a fraction outside (0, 1)
+        if not all(_is_integer(s) and s >= 0 for s in self.seeds):
+            raise SpecError(f"seeds must be nonnegative integers, got {self.seeds}")
+        SplitSpec(train_fraction=self.train_fraction)  # raises SpecError unless it is a number in (0, 1)
+        if not all(isinstance(name, str) for name in self.losses):
+            raise SpecError(f"losses must be names, got {self.losses}")
+        object.__setattr__(self, "losses", tuple(canonical_loss_name(name) for name in self.losses))
         for cell in grid_cells(self):
             _cell_loss(self.train.loss, cell)
         for enc in self.encodes:
             if enc not in ENCODE_KINDS:
                 raise SpecError(f"unknown encode {enc!r}; expected {' or '.join(ENCODE_KINDS)}")
         for a in self.alphas:
-            if a is not None and not 0.0 < a <= 1.0:
-                raise SpecError(f"alpha must lie in (0, 1], got {a}")
+            if a is not None and not (_is_number(a) and 0.0 < a <= 1.0):
+                raise SpecError(f"alpha must be none or a number in (0, 1], got {a!r}")
+        # Last, so that every value is checked and hashable (an iwl beta is checked by its LossConfig).
+        for axis in ("losses", "betas", "alphas", "encodes", "seeds"):
+            values = getattr(self, axis)
+            if not values:
+                raise SpecError(f"the experiment grid has no {axis}")
+            if len(set(values)) < len(values):
+                raise SpecError(f"the experiment grid repeats a value in {axis}: {values}")
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,33 @@ class CellKey:
     encode: str
 
 
+def _seed_statistic(score: int, sd: bool) -> property:
+    """A read-only property: the mean over a row's seeds of score ``score`` (0 accuracy, 1 macro F1),
+    or with ``sd`` its sample standard deviation: ddof=1, or for a single seed ddof=0, which gives 0.0."""
+
+    def get(row: ResultRow) -> float:
+        values = np.array([pair[score] for pair in row.per_seed])
+        return float(np.std(values, ddof=min(1, values.size - 1)) if sd else values.mean())
+
+    return property(get)
+
+
 @dataclass(frozen=True)
 class ResultRow:
+    """One cell's (accuracy, macro F1) on each of the spec's seeds, in seed order.
+    Its statistics are computed from those scores, so they cannot disagree with them."""
+
     cell: CellKey
-    n_seeds: int
-    accuracy_mean: float
-    accuracy_sd: float
-    macro_f1_mean: float
-    macro_f1_sd: float
+    per_seed: tuple[tuple[float, float], ...]
+
+    accuracy_mean = _seed_statistic(0, sd=False)
+    accuracy_sd = _seed_statistic(0, sd=True)
+    macro_f1_mean = _seed_statistic(1, sd=False)
+    macro_f1_sd = _seed_statistic(1, sd=True)
+
+    @property
+    def n_seeds(self) -> int:
+        return len(self.per_seed)
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
@@ -232,7 +258,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
 
     kwargs: dict = {}
     if "loss" in mapping:
-        kwargs["losses"] = tuple(canonical_loss_name(n) for n in _split_list(mapping["loss"]))
+        kwargs["losses"] = tuple(_split_list(mapping["loss"]))
     if "beta" in mapping:
         kwargs["betas"] = _parse_float_list("beta", mapping["beta"])
     if "alpha" in mapping:
@@ -397,37 +423,17 @@ def _fit_seed(
     return [fits[i] for i in range(len(cells))]
 
 
-def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[list[tuple[float, float]]]:
-    """(accuracy, macro F1) per seed for each of ``cells``, seeds outermost.
+def _run_cells(spec: ExperimentSpec, cells: list[CellKey]) -> list[ResultRow]:
+    """The row of each of ``cells``, seeds outermost.
     A ``data.dir`` dataset is loaded once, for every seed."""
     source = None if spec.data_dir is None else load_csv(spec.data_dir)
-    out: list[list[tuple[float, float]]] = [[] for _ in cells]
-    for seed in spec.seeds:
-        for pairs, fit in zip(out, _fit_seed(spec, cells, seed, source)):
-            pairs.append(fit)
-    return out
-
-
-def _aggregate(cell: CellKey, pairs: list[tuple[float, float]]) -> ResultRow:
-    acc = np.array([a for a, _ in pairs])
-    f1 = np.array([f for _, f in pairs])
-    n = len(pairs)
-    sd = lambda v: float(np.std(v, ddof=1)) if n >= 2 else 0.0
-    return ResultRow(
-        cell=cell,
-        n_seeds=n,
-        accuracy_mean=float(acc.mean()),
-        accuracy_sd=sd(acc),
-        macro_f1_mean=float(f1.mean()),
-        macro_f1_sd=sd(f1),
-    )
+    fits = [_fit_seed(spec, cells, seed, source) for seed in spec.seeds]
+    return [ResultRow(cell, per_seed) for cell, per_seed in zip(cells, zip(*fits))]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Run every cell over every seed; one aggregated row per cell."""
+    """Run every cell over every seed; one row per cell, in grid order, holding its scores on each seed."""
     cells = grid_cells(spec)
-    if not cells:
-        return []
     if jobs > 1 and len(cells) > 1:
         # Imported here: loading the pool's modules costs every process start and a few MB of RSS.
         from concurrent.futures import ProcessPoolExecutor
@@ -437,14 +443,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
         bounds = [i * size + min(i, extra) for i in range(n + 1)]
         groups = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            results = [pairs for group in pool.map(_run_cells, [spec] * n, groups) for pairs in group]
-    else:
-        results = _run_cells(spec, cells)
-    return [_aggregate(cell, pairs) for cell, pairs in zip(cells, results)]
+            return [row for group in pool.map(_run_cells, [spec] * n, groups) for row in group]
+    return _run_cells(spec, cells)
 
 
 def write_results_csv(rows: list[ResultRow], path) -> None:
-    """One row per cell; accuracy and F1 as percentages with one decimal."""
+    """One row per cell; the mean and sd of accuracy and F1 over its seeds as percentages with one decimal."""
     table = [RESULT_COLUMNS]
     for row in rows:
         cell = row.cell
@@ -453,8 +457,3 @@ def write_results_csv(rows: list[ResultRow], path) -> None:
         pcts = (f"{100.0 * v:.1f}" for v in (row.accuracy_mean, row.accuracy_sd, row.macro_f1_mean, row.macro_f1_sd))
         table.append((cell.loss, beta, alpha, cell.encode, row.n_seeds, *pcts))
     write_output(path, csv_text(table))
-
-
-def read_results_csv(path) -> list[dict[str, str]]:
-    text = read_input(path, lambda reason: SpecError(f"results file {path}: {reason}"), text=True)
-    return list(csv.DictReader(io.StringIO(text, newline="")))

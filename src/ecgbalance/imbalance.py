@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, csv_text, write_output
+from .data import Dataset, _is_integer, csv_text, write_output
 from .errors import DimensionError, EmptyDataset, SpecError
 
 
@@ -61,8 +61,8 @@ def resample_positions(labels, target_counts, seed: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and labels.max() >= targets.size:
         raise DimensionError(f"label {labels.max()} is outside the {targets.size} target classes")
-    if seed < 0:
-        raise SpecError(f"resample seed must be nonnegative, got {seed}")
+    if not _is_integer(seed) or seed < 0:
+        raise SpecError(f"resample seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for m, target in enumerate(targets.tolist()):

@@ -568,6 +568,23 @@ def test_split_fraction_bounds():
         SplitSpec(train_fraction=0.0)
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"train_fraction": "0.5"}, "train_fraction"),
+        ({"train_fraction": None}, "train_fraction"),
+        ({"train_fraction": True}, "train_fraction"),
+        ({"train_fraction": 0.5, "seed": 1.5}, "seed"),
+        ({"train_fraction": 0.5, "seed": True}, "seed"),
+        ({"train_fraction": 0.5, "seed": None}, "seed"),
+    ],
+)
+def test_split_spec_rejects_values_of_the_wrong_type(fields, key):
+    # SynthSpec's rule: a fraction is a number and a seed an integer, not a bool.
+    with pytest.raises(SpecError, match=key):
+        SplitSpec(**fields)
+
+
 def test_take_returns_the_records_at_positions_in_order(dataset):
     taken = dataset.take(np.array([3, 0, 3]))
     assert len(taken) == 3 and all(r is dataset.records[i] for r, i in zip(taken, (3, 0, 3)))

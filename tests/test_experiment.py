@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import re
@@ -36,11 +37,10 @@ from ecgbalance.experiment import (
     RESULT_COLUMNS,
     SYNTH_KEYS,
     CellKey,
-    _aggregate,
+    ResultRow,
     _run_cells,
     grid_cells,
     parse_kv_file,
-    read_results_csv,
     synth_spec_from_mapping,
 )
 from ecgbalance.equalizer import BLOCK_RECORDS
@@ -196,6 +196,12 @@ def test_parse_spec_rejects_bad_values(tmp_path):
         ("train_fraction = 1.5", SpecError),
         ("train_fraction = 1.0", SpecError),
         ("train_fraction = 0", SpecError),
+        # A grid axis that repeats a value, after loss names are canonicalized.
+        ("seeds = 0, 0", SpecError),
+        ("loss = ce, cross_entropy", SpecError),
+        ("beta = 0.1, 0.10", SpecError),
+        ("alpha = none, None", SpecError),
+        ("encode = raw, raw", SpecError),
     ]:
         path = tmp_path / "bad.txt"
         path.write_text(f"data.classes = 3\n{line}\n", encoding="utf-8")
@@ -238,6 +244,33 @@ def test_parse_spec_rejects_an_empty_grid_axis(tmp_path, key):
 def test_spec_requires_some_data_source():
     with pytest.raises(SpecError):
         ExperimentSpec()
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"seeds": (1.5,)}, "seeds"),
+        ({"seeds": (True,)}, "seeds"),
+        ({"seeds": (0, 0)}, "seeds"),
+        ({"alphas": ("0.5",)}, "alpha"),
+        ({"alphas": (True,)}, "alpha"),
+        ({"train_fraction": None}, "train_fraction"),
+        ({"train_fraction": "0.9"}, "train_fraction"),
+        ({"losses": (None,)}, "losses"),
+        ({"encodes": (["cme"],)}, "encode"),
+        ({"losses": ("ce", "cross_entropy")}, "losses"),
+    ],
+)
+def test_spec_rejects_a_grid_value_of_the_wrong_type_or_a_repeat(fields, key):
+    # A library caller's spec is checked as a parsed one is, so none of these ends in a bare TypeError.
+    with pytest.raises(SpecError, match=key):
+        ExperimentSpec(data_dir="ds", **fields)
+
+
+def test_spec_canonicalizes_loss_names():
+    spec = ExperimentSpec(losses=("CE", "iwl"), data_dir="ds")
+    assert spec.losses == ("cross_entropy", "iwl")
+    assert grid_cells(spec)[0].loss == "cross_entropy"
 
 
 def test_synth_mapping_counts_override_head_count():
@@ -309,9 +342,31 @@ def test_run_cell_is_deterministic(tmp_path):
     first = _run_cells(spec, [cell])[0]
     second = _run_cells(spec, [cell])[0]
     assert first == second
-    assert len(first) == len(spec.seeds)
-    for acc, f1 in first:
+    assert first.cell == cell and len(first.per_seed) == len(spec.seeds)
+    for acc, f1 in first.per_seed:
         assert 0.0 <= acc <= 1.0 and 0.0 <= f1 <= 1.0
+
+
+def test_a_row_holds_what_each_of_its_seeds_gives_alone(tmp_path):
+    spec = parse_experiment_spec(write_spec(tmp_path))
+    rows = run_experiment(spec)
+    for k, seed in enumerate(spec.seeds):
+        alone = run_experiment(dataclasses.replace(spec, seeds=(seed,)))
+        assert [r.cell for r in alone] == [r.cell for r in rows]
+        assert [r.per_seed for r in alone] == [(r.per_seed[k],) for r in rows]
+
+
+@pytest.mark.parametrize("per_seed", [((0.5, 0.25),), ((0.5, 0.25), (1.0, 0.75), (0.75, 0.125))])
+def test_row_statistics_are_computed_from_its_seeds(per_seed):
+    row = ResultRow(CellKey(loss="iwl", beta=0.3, alpha=None, encode="cme"), per_seed)
+    acc, f1 = np.array(per_seed).T
+    assert row.n_seeds == len(per_seed)
+    assert (row.accuracy_mean, row.macro_f1_mean) == (np.mean(acc), np.mean(f1))
+    if len(per_seed) == 1:
+        assert (row.accuracy_sd, row.macro_f1_sd) == (0.0, 0.0)
+    else:
+        assert (row.accuracy_sd, row.macro_f1_sd) == (np.std(acc, ddof=1), np.std(f1, ddof=1))
+    assert [f.name for f in dataclasses.fields(row)] == ["cell", "per_seed"]
 
 
 def test_a_serial_process_does_not_load_the_process_pool(tmp_path):
@@ -337,7 +392,7 @@ def test_run_experiment_worker_count_does_not_change_results(tmp_path):
     assert run_experiment(spec, jobs=2) == serial
     # 12 cells over 5 workers: groups of 3, 3, 2, 2 and 2 cells.
     assert run_experiment(spec, jobs=5) == serial
-    assert serial == [_aggregate(cell, _run_cells(spec, [cell])[0]) for cell in cells]
+    assert serial == [row for cell in cells for row in _run_cells(spec, [cell])]
     assert [r.cell for r in serial] == cells
     assert all(r.n_seeds == 2 for r in serial)
 
@@ -465,7 +520,7 @@ def test_mixed_loss_grid_writes_one_csv_at_any_worker_count(tmp_path, source):
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     # Each cell alone, a stack of one, gives what its stack gave.
-    write_results_csv([_aggregate(cell, _run_cells(spec, [cell])[0]) for cell in grid_cells(spec)], tmp_path / "cells.csv")
+    write_results_csv([row for cell in grid_cells(spec) for row in _run_cells(spec, [cell])], tmp_path / "cells.csv")
     assert (tmp_path / "cells.csv").read_bytes() == outputs[0]
 
 
@@ -598,7 +653,8 @@ def test_results_csv_format(tmp_path):
     write_results_csv(rows, again)
     assert out.read_bytes() == again.read_bytes()
 
-    parsed = read_results_csv(out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.DictReader(fh))
     assert len(parsed) == len(rows)
     assert set(parsed[0]) == set(RESULT_COLUMNS)
     assert parsed[0]["loss"] == "iwl"

@@ -80,6 +80,12 @@ def test_resample_positions_validates_targets():
         resample_positions(labels, [3], seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, None, True, "1", -1])
+def test_resample_positions_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(SpecError, match="resample seed"):
+        resample_positions([0, 1, 1, 0], [1, 1], seed=seed)
+
+
 def test_resample_hits_targets_exactly():
     d = tiny_dataset(n_classes=3, per_class=8, length=20, noise_sd=0.1)
     targets = longtail_counts(d.class_counts(), 0.25)
