@@ -3,16 +3,15 @@
 An experiment spec is a flat key-value text file (``key = value`` lines,
 ``#`` comments). Grid keys take comma-separated lists; everything else is
 a scalar. Seeds are the outer loop. Each distinct alpha among a seed's
-cells picks its long-tail records and then its train and test rows from
-the seed's labels alone. Only the records some alpha keeps are
-synthesized, once, in blocks, and each block is featurized straight into
-one feature matrix per encode, so no more than a block of raw records is
-alive at a time. The cells that share (alpha, encode) differ only in their
-loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`)
-on the records some alpha trains on, and only after every stack has
-trained are the records that lie on test sides alone built, so they are
-never alive while a stack trains. Each cell is scored on its alpha's test
-rows. A row holds its cell's scores on each seed and derives mean and sd.
+cells is one fit of its own: it picks its long-tail records and then its
+train and test rows from the seed's labels alone, and only the records it
+keeps are built, in blocks, each block featurized straight into one
+feature matrix per encode, so no more than a block of raw records is alive
+at a time. The alpha's cells that share an encode differ only in their
+loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`) on
+its train rows, and only after its last stack has trained are its test
+rows built and each cell scored on them. A row holds its cell's scores on
+each seed and derives mean and sd.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
 seeds its own generator and a stacked variant trains bit for bit as it
@@ -46,7 +45,7 @@ from .data import (
     write_output,
 )
 from .equalizer import BLOCK_RECORDS
-from .errors import SpecError
+from .errors import ConfigError, SpecError
 from .imbalance import longtail_counts, resample_positions
 from .losses import LossConfig, canonical_loss_name
 from .trainer import ENCODE_KINDS, EncoderSpec, TrainConfig, featurize_dataset, score, train_stack
@@ -192,15 +191,18 @@ class ExperimentSpec:
         if not all(isinstance(name, str) for name in self.losses):
             raise SpecError(f"losses must be names, got {self.losses}")
         object.__setattr__(self, "losses", tuple(canonical_loss_name(name) for name in self.losses))
-        for cell in grid_cells(self):
-            _cell_loss(self.train.loss, cell)
+        for beta in self.betas:  # by LossConfig's rule, whether or not an iwl cell reads it
+            try:
+                dataclasses.replace(self.train.loss, beta=beta)
+            except ConfigError as exc:
+                raise SpecError(f"beta {beta!r}: {exc}") from None
         for enc in self.encodes:
             if enc not in ENCODE_KINDS:
                 raise SpecError(f"unknown encode {enc!r}; expected {' or '.join(ENCODE_KINDS)}")
         for a in self.alphas:
             if a is not None and not (_is_number(a) and 0.0 < a <= 1.0):
                 raise SpecError(f"alpha must be none or a number in (0, 1], got {a!r}")
-        # Last, so that every value is checked and hashable (an iwl beta is checked by its LossConfig).
+        # Last, so that every value is checked and hashable.
         for axis in ("losses", "betas", "alphas", "encodes", "seeds"):
             values = getattr(self, axis)
             if not values:
@@ -340,14 +342,15 @@ def _featurize_blocks(build, wanted: np.ndarray, encoders: dict[str, EncoderSpec
     ``build(positions)`` returns those records as a Dataset. Records are
     built and featurized ``BLOCK_RECORDS`` at a time, so no more than one
     block of them is alive at once. An experiment's encoders fix their
-    feature width (``raw.take`` is always set), so every block fits.
+    feature width (``raw.take`` is always set), so every block fits. No
+    positions give empty (0, 0) matrices.
     """
-    features: dict[str, np.ndarray] = {}
+    features = {enc: np.empty((0, 0)) for enc in encoders}
     for start in range(0, wanted.size, BLOCK_RECORDS):
         block = build(wanted[start : start + BLOCK_RECORDS])
         for enc, encoder in encoders.items():
             x = featurize_dataset(block, encoder)
-            if enc not in features:
+            if start == 0:
                 features[enc] = np.empty((wanted.size, x.shape[1]))
             features[enc][start : start + len(block)] = x
     return features
@@ -360,14 +363,14 @@ def _fit_seed(
 
     The data is ``source``, the dataset loaded from ``data.dir``, or else
     ``spec.synth`` with this seed: labels, class names and ``build(positions)``.
-    Each alpha picks its train and test positions from the labels alone. The
-    union of the train sides is built and featurized first, in blocks, into one
-    matrix per encode (row r for the r-th smallest position), and the cells of
-    each (alpha, encode) train as one stack on it. Only then are the test
-    positions that no train side holds built and featurized the same way, once
-    the train matrices are freed if no test side reads them, and each stack is
-    scored on its test rows in ascending position order. Every record is built
-    once, and nothing of this seed outlives the call.
+    Each alpha is one fit of its own. It picks its train and test positions
+    from the labels alone, builds and featurizes its train side in split
+    order, in blocks, into one matrix per encode its cells use, and trains
+    the cells of each encode as one stack on it, dropping the matrix once the
+    stack has trained. Only then is its test side built and featurized the
+    same way, in ascending position order, and each stack scored on it.
+    Nothing of an alpha outlives its fit, so a record that several alphas
+    keep is built once for each.
     """
     if source is None:
         synth = dataclasses.replace(spec.synth, seed=seed)
@@ -378,48 +381,29 @@ def _fit_seed(
     n_classes = len(class_names)
     counts = np.bincount(labels, minlength=n_classes)
     split_spec = SplitSpec(train_fraction=spec.train_fraction, seed=seed)
-    sides = {}
+    fits: dict[int, tuple[float, float]] = {}
     for alpha in dict.fromkeys(cell.alpha for cell in cells):
+        stacks: dict[str, list[int]] = {}
+        for i, cell in enumerate(cells):
+            if cell.alpha == alpha:
+                stacks.setdefault(cell.encode, []).append(i)
+        encoders = {enc: dataclasses.replace(spec.train.encode, kind=enc) for enc in stacks}
         pos = np.arange(labels.size) if alpha is None else resample_positions(labels, longtail_counts(counts, alpha), seed)
         train_pos, test_pos = (pos[idx] for idx in split_positions(labels[pos], n_classes, split_spec))
-        sides[alpha] = (train_pos, np.sort(test_pos))
-    encoders = {enc: dataclasses.replace(spec.train.encode, kind=enc) for enc in dict.fromkeys(c.encode for c in cells)}
-    stacks: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(cells):
-        stacks.setdefault((cell.alpha, cell.encode), []).append(i)
-
-    trained = np.unique(np.concatenate([train_pos for train_pos, _ in sides.values()]))
-    features = _featurize_blocks(build, trained, encoders)
-    fitted = {}
-    for (alpha, enc), members in stacks.items():
-        train_pos = sides[alpha][0]
-        base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
-        cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
-        # An empty train union leaves no matrix; train_stack rejects the empty rows before reading one.
-        fitted[alpha, enc] = train_stack(
-            features.get(enc), np.searchsorted(trained, train_pos), labels[train_pos], cfgs, class_names
-        )
-
-    tested = np.unique(np.concatenate([test_pos for _, test_pos in sides.values()]))
-    test_only = np.setdiff1d(tested, trained, assume_unique=True)
-    if test_only.size == tested.size:
-        features = {}  # no test side reads a train row
-    test_features = _featurize_blocks(build, test_only, encoders)
-    fits: dict[int, tuple[float, float]] = {}
-    for (alpha, enc), members in stacks.items():
-        test_pos = sides[alpha][1]
-        models = fitted.pop((alpha, enc))
-        if np.array_equal(test_pos, test_only):
-            x_test = test_features[enc]
-        else:
-            x_test = np.empty((test_pos.size, models[0][0].input_dim))
-            for held, x in ((trained, features), (test_only, test_features)):
-                hit = np.isin(test_pos, held, assume_unique=True)
-                if hit.any():
-                    x_test[hit] = x[enc][np.searchsorted(held, test_pos[hit])]
-        for i, (model, _) in zip(members, models):
-            metrics = score(model, x_test, labels[test_pos])
-            fits[i] = (metrics.accuracy, metrics.macro_f1)
+        # Split order, not sorted: the order of the rows decides which records make up each batch.
+        features = _featurize_blocks(build, train_pos, encoders)
+        fitted = {}
+        for enc, members in stacks.items():
+            base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
+            cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
+            fitted[enc] = train_stack(features.pop(enc), labels[train_pos], cfgs, class_names)
+        test_pos = np.sort(test_pos)
+        features = _featurize_blocks(build, test_pos, encoders)
+        for enc, members in stacks.items():
+            for i, (model, _) in zip(members, fitted.pop(enc)):
+                metrics = score(model, features[enc], labels[test_pos])
+                fits[i] = (metrics.accuracy, metrics.macro_f1)
+        del features  # before the next alpha builds its train side
     return [fits[i] for i in range(len(cells))]
 
 

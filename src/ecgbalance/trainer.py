@@ -363,36 +363,38 @@ def _arrange(x: np.ndarray, at: np.ndarray, want: np.ndarray) -> None:
 
 
 def train_stack(
-    x: np.ndarray, rows: np.ndarray, labels: np.ndarray, cfgs: Sequence[TrainConfig], class_names: tuple[str, ...]
+    x: np.ndarray, labels: np.ndarray, cfgs: Sequence[TrainConfig], class_names: tuple[str, ...]
 ) -> list[tuple[ModelParams, list[float]]]:
-    """Train one model per config on rows ``rows`` of the feature matrix ``x``, as one stack.
+    """Train one model per config on every row of the feature matrix ``x``, as one stack.
 
-    ``labels[i]`` is the label of ``x[rows[i]]``. The configs may differ only
-    in their loss, so every variant starts from the same weights, drawn from
-    the seed, and takes the same shuffled batches. Returns (model, per-epoch
-    mean loss) per config, each bit for bit what a stack of that config alone
-    returns. A non-finite batch loss, or a parameter left non-finite at the
-    end of an epoch, stops training with a ConfigError naming the epoch, the
-    batch (both counted from 0) and the loss.
+    ``labels[i]`` is the class index of ``x[i]`` in ``class_names``; labels
+    that are not one integer per row inside that range are a DimensionError,
+    raised before any work. The configs may differ only in their loss, so
+    every variant starts from the same weights, drawn from the seed, and
+    takes the same shuffled batches. Returns (model, per-epoch mean loss) per
+    config, each bit for bit what a stack of that config alone returns. A
+    non-finite batch loss, or a parameter left non-finite at the end of an
+    epoch, stops training with a ConfigError naming the epoch, the batch
+    (both counted from 0) and the loss.
 
     No batch is copied. Each epoch rearranges the rows of ``x`` in place, so
-    that the shuffled rows come first and each batch is a slice of ``x``;
-    the rows of ``x`` not in ``rows`` follow them in ascending order. Every
-    row is back in its place before this returns or raises, but ``x`` must
-    not be read by anything else while it trains. An ``x`` that is read-only
-    or not C-contiguous, or ``rows`` that repeat a row or hold a negative
-    index, train the same way on the copy ``x[rows]``.
+    that each batch is a slice of ``x``. Every row is back in its place
+    before this returns or raises, but ``x`` must not be read by anything
+    else while it trains. An ``x`` that is read-only or not C-contiguous
+    trains the same way on a copy. To train on some rows of a matrix, or on
+    repeated rows, pass ``x[rows]``.
     """
     if not cfgs:
         raise ConfigError("a stack needs at least one training config")
     cfg = cfgs[0]
     if any(dataclasses.replace(c, loss=cfg.loss) != cfg for c in cfgs):
         raise ConfigError("stacked training configs may differ only in their loss")
-    n = rows.size
+    n = len(x)
     if n == 0:
         raise ConfigError("training dataset is empty")
-    if labels.shape != rows.shape:
-        raise DimensionError(f"got {labels.size} labels for {n} rows")
+    labels, n_classes = np.asarray(labels), len(class_names)
+    if not (labels.shape == (n,) and labels.dtype.kind in "iu" and 0 <= labels.min() <= labels.max() < n_classes):
+        raise DimensionError(f"labels must be {n} integers in [0, {n_classes}), one per row of x")
     # Guard against classes absent from this split; CB/LDAM need counts >= 1.
     counts = np.maximum(np.bincount(labels, minlength=len(class_names)), 1)
     losses = [make_loss(c.loss, class_counts=counts) for c in cfgs]
@@ -402,16 +404,14 @@ def train_stack(
     del first  # the stack holds its only copy of the initial weights
     state = adam_init(stack)
     tail = np.empty((len(cfgs), stack.theta.shape[1] - stack.dims[0] * stack.dims[1]))
-    # An x or rows that cannot be rearranged in place (see above) train on a copy of the rows.
-    distinct = 0 <= rows.min() and rows.max() < len(x) and np.bincount(rows).max() == 1
-    if not (x.flags.writeable and x.flags.c_contiguous and distinct):
-        x, rows = x[rows], np.arange(n)
+    if not (x.flags.writeable and x.flags.c_contiguous):
+        x = x.copy()  # a C-contiguous copy that can be rearranged in place
     logs: list[list[float]] = [[] for _ in cfgs]
-    at, rest = np.arange(len(x)), np.setdiff1d(np.arange(len(x)), rows, assume_unique=True)
+    at = np.arange(n)
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
-            _arrange(x, at, np.concatenate([rows[order], rest]))
+            _arrange(x, at, order)
             sums = [0.0] * len(cfgs)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
@@ -439,7 +439,7 @@ def train_stack(
             for log, total in zip(logs, sums):
                 log.append(total / n)
     finally:
-        _arrange(x, at, np.arange(len(x)))
+        _arrange(x, at, np.arange(n))
     return [(ModelParams(stack.dims, theta, cfg.encode, stack.class_names), log) for theta, log in zip(stack.theta, logs)]
 
 
@@ -454,7 +454,7 @@ def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]
     if len(d_train) == 0:
         raise ConfigError("training dataset is empty")
     x = featurize_dataset(d_train, cfg.encode)
-    [fit] = train_stack(x, np.arange(len(d_train)), d_train.labels(), [cfg], d_train.class_names)
+    [fit] = train_stack(x, d_train.labels(), [cfg], d_train.class_names)
     return fit
 
 

@@ -259,6 +259,13 @@ def test_spec_requires_some_data_source():
         ({"losses": (None,)}, "losses"),
         ({"encodes": (["cme"],)}, "encode"),
         ({"losses": ("ce", "cross_entropy")}, "losses"),
+        # Every beta follows LossConfig's rule, also in a grid with no iwl cell to read it.
+        ({"losses": ("ce",), "betas": ("warm", None)}, "beta"),
+        ({"losses": ("ce",), "betas": (-1.0, float("nan"))}, "beta"),
+        ({"betas": (-1.0,)}, "beta"),
+        ({"betas": (float("inf"),)}, "beta"),
+        ({"betas": ([1],)}, "beta"),
+        ({"losses": ("focal",), "betas": (True,)}, "beta"),
     ],
 )
 def test_spec_rejects_a_grid_value_of_the_wrong_type_or_a_repeat(fields, key):
@@ -424,7 +431,7 @@ def seed_blocks(calls, seed):
     return [d for args, d in calls["generate_synthetic"] if args[0].seed == seed]
 
 
-def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
+def test_run_experiment_fits_each_alpha_on_its_own(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path))
     monkeypatch.setattr(experiment, "BLOCK_RECORDS", 5)
     calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split_positions", "train_stack")
@@ -433,29 +440,26 @@ def test_run_experiment_builds_each_seed_dataset_once(tmp_path, monkeypatch):
     for seed in spec.seeds:
         blocks = seed_blocks(calls, seed)
         assert len(blocks) > 1 and max(len(d) for d in blocks) == 5
-        # alpha none keeps every record, so each is synthesized exactly once: first the records
-        # some alpha trains on, then the rest, each part in dataset order.
         full = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
-        kept = resample(full, longtail_counts(full.class_counts(), 0.5), seed)
-        train_ids = {r.record_id for d in (full, kept) for r in split(d, split_spec(seed))[0]}
-        assert 0 < len(train_ids) < len(full)
-        phases = [[r for r in full if (r.record_id in train_ids) == phase] for phase in (True, False)]
-        built = [r for d in blocks for r in d]
         by_id = {r.record_id: r for r in full}
-        assert all(r.channels.tobytes() == by_id[r.record_id].channels.tobytes() for r in built)
-        # The train-side records are built before the seed's first stack trains, the others after
-        # its last one, and no record is built while its stacks train.
-        events = [
-            (name, result)
-            for name, args, result in calls["order"]
-            if (name == "generate_synthetic" and args[0].seed == seed)
-            or (name == "train_stack" and args[3][0].seed == seed)
-        ]
-        names = [name for name, _ in events]
-        first, last = names.index("train_stack"), len(names) - 1 - names[::-1].index("train_stack")
-        assert names[first : last + 1] == ["train_stack"] * len(spec.alphas) * len(spec.encodes)
-        for phase, part in zip(phases, (events[:first], events[last + 1 :])):
-            assert [r.record_id for _, d in part for r in d] == [r.record_id for r in phase]
+        position = {r.record_id: k for k, r in enumerate(full)}
+        assert all(r.channels.tobytes() == by_id[r.record_id].channels.tobytes() for d in blocks for r in d)
+        # Alpha by alpha: its train side is built, in split order, before its first stack trains;
+        # nothing is built while its stacks train; its test side is built, in dataset order, after
+        # its last stack. Nothing else is built, so alpha none builds every record once more.
+        expected = []
+        for alpha in spec.alphas:
+            kept = full if alpha is None else resample(full, longtail_counts(full.class_counts(), alpha), seed)
+            d_train, d_test = split(kept, split_spec(seed))
+            expected += [r.record_id for r in d_train] + ["train_stack"] * len(spec.encodes)
+            expected += sorted((r.record_id for r in d_test), key=position.get)
+        built = []
+        for name, args, result in calls["order"]:
+            if name == "generate_synthetic" and args[0].seed == seed:
+                built += [r.record_id for r in result]
+            elif name == "train_stack" and args[2][0].seed == seed:
+                built.append(name)
+        assert built == expected
     # One resample_positions per seed and non-None alpha (0.5), and one split per seed and alpha.
     assert len(calls["resample_positions"]) == len(spec.seeds)
     assert len(calls["split_positions"]) == len(spec.seeds) * len(spec.alphas)
@@ -478,21 +482,28 @@ def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch)
         ids = [r.record_id for d in seed_blocks(calls, seed) for r in d]
         assert len(ids) == len(set(ids)) == len(kept) < len(full)
         assert sorted(ids) == sorted(r.record_id for r in expected)
-        # Features row r is record ids[r]; each stack's train rows are split's train side, in split
-        # order, and its test rows split's test side, in dataset order.
+        # Each stack trains on split's train side, in split order, and is scored on split's test
+        # side, in dataset order.
         d_train, d_test = split(expected, SplitSpec(train_fraction=spec.train_fraction, seed=seed))
         position = {r.record_id: k for k, r in enumerate(full)}
         d_test = d_test.take(np.argsort([position[r.record_id] for r in d_test]))
+        assert ids == [r.record_id for r in (*d_train, *d_test)]
         stacks = calls["train_stack"][k * stacks_per_seed : (k + 1) * stacks_per_seed]
         scores = calls["score"][k * stacks_per_seed * cells_per_stack : (k + 1) * stacks_per_seed * cells_per_stack]
-        for s, ((x, rows, labels, cfgs, _), models) in enumerate(stacks):
+        for s, ((x, labels, cfgs, _), models) in enumerate(stacks):
             assert len(cfgs) == len(models) == cells_per_stack
-            assert [ids[r] for r in rows] == [r.record_id for r in d_train]
             assert labels.tolist() == d_train.labels().tolist()
-            assert x[rows].tobytes() == featurize_dataset(d_train, cfgs[0].encode).tobytes()
+            assert x.tobytes() == featurize_dataset(d_train, cfgs[0].encode).tobytes()
             for (model, x_test, test_labels), _ in scores[s * cells_per_stack : (s + 1) * cells_per_stack]:
                 assert x_test.tobytes() == featurize_dataset(d_test, model.encoder).tobytes()
                 assert test_labels.tolist() == d_test.labels().tolist()
+
+
+def test_an_alpha_with_no_train_records_is_a_config_error(tmp_path):
+    # One record per class: each class puts floor(1 * 0.75) = 0 records on the train side.
+    spec = parse_experiment_spec(write_spec(tmp_path, TINY_SPEC.replace("data.head_count = 6", "data.head_count = 1")))
+    with pytest.raises(ConfigError, match="training dataset is empty"):
+        run_experiment(spec)
 
 
 MIXED_GRID = """loss = iwl, ce, focal, cb, cb_focal, ldam

@@ -272,7 +272,7 @@ def test_a_raw_sized_stack_peaks_below_its_features_three_parameter_vectors_a_bl
 
     def features_and_fits():
         x = rng.normal(0.0, 1.0, size=(n, width))
-        return x, train_stack(x, np.arange(n), labels, cfgs, tuple(f"c{k}" for k in range(9)))
+        return x, train_stack(x, labels, cfgs, tuple(f"c{k}" for k in range(9)))
 
     (x, fits), peak = traced_peak(features_and_fits)
     theta = sum(model.theta.nbytes for model, _ in fits)
@@ -407,23 +407,27 @@ def test_arrange_moves_rows_from_any_order_to_any_other():
 
 
 def test_a_stack_slices_its_batches_from_x_rearranged_in_place(monkeypatch):
-    # 19 of 24 rows, shuffled, in batches of 4: each batch is a view of x, and the
-    # 5 rows that do not train wait behind the others in ascending order.
+    # 19 rows in batches of 4: each batch is a view of x, and the batches of each
+    # epoch hold every row of x once, shuffled.
     d = tiny_dataset(per_class=8, length=80)
     cfg = TrainConfig(epochs=2, batch_size=4, hidden=(8,), encode=EncoderSpec(kind="raw", raw_take=80))
-    x = featurize_dataset(d, cfg.encode)
-    original = x.copy()
     rows = np.random.default_rng(3).permutation(len(d))[:19]
-    rest = np.setdiff1d(np.arange(len(d)), rows)
-    steps = []
+    x = featurize_dataset(d, cfg.encode)[rows]
+    original = x.copy()
+    steps, batches = [], []
 
     def step(stack, state, x2d, *args):
-        steps.append((x2d.shape[0], np.shares_memory(x2d, x), np.array_equal(x[19:], original[rest])))
+        steps.append((x2d.shape[0], np.shares_memory(x2d, x)))
+        batches.append(x2d.copy())
         return adam_step(stack, state, x2d, *args)
 
     monkeypatch.setattr(trainer, "adam_step", step)
-    train_stack(x, rows, d.labels()[rows], [cfg], d.class_names)
-    assert steps == [(4, True, True)] * 4 + [(3, True, True)] + [(4, True, True)] * 4 + [(3, True, True)]
+    train_stack(x, d.labels()[rows], [cfg], d.class_names)
+    assert steps == [(4, True)] * 4 + [(3, True)] + [(4, True)] * 4 + [(3, True)]
+    for epoch in (batches[:5], batches[5:]):
+        seen = np.concatenate(epoch)
+        assert seen.tobytes() != original.tobytes()
+        assert sorted(map(bytes, seen)) == sorted(map(bytes, original))
     assert x.tobytes() == original.tobytes()
 
 
@@ -431,11 +435,40 @@ def test_a_stack_stopped_mid_epoch_leaves_x_as_it_was():
     # A learning rate of 1e300 leaves the first batch's loss finite and overflows the second's.
     d = tiny_dataset(per_class=8, length=80)
     cfg = TrainConfig(epochs=2, batch_size=4, hidden=(8,), learning_rate=1e300, encode=EncoderSpec(kind="raw", raw_take=80))
+    rows = np.random.default_rng(3).permutation(len(d))[:19]
+    x = featurize_dataset(d, cfg.encode)[rows]
+    before = x.tobytes()
+    with pytest.raises(ConfigError, match="non-finite training loss at epoch 0, batch 1"):
+        train_stack(x, d.labels()[rows], [cfg], d.class_names)
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "relabel",
+    [
+        lambda y, k: y[:-1],
+        lambda y, k: np.append(y, 0),
+        lambda y, k: y.reshape(-1, 1),
+        lambda y, k: y.astype(float),
+        lambda y, k: y == 1,
+        lambda y, k: np.where(y == 0, -1, y),
+        lambda y, k: np.where(y == 0, k, y),
+    ],
+    ids=["one short", "one over", "2-D", "float", "bool", "negative", "past the last class"],
+)
+def test_a_stack_checks_its_labels_before_any_work(monkeypatch, relabel):
+    # Not a bare numpy error from bincount, and not a DimensionError from inside the first batch.
+    d = tiny_dataset()
+    cfg = TrainConfig(epochs=1, batch_size=4, hidden=(4,), encode=EncoderSpec(kind="raw", raw_take=60))
     x = featurize_dataset(d, cfg.encode)
     before = x.tobytes()
-    rows = np.random.default_rng(3).permutation(len(d))[:19]
-    with pytest.raises(ConfigError, match="non-finite training loss at epoch 0, batch 1"):
-        train_stack(x, rows, d.labels()[rows], [cfg], d.class_names)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a loss was made before the labels were checked")
+
+    monkeypatch.setattr(trainer, "make_loss", no_work)
+    with pytest.raises(DimensionError, match=r"labels must be 12 integers in \[0, 3\)"):
+        train_stack(x, relabel(d.labels(), len(d.class_names)), [cfg], d.class_names)
     assert x.tobytes() == before
 
 

@@ -315,7 +315,7 @@ def test_every_stacked_variant_matches_the_per_cell_train_bit_for_bit(hidden, en
     d = _stack_data()
     base = TrainConfig(epochs=3, batch_size=7, learning_rate=0.01, seed=5, encode=encoder, hidden=hidden)
     cfgs = [dataclasses.replace(base, loss=loss) for loss in STACK_LOSSES]
-    fits = train_stack(featurize_dataset(d, encoder), np.arange(len(d)), d.labels(), cfgs, d.class_names)
+    fits = train_stack(featurize_dataset(d, encoder), d.labels(), cfgs, d.class_names)
     assert len(fits) == len(cfgs)
     for cfg, (model, log) in zip(cfgs, fits):
         ref_theta, ref_log = _ref_train(d, cfg)
@@ -327,7 +327,7 @@ def test_every_stacked_variant_matches_the_per_cell_train_bit_for_bit(hidden, en
 
 
 def test_a_stack_trains_on_the_rows_it_is_given():
-    # Rows in another order of a larger matrix: the same model as the records alone.
+    # Rows in another order of a larger matrix, gathered by the caller: the same model as the records alone.
     d = _stack_data()
     cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=0.01, seed=5, encode=EncoderSpec(kind="raw", raw_take=100),
                       hidden=(8,))
@@ -335,30 +335,29 @@ def test_a_stack_trains_on_the_rows_it_is_given():
     perm = np.random.default_rng(0).permutation(len(d))
     padded = np.concatenate([np.zeros((5, x.shape[1])), x[perm]])
     rows = 5 + np.argsort(perm)
-    [(model, log)] = train_stack(padded, rows, d.labels(), [cfg], d.class_names)
+    [(model, log)] = train_stack(padded[rows], d.labels(), [cfg], d.class_names)
     ref_theta, ref_log = _ref_train(d, cfg)
     assert model.theta.tobytes() == ref_theta.tobytes() and log == ref_log
 
 
 @pytest.mark.parametrize("layout", ("in place", "read-only", "Fortran order", "repeated rows"))
 def test_a_stack_trains_as_on_gathered_batches_and_leaves_x_as_it_was(layout):
-    # 31 of 43 rows, shuffled, in batches of 7: x holds rows that do not train, and
-    # every epoch ends on a short batch. Only the first layout can be rearranged in
-    # place; the others train on a copy of their rows.
+    # 31 of 43 rows, shuffled, in batches of 7, so every epoch ends on a short batch.
+    # Only a writeable C-order x is rearranged in place; the others train on a copy.
     d = _stack_data()
     base = TrainConfig(epochs=3, batch_size=7, learning_rate=0.01, seed=5, encode=EncoderSpec(kind="raw", raw_take=100),
                        hidden=(16,))
     cfgs = [dataclasses.replace(base, loss=loss) for loss in STACK_LOSSES]
-    x = featurize_dataset(d, base.encode)
     rows = np.random.default_rng(2).permutation(len(d))[:31]
+    if layout == "repeated rows":
+        rows[[4, 20]] = rows[9]
+    x = featurize_dataset(d, base.encode)[rows]
     if layout == "read-only":
         x.flags.writeable = False
     elif layout == "Fortran order":
         x = np.asfortranarray(x)
-    elif layout == "repeated rows":
-        rows[[4, 20]] = rows[9]
     before = x.tobytes()
-    fits = train_stack(x, rows, d.labels()[rows], cfgs, d.class_names)
+    fits = train_stack(x, d.labels()[rows], cfgs, d.class_names)
     assert x.tobytes() == before
     trained = Dataset(tuple(d.records[i] for i in rows), d.class_names)
     for cfg, (model, log) in zip(cfgs, fits):
@@ -372,11 +371,11 @@ def test_stacked_configs_may_differ_only_in_their_loss():
     x = featurize_dataset(d, base.encode)
     for other in (dataclasses.replace(base, seed=1), dataclasses.replace(base, learning_rate=0.01)):
         with pytest.raises(ConfigError, match="differ only in their loss"):
-            train_stack(x, np.arange(len(d)), d.labels(), [base, other], d.class_names)
+            train_stack(x, d.labels(), [base, other], d.class_names)
     with pytest.raises(ConfigError):
-        train_stack(x, np.arange(len(d)), d.labels(), [], d.class_names)
+        train_stack(x, d.labels(), [], d.class_names)
     with pytest.raises(DimensionError):
-        train_stack(x, np.arange(len(d)), d.labels()[:-1], [base], d.class_names)
+        train_stack(x, d.labels()[:-1], [base], d.class_names)
 
 
 def test_a_diverging_stack_names_the_epoch_the_batch_and_the_loss():
@@ -385,8 +384,8 @@ def test_a_diverging_stack_names_the_epoch_the_batch_and_the_loss():
     base = TrainConfig(epochs=2, batch_size=7, encode=EncoderSpec(kind="raw", raw_take=100), hidden=(8,))
     cfgs = [dataclasses.replace(base, loss=LossConfig(kind="cross_entropy")), dataclasses.replace(base, loss=LossConfig(beta=1000.0))]
     with pytest.raises(ConfigError, match=r"non-finite training loss at epoch 0, batch 0, loss iwl \(beta 1000\.0\)"):
-        train_stack(featurize_dataset(d, base.encode), np.arange(len(d)), d.labels(), cfgs, d.class_names)
+        train_stack(featurize_dataset(d, base.encode), d.labels(), cfgs, d.class_names)
     # An Adam step that overflows every variant is caught at the end of the epoch, naming the first.
     huge = [dataclasses.replace(c, learning_rate=1.7e308, batch_size=64) for c in cfgs[:1]] * 2
     with pytest.raises(ConfigError, match=r"non-finite parameters .* epoch 0, batch 0, loss cross_entropy"):
-        train_stack(featurize_dataset(d, base.encode), np.arange(len(d)), d.labels(), huge, d.class_names)
+        train_stack(featurize_dataset(d, base.encode), d.labels(), huge, d.class_names)
