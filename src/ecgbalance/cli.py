@@ -27,7 +27,6 @@ from .data import (
     write_output,
 )
 from .equalizer import (
-    BLOCK_RECORDS,
     MAGNITUDE_MODES,
     channel_stats,
     featurize_records,
@@ -50,6 +49,7 @@ from .experiment import (
 from .imbalance import longtail_counts, resample, write_histogram_csv
 from .losses import LOSS_KINDS, LossConfig, gradient_check
 from .trainer import (
+    BLOCK_RECORDS,
     ENCODE_KINDS,
     EncoderSpec,
     TrainConfig,

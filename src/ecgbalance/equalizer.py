@@ -7,7 +7,8 @@ relative to loud ones while the factors stay positive and sum to one. The
 scaled record is then interpolated onto a fixed-size image grid so a
 classifier sees a uniform input shape regardless of record length or
 channel count. :func:`featurize_records` is the one implementation of
-that chain and runs it over blocks of records; :func:`cme_factors` and
+that chain, run on whatever records its caller passes, a block at a time
+in :func:`ecgbalance.trainer.featurize`; :func:`cme_factors` and
 :func:`encode_image` are its steps applied to a single record.
 """
 
@@ -27,14 +28,6 @@ MAGNITUDE_MODES = ("rms", "l2")
 
 CANONICAL_SKIP = 500
 CANONICAL_TAKE = 2500
-
-# Records synthesized and featurized per block: bounds the window and image
-# temporaries. At 12 leads x 1000 samples and a 166+832 window, featurizing 64
-# records held 9.03 MiB of temporaries beyond its output at 64 per block and
-# 2.63 MiB at 16 (tracemalloc); 16 keeps each window stack and squares array
-# below numpy's 4 MiB huge-page threshold, so training, not featurization,
-# sets a criterion-7 seed's peak RSS.
-BLOCK_RECORDS = 16
 
 
 def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
@@ -163,21 +156,14 @@ def featurize_records(
 ) -> np.ndarray:
     """window -> factors -> scale -> encode for every record: (n, height, width).
 
-    Records go through in blocks of ``BLOCK_RECORDS``, each written into one
-    preallocated output, so temporaries stay at block size. ``equalize``
-    False skips the factors. ``records`` must be nonempty and share a
-    channel count.
+    The temporaries are a few times the size of the records' windows, so
+    callers pass a block of records, not a dataset. ``equalize`` False skips
+    the factors. ``records`` must be nonempty and share a channel count.
     """
-    out = None
-    for start in range(0, len(records), BLOCK_RECORDS):
-        windows = window_records(records[start : start + BLOCK_RECORDS], skip, take)
-        if equalize:
-            windows *= _factors(windows, mode)[:, :, None]
-        images = _encode(windows, height, width, records[start].record_id)
-        if out is None:  # after the first block's checks, so a bad grid is an EncodeError
-            out = np.empty((len(records), height, width))
-        out[start : start + len(images)] = images
-    return out
+    windows = window_records(records, skip, take)
+    if equalize:
+        windows *= _factors(windows, mode)[:, :, None]
+    return _encode(windows, height, width, records[0].record_id)
 
 
 def cme_factors(r: EcgRecord, mode: str = "rms") -> np.ndarray:

@@ -5,12 +5,12 @@ An experiment spec is a flat key-value text file (``key = value`` lines,
 a scalar. Seeds are the outer loop. Each distinct alpha among a seed's
 cells is one fit of its own: it picks its long-tail records and then its
 train and test rows from the seed's labels alone, and only the records it
-keeps are built, in blocks, each block featurized straight into one
-feature matrix per encode, so no more than a block of raw records is alive
-at a time. The alpha's cells that share an encode differ only in their
-loss; they train as one stack (:func:`~ecgbalance.trainer.train_stack`) on
-its train rows, and only after its last stack has trained are its test
-rows built and each cell scored on them. A row holds its cell's scores on
+keeps are built, by :func:`~ecgbalance.trainer.featurize`, the featurizer
+that ``train`` and ``eval`` use too, into one feature matrix per encode.
+The alpha's cells that share an encode differ only in their loss; they
+train as one stack (:func:`~ecgbalance.trainer.train_stack`) on its train
+rows, and only after its last stack has trained are its test rows built
+and each cell scored on them. A row holds its cell's scores on
 each seed and derives mean and sd.
 
 Every fit is a pure function of (spec, cell, seed), because each stage
@@ -44,11 +44,10 @@ from .data import (
     synth_labels,
     write_output,
 )
-from .equalizer import BLOCK_RECORDS
 from .errors import ConfigError, SpecError
 from .imbalance import longtail_counts, resample_positions
 from .losses import LossConfig, canonical_loss_name
-from .trainer import ENCODE_KINDS, EncoderSpec, TrainConfig, featurize_dataset, score, train_stack
+from .trainer import ENCODE_KINDS, TrainConfig, featurize, score, train_stack
 
 RESULT_COLUMNS = (
     "loss",
@@ -61,8 +60,6 @@ RESULT_COLUMNS = (
     "macro_f1_mean",
     "macro_f1_sd",
 )
-
-_GRID_KEYS = ("loss", "beta", "alpha", "encode", "seeds")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -110,13 +107,19 @@ def _parse_int(key: str, raw: str) -> int:
     return _parse_number(key, raw, int, "an integer")
 
 
-def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, v) for v in _split_list(raw))
+def _parse_list(parse):
+    """The parser of a comma-separated list: a tuple of ``parse(key, value)`` for each value."""
+    return lambda key, raw: tuple(parse(key, v) for v in _split_list(raw))
 
 
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(key, v) for v in _split_list(raw))
-
+# Grid key -> (the ExperimentSpec field it sets, parser).
+_GRID_KEYS = {
+    "loss": ("losses", _parse_list(lambda key, raw: raw)),
+    "beta": ("betas", _parse_list(_parse_float)),
+    "alpha": ("alphas", _parse_list(lambda key, raw: None if raw.lower() == "none" else _parse_float(key, raw))),
+    "encode": ("encodes", _parse_list(lambda key, raw: raw)),
+    "seeds": ("seeds", _parse_list(_parse_int)),
+}
 
 # Scalar synth key -> parser; each sets the SynthSpec field of its name.
 _SYNTH_SCALARS = {
@@ -137,7 +140,7 @@ RECIPE_FIELDS = {
     "epochs": ("train", "epochs", _parse_int, "passes over the training records"),
     "learning_rate": ("train", "learning_rate", _parse_float, "Adam step size"),
     "batch_size": ("train", "batch_size", _parse_int, "records per Adam step"),
-    "hidden": ("train", "hidden", _parse_int_list, "comma-separated hidden layer sizes"),
+    "hidden": ("train", "hidden", _parse_list(_parse_int), "comma-separated hidden layer sizes"),
     "image.height": ("encode", "height", _parse_int, "image height (cme)"),
     "image.width": ("encode", "width", _parse_int, "image width (cme)"),
     "window.skip": ("encode", "skip", _parse_int, "samples dropped from the start (cme)"),
@@ -167,9 +170,9 @@ def recipe(base: TrainConfig, values: dict) -> TrainConfig:
 class ExperimentSpec:
     """Fully resolved grid plus shared training and data settings.
 
-    ``train`` is the recipe every cell starts from, loss settings included;
-    each run replaces its seed, its loss kind (and, for iwl, its beta) and
-    its encoder kind. Loss names are canonicalized; a repeated value is an error.
+    ``train`` is the recipe every cell starts from, loss settings included; each run replaces its seed, its loss
+    kind (and, for iwl, its beta) and its encoder kind. Each grid axis is a tuple or list, kept as a tuple, with
+    loss names canonicalized; a repeated value is an error. Exactly one of ``data_dir`` and ``synth`` is set.
     """
 
     losses: tuple[str, ...] = ("iwl",)
@@ -183,8 +186,14 @@ class ExperimentSpec:
     synth: Optional[SynthSpec] = None
 
     def __post_init__(self):
-        if self.data_dir is None and self.synth is None:
-            raise SpecError("an experiment needs either data.dir or synthetic data settings")
+        # A grid axis is a tuple or list: a string would be split into characters, and a number fails far from here.
+        fits = {axis: isinstance(getattr(self, axis), (tuple, list)) for axis, _ in _GRID_KEYS.values()}
+        fits.update(train=isinstance(self.train, TrainConfig), synth=isinstance(self.synth, (SynthSpec, type(None))))
+        mistyped = [name for name, ok in fits.items() if not ok]
+        if mistyped:
+            raise SpecError(f"experiment fields {mistyped} have the wrong type")
+        if (self.data_dir is None) == (self.synth is None):
+            raise SpecError("an experiment needs one data source, data.dir or synthetic data settings, not both")
         if not all(_is_integer(s) and s >= 0 for s in self.seeds):
             raise SpecError(f"seeds must be nonnegative integers, got {self.seeds}")
         SplitSpec(train_fraction=self.train_fraction)  # raises SpecError unless it is a number in (0, 1)
@@ -203,12 +212,13 @@ class ExperimentSpec:
             if a is not None and not (_is_number(a) and 0.0 < a <= 1.0):
                 raise SpecError(f"alpha must be none or a number in (0, 1], got {a!r}")
         # Last, so that every value is checked and hashable.
-        for axis in ("losses", "betas", "alphas", "encodes", "seeds"):
-            values = getattr(self, axis)
+        for axis, _ in _GRID_KEYS.values():
+            values = tuple(getattr(self, axis))
             if not values:
                 raise SpecError(f"the experiment grid has no {axis}")
             if len(set(values)) < len(values):
                 raise SpecError(f"the experiment grid repeats a value in {axis}: {values}")
+            object.__setattr__(self, axis, values)
 
 
 @dataclass(frozen=True)
@@ -259,19 +269,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         raise SpecError(f"unknown experiment keys: {sorted(unknown)}")
 
     kwargs: dict = {}
-    if "loss" in mapping:
-        kwargs["losses"] = tuple(_split_list(mapping["loss"]))
-    if "beta" in mapping:
-        kwargs["betas"] = _parse_float_list("beta", mapping["beta"])
-    if "alpha" in mapping:
-        kwargs["alphas"] = tuple(
-            None if v.lower() == "none" else _parse_float("alpha", v) for v in _split_list(mapping["alpha"])
-        )
-    if "encode" in mapping:
-        kwargs["encodes"] = tuple(_split_list(mapping["encode"]))
-    if "seeds" in mapping:
-        kwargs["seeds"] = _parse_int_list("seeds", mapping["seeds"])
-
+    for key, (axis, parse) in _GRID_KEYS.items():
+        if key in mapping:
+            kwargs[axis] = parse(key, mapping[key])
     if "train_fraction" in mapping:
         kwargs["train_fraction"] = _parse_float("train_fraction", mapping["train_fraction"])
     values = {key: RECIPE_FIELDS[key][2](key, raw) for key, raw in mapping.items() if key in RECIPE_FIELDS}
@@ -302,13 +302,13 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
 
     fields = {name: get(name, conv) for name, conv in _SYNTH_SCALARS.items() if prefix + name in mapping}
     defaults = SynthSpec()
-    classes, counts = get("classes", _parse_int), get("counts", _parse_int_list)
+    classes, counts = get("classes", _parse_int), get("counts", _parse_list(_parse_int))
     if counts is None:
         head = get("head_count", _parse_int, defaults.per_class_counts[0])
         counts = (head,) * (defaults.n_classes if classes is None else classes)
     elif classes is not None and classes != len(counts):
         raise SpecError(f"key {prefix}classes = {classes} disagrees with {len(counts)} counts in {prefix}counts")
-    channels, gains = get("channels", _parse_int), get("channel_gain", _parse_float_list)
+    channels, gains = get("channels", _parse_int), get("channel_gain", _parse_list(_parse_float))
     if gains is None:
         gains = defaults.channel_gain[:1] * (defaults.n_channels if channels is None else channels)
     elif channels is not None and channels != len(gains):
@@ -336,26 +336,6 @@ def _cell_loss(base: LossConfig, cell: CellKey) -> LossConfig:
     return dataclasses.replace(base, kind=cell.loss, beta=cell.beta)
 
 
-def _featurize_blocks(build, wanted: np.ndarray, encoders: dict[str, EncoderSpec]) -> dict[str, np.ndarray]:
-    """One feature matrix per encode, row r for the record at position ``wanted[r]``.
-
-    ``build(positions)`` returns those records as a Dataset. Records are
-    built and featurized ``BLOCK_RECORDS`` at a time, so no more than one
-    block of them is alive at once. An experiment's encoders fix their
-    feature width (``raw.take`` is always set), so every block fits. No
-    positions give empty (0, 0) matrices.
-    """
-    features = {enc: np.empty((0, 0)) for enc in encoders}
-    for start in range(0, wanted.size, BLOCK_RECORDS):
-        block = build(wanted[start : start + BLOCK_RECORDS])
-        for enc, encoder in encoders.items():
-            x = featurize_dataset(block, encoder)
-            if start == 0:
-                features[enc] = np.empty((wanted.size, x.shape[1]))
-            features[enc][start : start + len(block)] = x
-    return features
-
-
 def _fit_seed(
     spec: ExperimentSpec, cells: list[CellKey], seed: int, source: Optional[Dataset]
 ) -> list[tuple[float, float]]:
@@ -365,7 +345,7 @@ def _fit_seed(
     ``spec.synth`` with this seed: labels, class names and ``build(positions)``.
     Each alpha is one fit of its own. It picks its train and test positions
     from the labels alone, builds and featurizes its train side in split
-    order, in blocks, into one matrix per encode its cells use, and trains
+    order with :func:`featurize`, one matrix per encode its cells use, and trains
     the cells of each encode as one stack on it, dropping the matrix once the
     stack has trained. Only then is its test side built and featurized the
     same way, in ascending position order, and each stack scored on it.
@@ -391,14 +371,14 @@ def _fit_seed(
         pos = np.arange(labels.size) if alpha is None else resample_positions(labels, longtail_counts(counts, alpha), seed)
         train_pos, test_pos = (pos[idx] for idx in split_positions(labels[pos], n_classes, split_spec))
         # Split order, not sorted: the order of the rows decides which records make up each batch.
-        features = _featurize_blocks(build, train_pos, encoders)
+        features = featurize(build, train_pos, encoders)
         fitted = {}
         for enc, members in stacks.items():
             base = dataclasses.replace(spec.train, encode=encoders[enc], seed=seed)
             cfgs = [dataclasses.replace(base, loss=_cell_loss(spec.train.loss, cells[i])) for i in members]
             fitted[enc] = train_stack(features.pop(enc), labels[train_pos], cfgs, class_names)
         test_pos = np.sort(test_pos)
-        features = _featurize_blocks(build, test_pos, encoders)
+        features = featurize(build, test_pos, encoders)
         for enc, members in stacks.items():
             for i, (model, _) in zip(members, fitted.pop(enc)):
                 metrics = score(model, features[enc], labels[test_pos])

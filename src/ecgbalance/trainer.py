@@ -337,8 +337,41 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
     return x.reshape(len(d), -1)
 
 
+# Records built and featurized per block. At 12 leads x 1000 samples and a 166+832 window, 64 records held 9.03 MiB of
+# temporaries beyond their output at 64 per block, 2.63 MiB at 16 (tracemalloc): 16 keeps each window stack and squares
+# array under numpy's 4 MiB huge-page threshold, so training, not featurization, sets a criterion-7 seed's peak RSS.
+BLOCK_RECORDS = 16
+
+
+def featurize(build, positions: np.ndarray, encoders: dict) -> dict:
+    """One feature matrix per key of ``encoders``, row r for the record at ``positions[r]``.
+
+    ``build(positions)`` returns those records as a Dataset. They are built
+    and featurized (:func:`featurize_dataset`) ``BLOCK_RECORDS`` at a time,
+    so no more than one block of them is alive at once. An encoder gives
+    every block rows of one width. No positions give empty (0, 0) matrices.
+    """
+    features = {key: np.empty((0, 0)) for key in encoders}
+    for start in range(0, positions.size, BLOCK_RECORDS):
+        block = build(positions[start : start + BLOCK_RECORDS])
+        for key, encoder in encoders.items():
+            x = featurize_dataset(block, encoder)
+            if start == 0:
+                features[key] = np.empty((positions.size, x.shape[1]))
+            features[key][start : start + len(block)] = x
+    return features
+
+
 def _loss_label(cfg: LossConfig) -> str:
     return f"{cfg.kind} (beta {cfg.beta!r})" if cfg.kind == "iwl" else cfg.kind
+
+
+def _check_labels(labels, n: int, k: int) -> np.ndarray:
+    """``labels`` as an array if they are ``n`` integers in [0, ``k``), else a DimensionError."""
+    labels = np.asarray(labels)
+    if not (labels.shape == (n,) and labels.dtype.kind in "iu" and (n == 0 or 0 <= labels.min() <= labels.max() < k)):
+        raise DimensionError(f"labels must be {n} integers in [0, {k}), one per row of x")
+    return labels
 
 
 def _arrange(x: np.ndarray, at: np.ndarray, want: np.ndarray) -> None:
@@ -392,9 +425,7 @@ def train_stack(
     n = len(x)
     if n == 0:
         raise ConfigError("training dataset is empty")
-    labels, n_classes = np.asarray(labels), len(class_names)
-    if not (labels.shape == (n,) and labels.dtype.kind in "iu" and 0 <= labels.min() <= labels.max() < n_classes):
-        raise DimensionError(f"labels must be {n} integers in [0, {n_classes}), one per row of x")
+    labels = _check_labels(labels, n, len(class_names))
     # Guard against classes absent from this split; CB/LDAM need counts >= 1.
     counts = np.maximum(np.bincount(labels, minlength=len(class_names)), 1)
     losses = [make_loss(c.loss, class_counts=counts) for c in cfgs]
@@ -446,14 +477,12 @@ def train_stack(
 def train(d_train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, list[float]]:
     """Train on the whole dataset; returns the model and per-epoch mean loss.
 
-    Featurizes the dataset, then runs :func:`train_stack` with one variant.
-    Deterministic given (d_train, cfg): the seed drives parameter init and
-    the per-epoch shuffle, batches are taken in shuffled order, and the
-    loss reduction is order-exact.
+    Featurizes the dataset with :func:`featurize`, then runs
+    :func:`train_stack` with one variant. Deterministic given (d_train,
+    cfg): the seed drives parameter init and the per-epoch shuffle, batches
+    are taken in shuffled order, and the loss reduction is order-exact.
     """
-    if len(d_train) == 0:
-        raise ConfigError("training dataset is empty")
-    x = featurize_dataset(d_train, cfg.encode)
+    x = featurize(d_train.take, np.arange(len(d_train)), {0: cfg.encode})[0]
     [fit] = train_stack(x, d_train.labels(), [cfg], d_train.class_names)
     return fit
 
@@ -500,21 +529,24 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
 
 
 def score(m: ModelParams, x: np.ndarray, labels: np.ndarray) -> Metrics:
-    """Predict each row of the feature matrix ``x`` by argmax and score it against ``labels``."""
+    """Predict each row of ``x`` by argmax and score it against ``labels``, checked as :func:`train_stack` does."""
     if x.shape[1] != m.input_dim:
         raise DimensionError(f"model takes {m.input_dim} input features, the dataset gives {x.shape[1]}")
+    k = m.num_classes
+    labels = _check_labels(labels, len(x), k)
     _, logits = _forward_batch(m, x)
     preds = np.argmax(logits, axis=1)
-    k = m.num_classes
     cm = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
     return metrics_from_confusion(cm)
 
 
 def evaluate(m: ModelParams, d_test: Dataset) -> Metrics:
-    """Featurize with the model's encoder (an empty dataset raises EmptyDataset there), then :func:`score`."""
+    """Featurize with the model's encoder by :func:`featurize`, then :func:`score`."""
     if d_test.class_names != m.class_names:
         raise DimensionError(f"model classes {list(m.class_names)} are not the dataset's {list(d_test.class_names)}")
-    return score(m, featurize_dataset(d_test, m.encoder), d_test.labels())
+    if len(d_test) == 0:
+        raise EmptyDataset("no records to evaluate")
+    return score(m, featurize(d_test.take, np.arange(len(d_test)), {0: m.encoder})[0], d_test.labels())
 
 
 # ---------------------------------------------------------------------------

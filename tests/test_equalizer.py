@@ -22,7 +22,7 @@ from ecgbalance.equalizer import (
     write_stats_csv,
 )
 from ecgbalance.errors import EmptyDataset, EncodeError, SpecError, WindowOutOfRange
-from ecgbalance.trainer import featurize_dataset
+from ecgbalance.trainer import BLOCK_RECORDS, featurize, featurize_dataset
 
 from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset, traced_peak
 
@@ -340,7 +340,7 @@ def test_featurize_matches_per_record_reference():
     for i in range(320):
         # i % 5 picks the corner case, i % 2 the mode, i % 3 ragged lengths;
         # every 35th geometry has a take beyond numpy's 8192-element summation
-        # blocks and every 25th spans more than one featurization block.
+        # blocks and every 25th spans several of featurize's blocks.
         c = 1 if i % 5 == 0 else int(rng.integers(2, 9))
         take = int(rng.integers(8190, 8400)) if i % 35 == 3 else int(rng.integers(2, 90))
         skip = int(rng.integers(0, 20))
@@ -368,14 +368,16 @@ def test_featurize_matches_per_record_reference():
             assert np.array_equal(got, expected), (i, equalize)
         flat = np.stack([reference_image(r.channels, height, width, skip, take, mode, True).ravel() for r in records])
         assert np.array_equal(featurize_dataset(d, enc), flat)
-        raw = featurize_dataset(d, EncoderSpec(kind="raw", raw_take=skip + take))
-        assert np.array_equal(raw, np.stack([r.channels[:, : skip + take].ravel() for r in records]))
+        raw = np.stack([r.channels[:, : skip + take].ravel() for r in records])
+        assert np.array_equal(featurize_dataset(d, EncoderSpec(kind="raw", raw_take=skip + take)), raw)
+        blocked = featurize(d.take, np.arange(n), {"cme": enc, "raw": EncoderSpec(kind="raw", raw_take=skip + take)})
+        assert np.array_equal(blocked["cme"], flat) and np.array_equal(blocked["raw"], raw)
         shapes["c1"] += c == 1
         shapes["h=c"] += height == c
         shapes["w1"] += width == 1
         shapes["w=take"] += width == take
         shapes["ragged"] += len(set(lengths.tolist())) > 1
-        shapes["multi-block"] += n > 64
+        shapes["multi-block"] += n > 4 * BLOCK_RECORDS
         shapes["long"] += take > 8192
     assert min(shapes.values()) >= 2, shapes
 
@@ -384,27 +386,39 @@ def test_featurize_records_checks_every_block():
     x = np.ones((2, 40))
     good = [make_record(x, record_id=f"ok{i}") for i in range(70)]
     loud = make_record(np.full((2, 40), 1e200), record_id="loud")
-    with pytest.raises(SpecError, match="scale factors must be finite"):
-        featurize_records(good + [loud], 2, 8, skip=0, take=40)
     short = make_record(np.ones((2, 30)), record_id="short")
-    with pytest.raises(WindowOutOfRange, match="'short' of length 30"):
-        featurize_records(good + [short], 2, 8, skip=0, take=40)
     # Neighbouring samples 1.7e308 apart overflow the time interpolation.
     huge = make_record(np.tile([1.7e308, -1.7e308], (2, 20)), record_id="huge")
-    with pytest.raises(EncodeError, match="non-finite pixels"):
-        featurize_records(good + [huge], 2, 8, skip=0, take=40, equalize=False)
+    cases = [
+        (loud, True, SpecError, "scale factors must be finite"),
+        (short, True, WindowOutOfRange, "'short' of length 30"),
+        (huge, False, EncodeError, "non-finite pixels"),
+    ]
+    for bad, equalize, error, message in cases:
+        with pytest.raises(error, match=message):
+            featurize_records(good + [bad], 2, 8, skip=0, take=40, equalize=equalize)
+    # featurize meets each bad record in its last block, past the first BLOCK_RECORDS.
+    assert len(good) > 4 * BLOCK_RECORDS
+    enc = EncoderSpec(height=2, width=8, skip=0, take=40)
+    for bad, _, error, message in cases[:2]:
+        d = Dataset(records=(*good, bad), class_names=("a", "b"))
+        with pytest.raises(error, match=message):
+            featurize(d.take, np.arange(len(d)), {"cme": enc})
 
 
-def test_featurize_records_temporaries_stay_below_the_huge_page_threshold():
+def test_featurize_temporaries_stay_below_the_huge_page_threshold():
     # Criterion-7 geometry: 12 leads x 1000 samples, a 166+832 window, a 12x125 image.
     # A block's window stack and its squares temporary each stay under numpy's
     # 4 MiB huge-page threshold, so featurizing many records holds little beyond its output.
     rng = np.random.default_rng(7)
     gains = np.geomspace(1.0, 0.01, 12)[:, None]
     records = [make_record(rng.normal(size=(12, 1000)) * gains, record_id=f"r{i}") for i in range(64)]
-    images, peak = traced_peak(featurize_records, records, 12, 125, 166, 832)
-    assert images.shape == (64, 12, 125)
-    assert peak - images.nbytes < 4 * 2**20, f"{(peak - images.nbytes) / 2**20:.2f} MiB beyond the output"
+    d = Dataset(records=records, class_names=("a", "b"))
+    enc = EncoderSpec(height=12, width=125, skip=166, take=832)
+    features, peak = traced_peak(featurize, d.take, np.arange(64), {"cme": enc})
+    x = features["cme"]
+    assert x.shape == (64, 12 * 125)
+    assert peak - x.nbytes < 4 * 2**20, f"{(peak - x.nbytes) / 2**20:.2f} MiB beyond the output"
 
 
 # ---------------------------------------------------------------------------

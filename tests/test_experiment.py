@@ -27,6 +27,7 @@ from ecgbalance import (
     split,
     split_positions,
     synth_labels,
+    trainer,
     write_csv_dataset,
     write_results_csv,
 )
@@ -43,8 +44,7 @@ from ecgbalance.experiment import (
     parse_kv_file,
     synth_spec_from_mapping,
 )
-from ecgbalance.equalizer import BLOCK_RECORDS
-from ecgbalance.trainer import featurize_dataset, init_model
+from ecgbalance.trainer import BLOCK_RECORDS, featurize_dataset, init_model
 
 from conftest import traced_peak
 
@@ -266,12 +266,29 @@ def test_spec_requires_some_data_source():
         ({"betas": (float("inf"),)}, "beta"),
         ({"betas": ([1],)}, "beta"),
         ({"losses": ("focal",), "betas": (True,)}, "beta"),
+        # Each grid axis is a tuple or list, not one value, and not a string split into characters.
+        ({"betas": 0.3}, "betas"),
+        ({"seeds": 0}, "seeds"),
+        ({"alphas": 0.5}, "alphas"),
+        ({"losses": "iwl"}, "losses"),
+        ({"encodes": "cme"}, "encodes"),
+        ({"train": None}, "train"),
+        ({"synth": "x"}, "synth"),
+        # Exactly one data source: a synth beside data.dir would be ignored.
+        ({"synth": SynthSpec()}, "not both"),
     ],
 )
 def test_spec_rejects_a_grid_value_of_the_wrong_type_or_a_repeat(fields, key):
     # A library caller's spec is checked as a parsed one is, so none of these ends in a bare TypeError.
     with pytest.raises(SpecError, match=key):
         ExperimentSpec(data_dir="ds", **fields)
+
+
+def test_spec_takes_a_list_for_a_grid_axis_and_keeps_a_tuple():
+    axes = dict(losses=["ce", "iwl"], betas=[0.3], alphas=[None, 0.5], encodes=["raw"], seeds=[2])
+    spec = ExperimentSpec(data_dir="ds", **axes)
+    assert [getattr(spec, axis) for axis in axes] == [("cross_entropy", "iwl"), (0.3,), (None, 0.5), ("raw",), (2,)]
+    assert hash(spec) == hash(dataclasses.replace(spec))
 
 
 def test_spec_canonicalizes_loss_names():
@@ -433,7 +450,7 @@ def seed_blocks(calls, seed):
 
 def test_run_experiment_fits_each_alpha_on_its_own(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path))
-    monkeypatch.setattr(experiment, "BLOCK_RECORDS", 5)
+    monkeypatch.setattr(trainer, "BLOCK_RECORDS", 5)
     calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "split_positions", "train_stack")
     run_experiment(spec, jobs=1)
     split_spec = lambda seed: SplitSpec(train_fraction=spec.train_fraction, seed=seed)
@@ -467,7 +484,7 @@ def test_run_experiment_fits_each_alpha_on_its_own(tmp_path, monkeypatch):
 
 def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch):
     spec = parse_experiment_spec(write_spec(tmp_path, TINY_SPEC.replace("alpha = none, 0.5", "alpha = 0.5")))
-    monkeypatch.setattr(experiment, "BLOCK_RECORDS", 4)
+    monkeypatch.setattr(trainer, "BLOCK_RECORDS", 4)
     calls = count_calls(monkeypatch, "generate_synthetic", "resample_positions", "train_stack", "score")
     run_experiment(spec, jobs=1)
     assert len(calls["resample_positions"]) == len(spec.seeds)

@@ -21,6 +21,7 @@ from ecgbalance import (
     encode_image,
     evaluate,
     experiment,
+    featurize_records,
     generate_synthetic,
     longtail_counts,
     parse_experiment_spec,
@@ -30,6 +31,7 @@ from ecgbalance import (
     trainer,
     window_record,
 )
+from ecgbalance.data import window_records
 
 # (module, name) pairs the tracer wraps to compute the benchmark's per-layer metrics.
 TRACED = (
@@ -50,23 +52,40 @@ def test_traced_names_exist():
 
 
 def test_train_and_evaluate_featurize_through_the_module_global(monkeypatch):
-    original = trainer.featurize_dataset
-    calls = []
+    calls, matrices = [], []
 
-    def counted(*args, **kwargs):
-        # The tracer counts records as len(args[0]).
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
+    def spy(name, record):
+        original = getattr(trainer, name)
 
-    monkeypatch.setattr(trainer, "featurize_dataset", counted)
-    d = tiny_dataset()
+        def wrapper(*args, **kwargs):
+            record(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, wrapper)
+
+    # The tracer counts records as len(args[0]), so each block must be a sized Dataset.
+    spy("featurize_dataset", lambda args: calls.append(len(args[0])))
+    spy("train_stack", lambda args: matrices.append(args[0].copy()))
+    spy("score", lambda args: matrices.append(args[1].copy()))
+    d = tiny_dataset(per_class=11)
+    block = trainer.BLOCK_RECORDS
+    assert len(d) > 2 * block and len(d) % block
     for enc in ENCODERS:
+        if enc.kind == "cme":
+            whole = featurize_records(d.records, enc.height, enc.width, enc.skip, enc.take, enc.magnitude_mode)
+        else:
+            whole = window_records(d.records, 0, enc.raw_take)
         calls.clear()
+        matrices.clear()
         cfg = TrainConfig(epochs=1, batch_size=8, loss=LossConfig(beta=0.3), encode=enc, hidden=(4,))
         model, _ = train(d, cfg)
-        assert calls == [len(d)]
         evaluate(model, d)
-        assert calls == [len(d), len(d)]
+        # Blocks of BLOCK_RECORDS records in order, the last one shorter, once for train and once for
+        # evaluate, whose rows are bit for bit those of one call on every record.
+        assert calls == [min(block, len(d) - start) for start in range(0, len(d), block)] * 2
+        assert len(matrices) == 2
+        for x in matrices:
+            assert x.tobytes() == whole.reshape(len(d), -1).tobytes()
 
 
 def test_per_call_entry_points_take_dataset_records():

@@ -34,6 +34,7 @@ from ecgbalance.trainer import (
     _forward_batch,
     _layers,
     featurize_dataset,
+    score,
     train_stack,
 )
 
@@ -443,7 +444,8 @@ def test_a_stack_stopped_mid_epoch_leaves_x_as_it_was():
     assert x.tobytes() == before
 
 
-@pytest.mark.parametrize(
+# Labels that are not one class index per row; train_stack and score check them by one rule.
+BAD_LABELS = pytest.mark.parametrize(
     "relabel",
     [
         lambda y, k: y[:-1],
@@ -456,6 +458,9 @@ def test_a_stack_stopped_mid_epoch_leaves_x_as_it_was():
     ],
     ids=["one short", "one over", "2-D", "float", "bool", "negative", "past the last class"],
 )
+
+
+@BAD_LABELS
 def test_a_stack_checks_its_labels_before_any_work(monkeypatch, relabel):
     # Not a bare numpy error from bincount, and not a DimensionError from inside the first batch.
     d = tiny_dataset()
@@ -472,9 +477,20 @@ def test_a_stack_checks_its_labels_before_any_work(monkeypatch, relabel):
     assert x.tobytes() == before
 
 
+@BAD_LABELS
+def test_score_checks_its_labels_by_the_stacks_rule(relabel):
+    # Not a bare numpy error from bincount or reshape.
+    d = tiny_dataset()
+    x = featurize_dataset(d, RAW_ENC)
+    m = init_model(x.shape[1], 3, RAW_ENC, hidden=(4,), rng=np.random.default_rng(0), class_names=d.class_names)
+    assert score(m, x, d.labels()).confusion.sum() == len(d)
+    with pytest.raises(DimensionError, match=r"labels must be 12 integers in \[0, 3\)"):
+        score(m, x, relabel(d.labels(), len(d.class_names)))
+
+
 def test_train_rejects_empty_dataset():
     d = Dataset(records=(), class_names=("a", "b"))
-    with pytest.raises((ConfigError, EmptyDataset)):
+    with pytest.raises(ConfigError, match="training dataset is empty"):
         train(d, small_config())
 
 
