@@ -9,7 +9,7 @@ overshoots, which is why inputs are expected at roughly unit scale.
 
 import numpy as np
 
-from ecgbalance import SynthSpec, cme_factors, featurize_records, generate_synthetic, window_record
+from ecgbalance import EncoderSpec, SynthSpec, cme_factors, featurize_records, generate_synthetic, window_record
 
 spec = SynthSpec(
     length=3000,
@@ -36,6 +36,6 @@ print(f"\nfactor sum: {factors.sum():.15f}")
 print(f"loud/quiet RMS ratio: {rms_before.max() / rms_before.min():.1f}x before, "
       f"{rms_after.max() / rms_after.min():.1f}x after")
 
-img = featurize_records([r], height=12, width=125, skip=500, take=2500)[0]
+img = featurize_records([r], EncoderSpec(height=12, width=125, skip=500, take=2500))[0]
 print(f"\nencoded image: {img.shape[0]} x {img.shape[1]}, "
       f"value range [{img.min():.3f}, {img.max():.3f}]")

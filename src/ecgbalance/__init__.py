@@ -28,6 +28,7 @@ from .data import (
 )
 from .equalizer import (
     ChannelMagnitudeStats,
+    EncoderSpec,
     channel_stats,
     cme_factors,
     encode_image,
@@ -76,7 +77,6 @@ from .losses import (
 )
 from .trainer import (
     AdamState,
-    EncoderSpec,
     Metrics,
     ModelParams,
     TrainConfig,

@@ -27,7 +27,9 @@ from .data import (
     write_output,
 )
 from .equalizer import (
+    ENCODE_KINDS,
     MAGNITUDE_MODES,
+    EncoderSpec,
     channel_stats,
     featurize_records,
     write_image_csv,
@@ -50,8 +52,6 @@ from .imbalance import longtail_counts, resample, write_histogram_csv
 from .losses import LOSS_KINDS, LossConfig, gradient_check
 from .trainer import (
     BLOCK_RECORDS,
-    ENCODE_KINDS,
-    EncoderSpec,
     TrainConfig,
     evaluate,
     load_model,
@@ -166,17 +166,16 @@ def _cmd_encode(args) -> int:
         records = tuple(r for r in records if r.record_id == args.record)
         if not records:
             raise _UsageError(f"record {args.record!r} not found in {args.data}")
+    encoder = _recipe_from_args(args, TrainConfig(encode=EncoderSpec(magnitude_mode=args.mode))).encode
     for start in range(0, len(records), BLOCK_RECORDS):
         block = records[start : start + BLOCK_RECORDS]
-        images = featurize_records(
-            block, args.height, args.width, args.skip, args.take, args.mode, equalize=not args.no_equalize
-        )
+        images = featurize_records(block, encoder, equalize=not args.no_equalize)
         for r, img in zip(block, images):
             if args.format in ("csv", "both"):
                 write_image_csv(img, out / f"{r.record_id}.csv")
             if args.format in ("raw", "both"):
                 write_image_raw(img, out / f"{r.record_id}.f64")
-    print(f"encoded {len(records)} records at {args.height}x{args.width} into {out}")
+    print(f"encoded {len(records)} records at {encoder.height}x{encoder.width} into {out}")
     return 0
 
 

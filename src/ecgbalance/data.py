@@ -364,6 +364,16 @@ class SynthSpec:
     frequency_spacing: float = 1.0
 
     def __post_init__(self):
+        # Numbers are ints or floats, never bools, and list fields tuples or lists: else each fails far from here.
+        reals = ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing")
+        fits = {name: _is_number(getattr(self, name)) for name in reals} | {
+            "per_class_counts": isinstance(self.per_class_counts, (tuple, list)),
+            "channel_gain": isinstance(self.channel_gain, (tuple, list)) and all(map(_is_number, self.channel_gain)),
+            "class_names": isinstance(self.class_names, (tuple, list, type(None))),
+        }
+        mistyped = [name for name, ok in fits.items() if not ok]
+        if mistyped:
+            raise SpecError(f"synth fields {mistyped} have the wrong type")
         if not all(_is_integer(c) and c >= 0 for c in self.per_class_counts):
             raise SpecError(f"per-class counts must be nonnegative integers, got {self.per_class_counts}")
         object.__setattr__(self, "per_class_counts", tuple(int(c) for c in self.per_class_counts))
@@ -374,7 +384,7 @@ class SynthSpec:
             raise SpecError("need at least two classes")
         if self.n_channels < 1 or not _is_integer(self.length) or self.length < 2:
             raise SpecError("need at least one channel and an integer length of at least two samples")
-        for name in ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing", "channel_gain"):
+        for name in (*reals, "channel_gain"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         if any(g <= 0 for g in self.channel_gain):

@@ -6,28 +6,51 @@ over the negated channel magnitude statistic, so quiet channels are boosted
 relative to loud ones while the factors stay positive and sum to one. The
 scaled record is then interpolated onto a fixed-size image grid so a
 classifier sees a uniform input shape regardless of record length or
-channel count. :func:`featurize_records` is the one implementation of
-that chain, run on whatever records its caller passes, a block at a time
-in :func:`ecgbalance.trainer.featurize`; :func:`cme_factors` and
-:func:`encode_image` are its steps applied to a single record.
+channel count. An :class:`EncoderSpec` picks that image or the raw window
+as the network's input, and :func:`featurize_records` is the one
+implementation of both, run on whatever records its caller passes, a block
+at a time in :func:`ecgbalance.trainer.featurize`; :func:`cme_factors` and
+:func:`encode_image` are its CME steps applied to a single record.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, EcgRecord, csv_text, read_input, window_records, write_output
-from .errors import DimensionError, EmptyDataset, EncodeError, SpecError
+from .errors import ConfigError, DimensionError, EmptyDataset, EncodeError, SpecError
 
+ENCODE_KINDS = ("cme", "raw")
 MAGNITUDE_MODES = ("rms", "l2")
 
-CANONICAL_SKIP = 500
-CANONICAL_TAKE = 2500
+
+@dataclass(frozen=True)
+class EncoderSpec:
+    """How a record becomes the network's input, flattened. Kind "cme": window (skip, take), equalize channel
+    magnitudes by ``magnitude_mode``, encode to a (height, width) image. Kind "raw": window (0, raw_take)."""
+
+    kind: str = "cme"
+    height: int = 128
+    width: int = 128
+    skip: int = 500
+    take: int = 2500
+    raw_take: int = 3000
+    magnitude_mode: str = "rms"
+
+    def __post_init__(self):
+        # Exact types: a float, None or string size fails far from here; a bool windows one sample.
+        mistyped = [f.name for f in fields(self) if type(getattr(self, f.name)) is not type(f.default)]
+        if mistyped:
+            raise ConfigError(f"encoder fields {mistyped} have the wrong type")
+        if self.kind not in ENCODE_KINDS:
+            raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
+        if self.magnitude_mode not in MAGNITUDE_MODES:
+            raise ConfigError(f"unknown magnitude mode {self.magnitude_mode!r}; expected one of {MAGNITUDE_MODES}")
 
 
 def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
@@ -145,28 +168,24 @@ def _encode(windows: np.ndarray, height: int, width: int, record_id: str) -> np.
     return pixels
 
 
-def featurize_records(
-    records: Sequence[EcgRecord],
-    height: int,
-    width: int,
-    skip: int = CANONICAL_SKIP,
-    take: int = CANONICAL_TAKE,
-    mode: str = "rms",
-    equalize: bool = True,
-) -> np.ndarray:
-    """window -> factors -> scale -> encode for every record: (n, height, width).
+def featurize_records(records: Sequence[EcgRecord], encoder: EncoderSpec, equalize: bool = True) -> np.ndarray:
+    """Every record as ``encoder`` gives it to the network, before flattening.
 
-    The temporaries are a few times the size of the records' windows, so
-    callers pass a block of records, not a dataset. ``equalize`` False skips
-    the factors. ``records`` must be nonempty and share a channel count.
+    Kind "raw" gives the (n, C, raw_take) windows. Kind "cme" gives
+    window -> factors -> scale -> encode: (n, height, width); ``equalize``
+    False skips the factors. The temporaries are a few times the size of the
+    records' windows, so callers pass a block of records, not a dataset.
+    ``records`` must be nonempty and share a channel count.
     """
-    windows = window_records(records, skip, take)
+    if encoder.kind == "raw":
+        return window_records(records, 0, encoder.raw_take)
+    windows = window_records(records, encoder.skip, encoder.take)
     if equalize:
-        windows *= _factors(windows, mode)[:, :, None]
-    return _encode(windows, height, width, records[0].record_id)
+        windows *= _factors(windows, encoder.magnitude_mode)[:, :, None]
+    return _encode(windows, encoder.height, encoder.width, records[0].record_id)
 
 
-def cme_factors(r: EcgRecord, mode: str = "rms") -> np.ndarray:
+def cme_factors(r: EcgRecord, mode: str = EncoderSpec.magnitude_mode) -> np.ndarray:
     """Softmax over negated channel magnitudes: positive factors summing to one.
 
     ``mode`` picks the magnitude statistic: per-channel RMS (default, length

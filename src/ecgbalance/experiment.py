@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,10 +45,11 @@ from .data import (
     synth_labels,
     write_output,
 )
+from .equalizer import ENCODE_KINDS
 from .errors import ConfigError, SpecError
 from .imbalance import longtail_counts, resample_positions
 from .losses import LossConfig, canonical_loss_name
-from .trainer import ENCODE_KINDS, TrainConfig, featurize, score, train_stack
+from .trainer import TrainConfig, featurize, score, train_stack
 
 RESULT_COLUMNS = (
     "loss",
@@ -182,13 +184,14 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0,)
     train_fraction: float = 0.9
     train: TrainConfig = TrainConfig(epochs=30)
-    data_dir: Optional[str] = None
+    data_dir: Optional[str | os.PathLike] = None
     synth: Optional[SynthSpec] = None
 
     def __post_init__(self):
         # A grid axis is a tuple or list: a string would be split into characters, and a number fails far from here.
         fits = {axis: isinstance(getattr(self, axis), (tuple, list)) for axis, _ in _GRID_KEYS.values()}
         fits.update(train=isinstance(self.train, TrainConfig), synth=isinstance(self.synth, (SynthSpec, type(None))))
+        fits.update(data_dir=isinstance(self.data_dir, (str, os.PathLike, type(None))))
         mistyped = [name for name, ok in fits.items() if not ok]
         if mistyped:
             raise SpecError(f"experiment fields {mistyped} have the wrong type")

@@ -6,10 +6,10 @@ with rectifier nonlinearities, trained by Adam on one of the losses from
 shuffling, and batch order are pure functions of the config, so two runs
 with the same inputs produce bit-identical parameter trajectories.
 
-Records enter the network through an :class:`EncoderSpec`, either the CME
-image (window, equalize, encode, flatten) or the flattened raw window, so
-a trained model carries everything needed to featurize new records at
-evaluation time.
+Records enter the network flattened, as their
+:class:`~ecgbalance.equalizer.EncoderSpec` gives them (the CME image or
+the raw window), so a trained model carries everything needed to
+featurize new records at evaluation time.
 
 Training runs on a stack: models that differ only in their loss share the
 feature matrix, the initial weights and the batch order, so their
@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _is_integer, _is_number, read_input, window_records, write_output
-from .equalizer import CANONICAL_SKIP, CANONICAL_TAKE, featurize_records
+from .data import Dataset, _is_integer, _is_number, read_input, write_output
+from .equalizer import EncoderSpec, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
 from .losses import BatchLoss, LossConfig, make_loss
 
@@ -46,35 +46,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-ENCODE_KINDS = ("cme", "raw")
-
 _MODEL_MAGIC = b"ECGBMDL1"
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """How a record becomes the network's input vector.
-
-    kind "cme": window (skip, take), equalize channel magnitudes, encode to
-    a (height, width) image, flatten. kind "raw": window (0, raw_take) and
-    flatten.
-    """
-
-    kind: str = "cme"
-    height: int = 128
-    width: int = 128
-    skip: int = CANONICAL_SKIP
-    take: int = CANONICAL_TAKE
-    raw_take: int = 3000
-    magnitude_mode: str = "rms"
-
-    def __post_init__(self):
-        # Exact types: a float, None or string size fails far from here; a bool windows one sample.
-        mistyped = [f.name for f in fields(self) if type(getattr(self, f.name)) is not type(f.default)]
-        if mistyped:
-            raise ConfigError(f"encoder fields {mistyped} have the wrong type")
-        if self.kind not in ENCODE_KINDS:
-            raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
 
 
 @dataclass
@@ -328,13 +300,7 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
     """The network input of every record, one row each."""
     if len(d) == 0:
         raise EmptyDataset("no records to featurize")
-    if encoder.kind == "cme":
-        x = featurize_records(
-            d.records, encoder.height, encoder.width, encoder.skip, encoder.take, encoder.magnitude_mode
-        )
-    else:
-        x = window_records(d.records, 0, encoder.raw_take)
-    return x.reshape(len(d), -1)
+    return featurize_records(d.records, encoder).reshape(len(d), -1)
 
 
 # Records built and featurized per block. At 12 leads x 1000 samples and a 166+832 window, 64 records held 9.03 MiB of

@@ -21,6 +21,7 @@ from ecgbalance import (
     TrainConfig,
     load_csv,
     load_model,
+    read_image_raw,
     write_csv_dataset,
 )
 from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
@@ -34,6 +35,7 @@ from ecgbalance.experiment import (
     grid_cells,
     parse_experiment_spec,
 )
+from ecgbalance.trainer import featurize_dataset
 
 SYNTH_SPEC = """\
 classes = 3
@@ -381,6 +383,18 @@ def test_encode_single_record_and_no_equalize(tmp_path, data_dir):
     assert [p.name for p in out.iterdir()] == [f"{record_id}.csv"]
 
 
+def test_encode_images_are_the_rows_train_featurizes(tmp_path, data_dir):
+    # encode and train read the image, window and mode flags into one EncoderSpec, so each image is a network input.
+    flags = ["--height", "5", "--width", "12", "--skip", "3", "--take", "70", "--mode", "l2"]
+    out = tmp_path / "img"
+    assert main(["encode", "--data", str(data_dir), "--out", str(out), "--format", "raw", *flags]) == 0
+    encoder = _train_config_from_args(build_parser().parse_args(["train", "--data", "d", "--out", "m", *flags])).encode
+    assert encoder == EncoderSpec(height=5, width=12, skip=3, take=70, magnitude_mode="l2")
+    d = load_csv(data_dir)
+    images = np.stack([read_image_raw(out / f"{r.record_id}.f64") for r in d.records])
+    assert images.reshape(len(d), -1).tobytes() == featurize_dataset(d, encoder).tobytes()
+
+
 def write_array_dataset(path, arrays, labels):
     write_csv_dataset(dataset_from_arrays(arrays, labels, ("a", "b", "c")), path)
     return path
@@ -575,6 +589,8 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
         header["encoder"]["raw_take"] = "80"
     elif damage == "null_encoder_field":
         header["encoder"]["raw_take"] = None
+    elif damage == "unknown_magnitude_mode":
+        header["encoder"]["magnitude_mode"] = "l3"
     elif damage == "extra_class_name":
         # eval compares class names, so the names must also match the model's outputs.
         header["class_names"].append("class_3")
@@ -588,7 +604,8 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
     "damage",
     [
         "truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field",
-        "float_encoder_field", "string_encoder_field", "null_encoder_field", "extra_encoder_field", "extra_class_name",
+        "float_encoder_field", "string_encoder_field", "null_encoder_field", "unknown_magnitude_mode",
+        "extra_encoder_field", "extra_class_name",
     ],
 )
 def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):

@@ -367,6 +367,20 @@ def test_synth_spec_rejects_an_invalid_recipe_on_construction(fields):
         SynthSpec(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sample_rate", "500"), ("amplitude", "5"), ("noise_sd", None), ("noise_sd", True), ("base_frequency", "2"),
+        ("frequency_spacing", [1.0]), ("class_names", 5), ("class_names", "ab"), ("per_class_counts", 5),
+        ("channel_gain", 1.0), ("channel_gain", (True, 1.0)), ("channel_gain", ("1.0",)),
+    ],
+)
+def test_synth_spec_rejects_a_mistyped_field(field, value):
+    # Each failed far from here as a bare TypeError, or (a bool, a string gain) was read as a number.
+    with pytest.raises(SpecError, match=rf"\['{field}'\] have the wrong type"):
+        SynthSpec(**{"per_class_counts": (2, 2), field: value})
+
+
 def test_synth_spec_shape_comes_from_its_tuples():
     assert SynthSpec().n_classes == 9 and SynthSpec().n_channels == 12
     spec = SynthSpec(per_class_counts=(np.int64(2), 3), channel_gain=(1.0, 0.5, 0.1))

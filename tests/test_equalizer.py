@@ -199,7 +199,7 @@ def test_factors_unknown_mode():
 
 def identity_image(r):
     """featurize_records on a grid matching the record: the scaled record itself."""
-    return featurize_records([r], r.num_channels, r.length, skip=0, take=r.length)[0]
+    return featurize_records([r], EncoderSpec(height=r.num_channels, width=r.length, skip=0, take=r.length))[0]
 
 
 def test_scale_uniform_factor():
@@ -289,7 +289,7 @@ def test_encode_rejects_short_records_and_small_heights():
 
 def test_pipeline_equals_manual_composition(rng):
     r = random_record(rng, n_channels=4, length=3000)
-    img = featurize_records([r], height=8, width=64)[0]
+    img = featurize_records([r], EncoderSpec(height=8, width=64))[0]
     windowed = window_record(r, 500, 2500)
     scaled = make_record(windowed.channels * cme_factors(windowed)[:, None])
     manual = encode_image(scaled, 8, 64)
@@ -309,8 +309,9 @@ def test_pipeline_channel_permutation_permutes_rows():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 3000)) * np.array([1.0, 3.0, 0.2, 7.0])[:, None]
     perm = np.array([2, 0, 3, 1])
-    a = featurize_records([make_record(x)], height=4, width=40)[0]
-    b = featurize_records([make_record(x[perm])], height=4, width=40)[0]
+    enc = EncoderSpec(height=4, width=40)
+    a = featurize_records([make_record(x)], enc)[0]
+    b = featurize_records([make_record(x[perm])], enc)[0]
     # H = C keeps one row per channel, so rows permute exactly.
     assert np.array_equal(b, a[perm])
 
@@ -364,13 +365,16 @@ def test_featurize_matches_per_record_reference():
             expected = np.stack(
                 [reference_image(r.channels, height, width, skip, take, mode, equalize) for r in records]
             )
-            got = featurize_records(records, height, width, skip, take, mode, equalize=equalize)
+            got = featurize_records(records, enc, equalize=equalize)
             assert np.array_equal(got, expected), (i, equalize)
         flat = np.stack([reference_image(r.channels, height, width, skip, take, mode, True).ravel() for r in records])
         assert np.array_equal(featurize_dataset(d, enc), flat)
-        raw = np.stack([r.channels[:, : skip + take].ravel() for r in records])
-        assert np.array_equal(featurize_dataset(d, EncoderSpec(kind="raw", raw_take=skip + take)), raw)
-        blocked = featurize(d.take, np.arange(n), {"cme": enc, "raw": EncoderSpec(kind="raw", raw_take=skip + take)})
+        raw_enc = EncoderSpec(kind="raw", raw_take=skip + take)
+        windows = np.stack([r.channels[:, : skip + take] for r in records])
+        assert np.array_equal(featurize_records(records, raw_enc), windows)
+        raw = windows.reshape(n, -1)
+        assert np.array_equal(featurize_dataset(d, raw_enc), raw)
+        blocked = featurize(d.take, np.arange(n), {"cme": enc, "raw": raw_enc})
         assert np.array_equal(blocked["cme"], flat) and np.array_equal(blocked["raw"], raw)
         shapes["c1"] += c == 1
         shapes["h=c"] += height == c
@@ -394,12 +398,12 @@ def test_featurize_records_checks_every_block():
         (short, True, WindowOutOfRange, "'short' of length 30"),
         (huge, False, EncodeError, "non-finite pixels"),
     ]
+    enc = EncoderSpec(height=2, width=8, skip=0, take=40)
     for bad, equalize, error, message in cases:
         with pytest.raises(error, match=message):
-            featurize_records(good + [bad], 2, 8, skip=0, take=40, equalize=equalize)
+            featurize_records(good + [bad], enc, equalize=equalize)
     # featurize meets each bad record in its last block, past the first BLOCK_RECORDS.
     assert len(good) > 4 * BLOCK_RECORDS
-    enc = EncoderSpec(height=2, width=8, skip=0, take=40)
     for bad, _, error, message in cases[:2]:
         d = Dataset(records=(*good, bad), class_names=("a", "b"))
         with pytest.raises(error, match=message):

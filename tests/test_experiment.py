@@ -274,6 +274,10 @@ def test_spec_requires_some_data_source():
         ({"encodes": "cme"}, "encodes"),
         ({"train": None}, "train"),
         ({"synth": "x"}, "synth"),
+        # data_dir names a directory: load_csv would fail on these with a bare TypeError.
+        ({"data_dir": 5}, "data_dir"),
+        ({"data_dir": b"ds"}, "data_dir"),
+        ({"data_dir": ["ds"]}, "data_dir"),
         # Exactly one data source: a synth beside data.dir would be ignored.
         ({"synth": SynthSpec()}, "not both"),
     ],
@@ -281,7 +285,11 @@ def test_spec_requires_some_data_source():
 def test_spec_rejects_a_grid_value_of_the_wrong_type_or_a_repeat(fields, key):
     # A library caller's spec is checked as a parsed one is, so none of these ends in a bare TypeError.
     with pytest.raises(SpecError, match=key):
-        ExperimentSpec(data_dir="ds", **fields)
+        ExperimentSpec(**{"data_dir": "ds", **fields})
+
+
+def test_spec_takes_a_path_for_data_dir():
+    assert ExperimentSpec(data_dir=Path("ds")).data_dir == Path("ds")
 
 
 def test_spec_takes_a_list_for_a_grid_axis_and_keeps_a_tuple():

@@ -31,7 +31,6 @@ from ecgbalance import (
     trainer,
     window_record,
 )
-from ecgbalance.data import window_records
 
 # (module, name) pairs the tracer wraps to compute the benchmark's per-layer metrics.
 TRACED = (
@@ -71,10 +70,7 @@ def test_train_and_evaluate_featurize_through_the_module_global(monkeypatch):
     block = trainer.BLOCK_RECORDS
     assert len(d) > 2 * block and len(d) % block
     for enc in ENCODERS:
-        if enc.kind == "cme":
-            whole = featurize_records(d.records, enc.height, enc.width, enc.skip, enc.take, enc.magnitude_mode)
-        else:
-            whole = window_records(d.records, 0, enc.raw_take)
+        whole = featurize_records(d.records, enc)
         calls.clear()
         matrices.clear()
         cfg = TrainConfig(epochs=1, batch_size=8, loss=LossConfig(beta=0.3), encode=enc, hidden=(4,))
