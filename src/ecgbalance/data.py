@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionError,
     EmptyDataset,
     MalformedRecord,
     NonFiniteSample,
@@ -40,14 +41,14 @@ CANONICAL_LEADS = 12
 MANIFEST_FIELDS = ("file", "record_id", "label", "sample_rate")
 
 
-def _frozen(arr) -> np.ndarray:
-    """Return a read-only float64 view or copy of ``arr``.
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
+    """Return a read-only view or copy of ``arr`` as ``dtype`` (None keeps its dtype).
 
     Arrays that are already read-only are adopted as-is (the library's own
     constructors use this to avoid copying); writeable caller arrays are
     defensively copied before freezing.
     """
-    out = np.asarray(arr, dtype=np.float64)
+    out = np.asarray(arr, dtype=dtype)
     if out is arr and out.flags.writeable:
         out = out.copy()
     out.flags.writeable = False
@@ -62,6 +63,53 @@ def _is_integer(value) -> bool:
 def _is_number(value) -> bool:
     """An integer by :func:`_is_integer`'s rule, or a Python or numpy float."""
     return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
+# The input rules, each defined once; every site passes the EcgBalanceError subclass it raises.
+
+
+def _check_fields(fits: dict, error, what: str) -> None:
+    """Raise ``error`` naming each field of a ``what`` whose type check in ``fits`` (field name -> passed) failed."""
+    mistyped = [name for name, ok in fits.items() if not ok]
+    if mistyped:
+        raise error(f"{what} fields {mistyped} have the wrong type")
+
+
+def _check_integer(value, error, name: str = "seed", least: int = 0) -> None:
+    """Raise ``error`` unless ``value`` is an integer by :func:`_is_integer`'s rule and at least ``least``;
+    by default, the rule for a seed."""
+    if not (_is_integer(value) and value >= least):
+        kind = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+        raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def _all_integers(values, arr: np.ndarray) -> bool:
+    """Whether every entry of ``values``, read as ``arr``, is an integer by :func:`_is_integer`'s rule. A sequence
+    that is not an array is checked entry by entry, since numpy reads ``[True, 2]`` as int64."""
+    return arr.dtype.kind in "iu" and (isinstance(values, np.ndarray) or all(map(_is_integer, values)))
+
+
+def _check_labels(labels, k: int, n: Optional[int] = None, error=DimensionError, what: str = "labels") -> np.ndarray:
+    """``labels`` as an array if they are a vector of integers in [0, ``k``), ``n`` of them if ``n`` is given,
+    else ``error``; none are an empty int64 vector. Positions into ``k`` records follow this rule too."""
+    arr = np.asarray(labels, dtype=None if np.size(labels) else np.int64)
+    shaped = arr.ndim == 1 and n in (None, arr.size)
+    if not (shaped and (arr.size == 0 or (_all_integers(labels, arr) and 0 <= arr.min() <= arr.max() < k))):
+        raise error(f"{what} must be {'a vector of' if n is None else n} integers in [0, {k})")
+    return arr
+
+
+def _check_counts(counts, error, positive: bool = False, shape_error=DimensionError, what="class counts"):
+    """``counts`` as a read-only int64 vector, frozen by :func:`_frozen`'s rule, if it covers at least two classes
+    (else ``shape_error``), each an integer by :func:`_is_integer`'s rule, nonnegative or with ``positive`` at
+    least 1 (else ``error``)."""
+    arr = np.asarray(counts)
+    problem = f"{what} must be a 1-D vector of at least two {'positive' if positive else 'nonnegative'} integers"
+    if arr.ndim != 1 or arr.size < 2:
+        raise shape_error(f"{problem}, got shape {arr.shape}")
+    if not (_all_integers(counts, arr) and arr.min() >= int(positive)):
+        raise error(f"{problem}, got {counts!r}")
+    return _frozen(arr, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -83,8 +131,7 @@ class EcgRecord:
         if not np.isfinite(arr).all():
             chan, samp = np.argwhere(~np.isfinite(arr))[0]
             raise NonFiniteSample(self.record_id, int(samp), int(chan))
-        if not _is_integer(self.label) or self.label < 0:
-            raise UnknownClass(f"record {self.record_id!r}: label {self.label!r} is not a nonnegative integer")
+        _check_integer(self.label, UnknownClass, f"record {self.record_id!r}: label")
 
     @property
     def num_channels(self) -> int:
@@ -153,7 +200,7 @@ class Dataset:
 
     def take(self, positions) -> Dataset:
         """The records at ``positions``, in order, checked as :func:`generate_synthetic` checks them."""
-        at = _check_positions(positions, len(self))
+        at = _check_labels(positions, len(self), error=SpecError, what="positions")
         return Dataset(tuple(self.records[i] for i in at.tolist()), self.class_names)
 
 
@@ -167,8 +214,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (_is_number(self.train_fraction) and 0.0 < self.train_fraction < 1.0):
             raise SpecError(f"train_fraction must be a number strictly between 0 and 1, got {self.train_fraction!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise SpecError(f"split seed must be a nonnegative integer, got {self.seed!r}")
+        _check_integer(self.seed, SpecError, "split seed")
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +417,12 @@ class SynthSpec:
             "channel_gain": isinstance(self.channel_gain, (tuple, list)) and all(map(_is_number, self.channel_gain)),
             "class_names": isinstance(self.class_names, (tuple, list, type(None))),
         }
-        mistyped = [name for name, ok in fits.items() if not ok]
-        if mistyped:
-            raise SpecError(f"synth fields {mistyped} have the wrong type")
-        if not all(_is_integer(c) and c >= 0 for c in self.per_class_counts):
-            raise SpecError(f"per-class counts must be nonnegative integers, got {self.per_class_counts}")
-        object.__setattr__(self, "per_class_counts", tuple(int(c) for c in self.per_class_counts))
+        _check_fields(fits, SpecError, "synth")
+        counts = _check_counts(self.per_class_counts, SpecError, shape_error=SpecError, what="per-class counts")
+        object.__setattr__(self, "per_class_counts", tuple(counts.tolist()))
         object.__setattr__(self, "channel_gain", tuple(float(g) for g in self.channel_gain))
         if self.class_names is not None:
             object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
-        if self.n_classes < 2:
-            raise SpecError("need at least two classes")
         if self.n_channels < 1 or not _is_integer(self.length) or self.length < 2:
             raise SpecError("need at least one channel and an integer length of at least two samples")
         for name in (*reals, "channel_gain"):
@@ -391,8 +432,7 @@ class SynthSpec:
             raise SpecError("channel gains must be positive")
         if self.noise_sd < 0:
             raise SpecError("noise_sd must be nonnegative")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise SpecError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_integer(self.seed, SpecError)
         if self.amplitude <= 0 or self.sample_rate <= 0:
             raise SpecError("amplitude and sample_rate must be positive")
         if self.class_names is not None and len(self.class_names) != self.n_classes:
@@ -467,17 +507,6 @@ def synth_labels(spec: SynthSpec) -> np.ndarray:
     return np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_counts)[order]
 
 
-def _check_positions(positions, n: int) -> np.ndarray:
-    pos = np.asarray(positions)
-    if pos.size == 0:
-        pos = pos.astype(np.int64)
-    if pos.ndim != 1 or pos.dtype.kind not in "iu":
-        raise SpecError("positions must be a 1-D sequence of integers")
-    if pos.size and (pos.min() < 0 or pos.max() >= n):
-        raise SpecError(f"positions must lie in [0, {n}); got values from {pos.min()} to {pos.max()}")
-    return pos
-
-
 def generate_synthetic(spec: SynthSpec, positions=None) -> Dataset:
     """Generate a labeled dataset from ``spec``; fully seeded and repeatable.
 
@@ -489,7 +518,7 @@ def generate_synthetic(spec: SynthSpec, positions=None) -> Dataset:
     """
     order = _synth_order(spec)
     if positions is not None:
-        order = order[_check_positions(positions, order.size)]
+        order = order[_check_labels(positions, order.size, error=SpecError, what="positions")]
     # Class-major index of each class's first record, then each record's (m, j).
     starts = np.cumsum((0, *spec.per_class_counts))
     classes = np.searchsorted(starts, order, side="right") - 1
@@ -538,11 +567,13 @@ def split_positions(labels, n_classes: int, s: SplitSpec) -> tuple[np.ndarray, n
 
     Per class, positions are shuffled with the split seed and the first
     ``floor(count * train_fraction)`` go to the train side, classes in
-    order. Every position lands in exactly one side.
+    order. Every position lands in exactly one side. No labels are an
+    EmptyDataset, and labels that are not integers in ``[0, n_classes)`` a
+    DimensionError.
     """
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    if np.size(labels) == 0:
         raise EmptyDataset("cannot split an empty dataset")
+    labels = _check_labels(labels, n_classes)
     rng = np.random.default_rng(s.seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []

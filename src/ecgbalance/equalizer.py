@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, EcgRecord, csv_text, read_input, window_records, write_output
+from .data import Dataset, EcgRecord, _check_fields, _frozen, csv_text, read_input, window_records, write_output
 from .errors import ConfigError, DimensionError, EmptyDataset, EncodeError, SpecError
 
 ENCODE_KINDS = ("cme", "raw")
@@ -44,9 +44,8 @@ class EncoderSpec:
 
     def __post_init__(self):
         # Exact types: a float, None or string size fails far from here; a bool windows one sample.
-        mistyped = [f.name for f in fields(self) if type(getattr(self, f.name)) is not type(f.default)]
-        if mistyped:
-            raise ConfigError(f"encoder fields {mistyped} have the wrong type")
+        fits = {f.name: type(getattr(self, f.name)) is type(f.default) for f in fields(self)}
+        _check_fields(fits, ConfigError, "encoder")
         if self.kind not in ENCODE_KINDS:
             raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
         if self.magnitude_mode not in MAGNITUDE_MODES:
@@ -80,9 +79,7 @@ class ChannelMagnitudeStats:
 
     def __post_init__(self):
         for name in ("per_channel_rms", "per_channel_mean_power", "per_class_scale"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype=None))
 
 
 def channel_stats(d: Dataset) -> ChannelMagnitudeStats:

@@ -35,7 +35,8 @@ from .data import (
     Dataset,
     SplitSpec,
     SynthSpec,
-    _is_integer,
+    _check_fields,
+    _check_integer,
     _is_number,
     csv_text,
     generate_synthetic,
@@ -192,13 +193,11 @@ class ExperimentSpec:
         fits = {axis: isinstance(getattr(self, axis), (tuple, list)) for axis, _ in _GRID_KEYS.values()}
         fits.update(train=isinstance(self.train, TrainConfig), synth=isinstance(self.synth, (SynthSpec, type(None))))
         fits.update(data_dir=isinstance(self.data_dir, (str, os.PathLike, type(None))))
-        mistyped = [name for name, ok in fits.items() if not ok]
-        if mistyped:
-            raise SpecError(f"experiment fields {mistyped} have the wrong type")
+        _check_fields(fits, SpecError, "experiment")
         if (self.data_dir is None) == (self.synth is None):
             raise SpecError("an experiment needs one data source, data.dir or synthetic data settings, not both")
-        if not all(_is_integer(s) and s >= 0 for s in self.seeds):
-            raise SpecError(f"seeds must be nonnegative integers, got {self.seeds}")
+        for seed in self.seeds:
+            _check_integer(seed, SpecError, "each of seeds")
         SplitSpec(train_fraction=self.train_fraction)  # raises SpecError unless it is a number in (0, 1)
         if not all(isinstance(name, str) for name in self.losses):
             raise SpecError(f"losses must be names, got {self.losses}")

@@ -13,19 +13,15 @@ import math
 
 import numpy as np
 
-from .data import Dataset, _is_integer, csv_text, write_output
+from .data import Dataset, _check_counts, _check_integer, _check_labels, _is_number, csv_text, write_output
 from .errors import DimensionError, EmptyDataset, SpecError
 
 
 def longtail_counts(class_counts, alpha: float) -> np.ndarray:
     """Exponential long-tail target counts, indexed by class, for the given class histogram."""
-    counts = np.asarray(class_counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size < 2:
-        raise DimensionError("class_counts must be a 1-D vector covering at least two classes")
-    if not 0.0 < alpha <= 1.0:
-        raise SpecError(f"alpha must lie in (0, 1], got {alpha}")
-    if np.any(counts < 0):
-        raise SpecError("class counts must be nonnegative")
+    counts = _check_counts(class_counts, SpecError)
+    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
+        raise SpecError(f"alpha must be a number in (0, 1], got {alpha!r}")
     if counts.sum() == 0:
         raise EmptyDataset("every class is empty")
     order = np.argsort(-counts, kind="stable")
@@ -51,18 +47,15 @@ def resample_positions(labels, target_counts, seed: int) -> np.ndarray:
     """Positions of a uniform per-class subsample to ``target_counts``, shuffled.
 
     Deterministic in (labels, target_counts, seed). Each class m contributes
-    exactly target_counts[m] positions, drawn without replacement.
+    exactly target_counts[m] positions, drawn without replacement. Target
+    counts that are not a vector of at least two nonnegative integers, or a
+    seed that is not a nonnegative integer, are a SpecError (a vector of
+    another shape a DimensionError); labels that are not integers in
+    ``[0, len(target_counts))`` are a DimensionError.
     """
-    targets = np.asarray(target_counts, dtype=np.int64)
-    if targets.ndim != 1 or targets.size < 2:
-        raise DimensionError("target_counts must be a 1-D vector covering at least two classes")
-    if np.any(targets < 0):
-        raise SpecError("target counts must be nonnegative")
-    labels = np.asarray(labels)
-    if labels.size and labels.max() >= targets.size:
-        raise DimensionError(f"label {labels.max()} is outside the {targets.size} target classes")
-    if not _is_integer(seed) or seed < 0:
-        raise SpecError(f"resample seed must be a nonnegative integer, got {seed!r}")
+    targets = _check_counts(target_counts, SpecError, what="target counts")
+    labels = _check_labels(labels, targets.size)
+    _check_integer(seed, SpecError, "resample seed")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for m, target in enumerate(targets.tolist()):

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import _is_number
+from .data import _check_counts, _check_fields, _check_integer, _check_labels, _is_integer, _is_number
 from .errors import ConfigError, DimensionError
 
 LOSS_KINDS = ("iwl", "cross_entropy", "focal", "class_balanced", "cb_focal", "ldam")
@@ -96,9 +96,7 @@ class LossConfig:
     def __post_init__(self):
         # kind is a string and each parameter an int or float, not a bool, so a wrong type fails here.
         fits = {f.name: _is_number(getattr(self, f.name)) for f in fields(self)} | {"kind": isinstance(self.kind, str)}
-        mistyped = [name for name, ok in fits.items() if not ok]
-        if mistyped:
-            raise ConfigError(f"loss fields {mistyped} have the wrong type")
+        _check_fields(fits, ConfigError, "loss")
         object.__setattr__(self, "kind", canonical_loss_name(self.kind))
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
@@ -116,11 +114,7 @@ class LossConfig:
 
 def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
     """(1 - b) / (1 - b**n) per class, normalized to mean 1."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.size < 2:
-        raise DimensionError("class_counts must be a 1-D vector of at least two counts")
-    if np.any(counts < 1):
-        raise ConfigError("class counts must be positive")
+    counts = _check_counts(class_counts, ConfigError, positive=True).astype(np.float64)
     if cb_beta == 0.0:
         return np.ones_like(counts)
     raw = (1.0 - cb_beta) / (1.0 - cb_beta**counts)
@@ -129,9 +123,7 @@ def effective_number_weights(cb_beta: float, class_counts) -> np.ndarray:
 
 def ldam_margins(mu: float, class_counts) -> np.ndarray:
     """Per-class margins proportional to n**(-1/4), scaled so max = mu."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if np.any(counts < 1):
-        raise ConfigError("class counts must be positive")
+    counts = _check_counts(class_counts, ConfigError, positive=True).astype(np.float64)
     raw = counts**-0.25
     return mu * raw / raw.max()
 
@@ -173,11 +165,9 @@ def _pointwise(p, logp, cfg: LossConfig):
 
 def _core(logits2d, labels, cfg: LossConfig, class_counts) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(logits2d, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or t.ndim != 1 or z.shape[0] != t.size:
-        raise DimensionError(f"got logits {z.shape} for {t.size} labels")
-    if np.any(t < 0) or np.any(t >= z.shape[1]):
-        raise DimensionError("label outside the class range")
+    if z.ndim != 2:
+        raise DimensionError(f"logits must be one row per record, got shape {z.shape}")
+    t = _check_labels(labels, z.shape[1], z.shape[0])
     if cfg.kind in _COUNTED_KINDS and class_counts.size != z.shape[1]:
         raise DimensionError(f"{class_counts.size} class counts for {z.shape[1]} logit columns")
     rows = np.arange(t.size)
@@ -244,16 +234,17 @@ class BatchLoss:
 
 
 def make_loss(cfg: LossConfig, class_counts=None) -> BatchLoss:
-    """Build a BatchLoss from a config, binding the class counts the counted kinds need."""
+    """Build a BatchLoss from a config, binding the class counts the counted kinds need.
+
+    Those kinds refuse, with a ConfigError, class counts that are missing or
+    are not a vector of at least two positive integers (a float or a bool is
+    not one); the others ignore ``class_counts``.
+    """
     if cfg.kind not in _COUNTED_KINDS:
         return BatchLoss(cfg)
     if class_counts is None:
         raise ConfigError(f"loss {cfg.kind!r} needs class_counts")
-    counts = np.array(class_counts, dtype=np.int64)
-    if counts.ndim != 1 or np.any(counts < 1):
-        raise ConfigError("class_counts must be a 1-D vector of positive integers")
-    counts.flags.writeable = False
-    return BatchLoss(cfg, counts)
+    return BatchLoss(cfg, _check_counts(class_counts, ConfigError, positive=True, shape_error=ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +308,12 @@ def gradient_check(
     histogram per trial as well, so the check covers the count-dependent
     terms too. There must be at least two classes.
     """
-    if trials < 1:
-        raise ConfigError("need at least one trial")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ConfigError(f"threshold must be finite and positive, got {threshold}")
-    if num_classes < 2:
-        raise ConfigError(f"need at least two classes, got {num_classes}")
+    _check_integer(trials, ConfigError, "trials", least=1)
+    _check_integer(seed, ConfigError)
+    if not (_is_number(threshold) and math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {threshold!r}")
+    if not (_is_integer(num_classes) and num_classes >= 2):
+        raise ConfigError(f"need at least two classes, got {num_classes!r}")
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(trials):

@@ -37,7 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _is_integer, _is_number, read_input, write_output
+from .data import (
+    Dataset, _check_fields, _check_integer, _check_labels, _frozen, _is_integer, _is_number, read_input, write_output
+)
 from .equalizer import EncoderSpec, featurize_records
 from .errors import ConfigError, DimensionError, EmptyDataset
 from .losses import BatchLoss, LossConfig, make_loss
@@ -118,24 +120,20 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        # Counts and the seed are ints and learning_rate an int or float, never a bool: epochs=True would train
-        # one epoch, and a float or string fails far from here. hidden is a sequence of ints.
+        # Counts are ints and learning_rate an int or float, never a bool: epochs=True would train one epoch, and
+        # a float or string fails far from here. hidden is a sequence of ints, and the seed follows the seed rule.
         fits = {
             "epochs": _is_integer(self.epochs),
             "learning_rate": _is_number(self.learning_rate),
             "batch_size": _is_integer(self.batch_size),
-            "seed": _is_integer(self.seed),
             "loss": isinstance(self.loss, LossConfig),
             "encode": isinstance(self.encode, EncoderSpec),
             "hidden": isinstance(self.hidden, Sequence) and all(_is_integer(h) for h in self.hidden),
         }
-        mistyped = [name for name, ok in fits.items() if not ok]
-        if mistyped:
-            raise ConfigError(f"train fields {mistyped} have the wrong type")
+        _check_fields(fits, ConfigError, "train")
+        _check_integer(self.seed, ConfigError)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be nonnegative and batch_size positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         hidden = tuple(int(h) for h in self.hidden)
@@ -332,14 +330,6 @@ def _loss_label(cfg: LossConfig) -> str:
     return f"{cfg.kind} (beta {cfg.beta!r})" if cfg.kind == "iwl" else cfg.kind
 
 
-def _check_labels(labels, n: int, k: int) -> np.ndarray:
-    """``labels`` as an array if they are ``n`` integers in [0, ``k``), else a DimensionError."""
-    labels = np.asarray(labels)
-    if not (labels.shape == (n,) and labels.dtype.kind in "iu" and (n == 0 or 0 <= labels.min() <= labels.max() < k)):
-        raise DimensionError(f"labels must be {n} integers in [0, {k}), one per row of x")
-    return labels
-
-
 def _arrange(x: np.ndarray, at: np.ndarray, want: np.ndarray) -> None:
     """Moves the rows of ``x`` in place from holding original row ``at[p]`` at each position p
     to holding ``want[p]``, and sets ``at`` to ``want``. Walks each cycle of the move with one
@@ -391,7 +381,7 @@ def train_stack(
     n = len(x)
     if n == 0:
         raise ConfigError("training dataset is empty")
-    labels = _check_labels(labels, n, len(class_names))
+    labels = _check_labels(labels, len(class_names), n)
     # Guard against classes absent from this split; CB/LDAM need counts >= 1.
     counts = np.maximum(np.bincount(labels, minlength=len(class_names)), 1)
     losses = [make_loss(c.loss, class_counts=counts) for c in cfgs]
@@ -464,9 +454,7 @@ class Metrics:
 
     def __post_init__(self):
         for name in ("per_class_precision", "per_class_recall", "per_class_f1", "confusion"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype=None))
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
@@ -499,7 +487,7 @@ def score(m: ModelParams, x: np.ndarray, labels: np.ndarray) -> Metrics:
     if x.shape[1] != m.input_dim:
         raise DimensionError(f"model takes {m.input_dim} input features, the dataset gives {x.shape[1]}")
     k = m.num_classes
-    labels = _check_labels(labels, len(x), k)
+    labels = _check_labels(labels, k, len(x))
     _, logits = _forward_batch(m, x)
     preds = np.argmax(logits, axis=1)
     cm = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)

@@ -555,7 +555,7 @@ def test_encoder_spec_rejects_an_unknown_magnitude_mode(mode):
     "config, field, value",
     [
         (TrainConfig, "epochs", True), (TrainConfig, "epochs", 2.5), (TrainConfig, "batch_size", 2.0),
-        (TrainConfig, "seed", 1.5), (TrainConfig, "seed", "1"), (TrainConfig, "learning_rate", "0.1"),
+        (TrainConfig, "learning_rate", "0.1"),
         (TrainConfig, "learning_rate", True), (TrainConfig, "hidden", (8.5,)), (TrainConfig, "hidden", ("8",)),
         (TrainConfig, "hidden", 8), (TrainConfig, "hidden", (True,)), (TrainConfig, "loss", None),
         (TrainConfig, "encode", "cme"), (LossConfig, "beta", "0.3"), (LossConfig, "beta", False),
