@@ -28,7 +28,6 @@ from .data import (
 )
 from .equalizer import (
     ENCODE_KINDS,
-    MAGNITUDE_MODES,
     EncoderSpec,
     channel_stats,
     featurize_records,
@@ -109,7 +108,7 @@ def _loss_config_from_args(args, name: str) -> LossConfig:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    loss, encode = LossConfig(args.loss, args.beta), EncoderSpec(args.encode, magnitude_mode=args.mode)
+    loss, encode = LossConfig(args.loss, args.beta), EncoderSpec(args.encode)
     return _recipe_from_args(args, TrainConfig(seed=args.seed, loss=loss, encode=encode))
 
 
@@ -166,7 +165,7 @@ def _cmd_encode(args) -> int:
         records = tuple(r for r in records if r.record_id == args.record)
         if not records:
             raise _UsageError(f"record {args.record!r} not found in {args.data}")
-    encoder = _recipe_from_args(args, TrainConfig(encode=EncoderSpec(magnitude_mode=args.mode))).encode
+    encoder = _recipe_from_args(args, TrainConfig()).encode
     for start in range(0, len(records), BLOCK_RECORDS):
         block = records[start : start + BLOCK_RECORDS]
         images = featurize_records(block, encoder, equalize=not args.no_equalize)
@@ -292,7 +291,6 @@ def build_parser() -> _Parser:
         "logarithms, with the weight differentiated. In a log base b it would be this loss times (ln b)**-(1+beta)."
     )
     beta = {"type": float, "default": LossConfig.beta, "help": "IWL temperature"}
-    mode = {"choices": MAGNITUDE_MODES, "default": EncoderSpec.magnitude_mode, "help": "channel magnitude statistic"}
 
     p = sub.add_parser("synth", help="generate a synthetic dataset from a spec file")
     p.add_argument("--spec", required=True, help="key-value spec file")
@@ -311,7 +309,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--record", default=None, help="encode only this record id")
     _add_recipe_flags(p, [key for key in RECIPE_FIELDS if key.startswith(("image.", "window."))])
-    p.add_argument("--mode", **mode)
     p.add_argument("--no-equalize", action="store_true", help="skip channel magnitude equalization")
     p.add_argument("--format", choices=("csv", "raw", "both"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
@@ -352,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--loss", default="iwl", help="iwl, ce, focal, cb, cb_focal, or ldam (default: iwl)")
     p.add_argument("--beta", **beta)
     p.add_argument("--encode", choices=ENCODE_KINDS, default=EncoderSpec.kind, help="input representation")
-    p.add_argument("--mode", **mode)
     _add_recipe_flags(p, RECIPE_FIELDS)
     p.set_defaults(func=_cmd_train)
 

@@ -92,8 +92,12 @@ def _all_integers(values, arr: np.ndarray) -> bool:
 def _check_labels(labels, k: int, n: Optional[int] = None, error=DimensionError, what: str = "labels") -> np.ndarray:
     """``labels`` as an array if they are a vector of integers in [0, ``k``), ``n`` of them if ``n`` is given,
     else ``error``; none are an empty int64 vector. Positions into ``k`` records follow this rule too."""
-    arr = np.asarray(labels, dtype=None if np.size(labels) else np.int64)
-    shaped = arr.ndim == 1 and n in (None, arr.size)
+    try:
+        arr = np.asarray(labels, dtype=None if np.size(labels) else np.int64)
+    except ValueError:  # a ragged nesting, which numpy cannot read as one array
+        shaped = False
+    else:
+        shaped = arr.ndim == 1 and n in (None, arr.size)
     if not (shaped and (arr.size == 0 or (_all_integers(labels, arr) and 0 <= arr.min() <= arr.max() < k))):
         raise error(f"{what} must be {'a vector of' if n is None else n} integers in [0, {k})")
     return arr
@@ -103,8 +107,11 @@ def _check_counts(counts, error, positive: bool = False, shape_error=DimensionEr
     """``counts`` as a read-only int64 vector, frozen by :func:`_frozen`'s rule, if it covers at least two classes
     (else ``shape_error``), each an integer by :func:`_is_integer`'s rule, nonnegative or with ``positive`` at
     least 1 (else ``error``)."""
-    arr = np.asarray(counts)
     problem = f"{what} must be a 1-D vector of at least two {'positive' if positive else 'nonnegative'} integers"
+    try:
+        arr = np.asarray(counts)
+    except ValueError:  # a ragged nesting, which numpy cannot read as one array
+        raise shape_error(f"{problem}, got {counts!r}") from None
     if arr.ndim != 1 or arr.size < 2:
         raise shape_error(f"{problem}, got shape {arr.shape}")
     if not (_all_integers(counts, arr) and arr.min() >= int(positive)):
@@ -126,8 +133,8 @@ class EcgRecord:
         object.__setattr__(self, "channels", arr)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise MalformedRecord(self.record_id, f"expected a 2-D channels-by-samples matrix, got shape {arr.shape}")
-        if self.sample_rate <= 0:
-            raise MalformedRecord(self.record_id, f"sample rate must be positive, got {self.sample_rate}")
+        if not (_is_number(self.sample_rate) and 0 < self.sample_rate < math.inf):
+            raise MalformedRecord(self.record_id, f"sample rate {self.sample_rate!r} is not a finite positive number")
         if not np.isfinite(arr).all():
             chan, samp = np.argwhere(~np.isfinite(arr))[0]
             raise NonFiniteSample(self.record_id, int(samp), int(chan))
@@ -567,13 +574,13 @@ def split_positions(labels, n_classes: int, s: SplitSpec) -> tuple[np.ndarray, n
 
     Per class, positions are shuffled with the split seed and the first
     ``floor(count * train_fraction)`` go to the train side, classes in
-    order. Every position lands in exactly one side. No labels are an
-    EmptyDataset, and labels that are not integers in ``[0, n_classes)`` a
-    DimensionError.
+    order. Every position lands in exactly one side. Labels that are not
+    integers in ``[0, n_classes)`` are a DimensionError, and no labels an
+    EmptyDataset.
     """
-    if np.size(labels) == 0:
-        raise EmptyDataset("cannot split an empty dataset")
     labels = _check_labels(labels, n_classes)
+    if labels.size == 0:
+        raise EmptyDataset("cannot split an empty dataset")
     rng = np.random.default_rng(s.seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []

@@ -2,7 +2,7 @@
 
 Multi-lead recordings routinely span two orders of magnitude across
 channels. The equalizer computes one scale factor per channel as a softmax
-over the negated channel magnitude statistic, so quiet channels are boosted
+over the negated channel RMS values, so quiet channels are boosted
 relative to loud ones while the factors stay positive and sum to one. The
 scaled record is then interpolated onto a fixed-size image grid so a
 classifier sees a uniform input shape regardless of record length or
@@ -26,13 +26,12 @@ from .data import Dataset, EcgRecord, _check_fields, _frozen, csv_text, read_inp
 from .errors import ConfigError, DimensionError, EmptyDataset, EncodeError, SpecError
 
 ENCODE_KINDS = ("cme", "raw")
-MAGNITUDE_MODES = ("rms", "l2")
 
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """How a record becomes the network's input, flattened. Kind "cme": window (skip, take), equalize channel
-    magnitudes by ``magnitude_mode``, encode to a (height, width) image. Kind "raw": window (0, raw_take)."""
+    """How a record becomes the network's input, flattened. Kind "cme": window (skip, take), equalize channel RMS,
+    encode to a (height, width) image. Kind "raw": window (0, raw_take). ``magnitude_mode`` is always "rms"."""
 
     kind: str = "cme"
     height: int = 128
@@ -40,7 +39,7 @@ class EncoderSpec:
     skip: int = 500
     take: int = 2500
     raw_take: int = 3000
-    magnitude_mode: str = "rms"
+    magnitude_mode: str = "rms"  # the one statistic; every model header names it
 
     def __post_init__(self):
         # Exact types: a float, None or string size fails far from here; a bool windows one sample.
@@ -48,16 +47,16 @@ class EncoderSpec:
         _check_fields(fits, ConfigError, "encoder")
         if self.kind not in ENCODE_KINDS:
             raise ConfigError(f"unknown encode kind {self.kind!r}; expected one of {ENCODE_KINDS}")
-        if self.magnitude_mode not in MAGNITUDE_MODES:
-            raise ConfigError(f"unknown magnitude mode {self.magnitude_mode!r}; expected one of {MAGNITUDE_MODES}")
+        _check_magnitude_mode(self.magnitude_mode)
 
 
-def _channel_magnitude(channels: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "rms":
-        return np.sqrt(np.mean(channels * channels, axis=-1))
-    if mode == "l2":
-        return np.sqrt(np.sum(channels * channels, axis=-1))
-    raise SpecError(f"unknown magnitude mode {mode!r}; expected one of {MAGNITUDE_MODES}")
+def _check_magnitude_mode(mode) -> None:
+    if mode != "rms":
+        raise ConfigError(f"unknown magnitude mode {mode!r}; the channel magnitude is the RMS, 'rms'")
+
+
+def _rms(channels: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(channels * channels, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
             sq_sum += np.sum(x * x, axis=1)
             abs_sum += np.sum(np.abs(x), axis=1)
             total_samples += r.length
-            per_record_rms[i] = _channel_magnitude(x, "rms")
+            per_record_rms[i] = _rms(x)
     grand_mean = float(per_record_rms.mean())
     if not np.all(np.isfinite(sq_sum)):
         raise SpecError("channel magnitudes overflow float64")
@@ -118,12 +117,12 @@ def channel_stats(d: Dataset) -> ChannelMagnitudeStats:
     )
 
 
-def _factors(windows: np.ndarray, mode: str) -> np.ndarray:
+def _factors(windows: np.ndarray) -> np.ndarray:
     """(n, C) factors for (n, C, T) windows: a softmax over each row's
-    negated channel magnitudes, normalized by an exactly rounded sum."""
+    negated channel RMS, normalized by an exactly rounded sum."""
     # Overflow is caught by the finiteness check below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        neg = -_channel_magnitude(windows, mode)
+        neg = -_rms(windows)
         weights = np.exp(neg - neg.max(axis=1, keepdims=True))
         totals = np.array([math.fsum(row) for row in weights.tolist()])
         k = weights / totals[:, None]
@@ -173,33 +172,27 @@ def featurize_records(records: Sequence[EcgRecord], encoder: EncoderSpec, equali
     False skips the factors. The temporaries are a few times the size of the
     records' windows, so callers pass a block of records, not a dataset.
     ``records`` must be nonempty and share a channel count.
+
+    The factors are a softmax over each window's negated per-channel RMS,
+    whose denominator is an exactly rounded float sum, so they are invariant
+    under channel permutation, not merely close. They depend on the record's
+    units, because the softmax takes absolute magnitudes: scaling a record by
+    ``s`` moves them toward ``1/C`` as ``s`` goes to 0 and toward one-hot on
+    the quietest channel as ``s`` grows. Only magnitudes of order one leave
+    every channel a share.
     """
     if encoder.kind == "raw":
         return window_records(records, 0, encoder.raw_take)
     windows = window_records(records, encoder.skip, encoder.take)
     if equalize:
-        windows *= _factors(windows, encoder.magnitude_mode)[:, :, None]
+        windows *= _factors(windows)[:, :, None]
     return _encode(windows, encoder.height, encoder.width, records[0].record_id)
 
 
 def cme_factors(r: EcgRecord, mode: str = EncoderSpec.magnitude_mode) -> np.ndarray:
-    """Softmax over negated channel magnitudes: positive factors summing to one.
-
-    ``mode`` picks the magnitude statistic: per-channel RMS (default, length
-    independent) or the raw L2 norm. Raw norms grow with record length and
-    push the softmax into saturation on long records, which is exactly the
-    behaviour the RMS variant avoids; the mode is kept for side-by-side
-    comparisons.
-
-    The denominator is an exactly rounded float sum, so the factors are
-    invariant under channel permutation, not merely close.
-
-    The factors depend on the record's units, because the softmax takes
-    absolute magnitudes: scaling a record by ``s`` moves them toward ``1/C``
-    as ``s`` goes to 0 and toward one-hot on the quietest channel as ``s``
-    grows. Only magnitudes of order one leave every channel a share.
-    """
-    return _factors(r.channels[None], mode)[0]
+    """:func:`featurize_records`' CME factors of a whole record; ``mode`` must be "rms", else a ConfigError."""
+    _check_magnitude_mode(mode)
+    return _factors(r.channels[None])[0]
 
 
 def encode_image(r: EcgRecord, height: int, width: int) -> np.ndarray:

@@ -70,6 +70,7 @@ def resample_positions(labels, target_counts, seed: int) -> np.ndarray:
 
 def resample(d: Dataset, target_counts, seed: int) -> Dataset:
     """The records of ``d`` at :func:`resample_positions`, in that order."""
-    if np.size(target_counts) != d.num_classes:
-        raise DimensionError(f"{np.size(target_counts)} target counts for a dataset of {d.num_classes} classes")
-    return d.take(resample_positions(d.labels(), target_counts, seed))
+    targets = _check_counts(target_counts, SpecError, what="target counts")
+    if targets.size != d.num_classes:
+        raise DimensionError(f"{targets.size} target counts for a dataset of {d.num_classes} classes")
+    return d.take(resample_positions(d.labels(), targets, seed))

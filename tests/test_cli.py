@@ -89,7 +89,7 @@ CLI_OPTIONS = {
     "analyze": {"--data": None, "--manifest": None, "--out": None},
     "encode": {
         "--data": None, "--manifest": None, "--record": None, "--height": 128, "--width": 128, "--skip": 500,
-        "--take": 2500, "--mode": "rms", "--no-equalize": False, "--format": "csv", "--out": None,
+        "--take": 2500, "--no-equalize": False, "--format": "csv", "--out": None,
     },
     "resample": {"--data": None, "--manifest": None, "--alpha": None, "--no-resample": False, "--seed": 0, "--out": None},
     "gradcheck": {
@@ -101,7 +101,6 @@ CLI_OPTIONS = {
         "--batch-size": 64, "--seed": 0, "--hidden": (64, 32), "--train-fraction": 1.0, "--loss": "iwl",
         "--beta": 0.3, "--epsilon": 1e-12, "--gamma": 2.0, "--cb-beta": 0.999, "--ldam-mu": 0.2, "--ldam-s": 20.0,
         "--encode": "cme", "--height": 128, "--width": 128, "--skip": 500, "--take": 2500, "--raw-take": 3000,
-        "--mode": "rms",
     },
     "eval": {
         "--model": None, "--data": None, "--manifest": None, "--split": "all", "--train-fraction": 0.9,
@@ -144,8 +143,11 @@ def test_no_command_is_a_usage_error(capsys):
         # The IWL has one log base and always differentiates its weight, so no flag selects either.
         (["train", "--data", "d", "--out", "m.bin"], "--log-base e"),
         (["gradcheck"], "--stop-weight-gradient"),
+        # RMS is the one channel magnitude statistic, so no flag selects another.
+        (["encode", "--data", "d", "--out", "img"], "--mode rms"),
+        (["train", "--data", "d", "--out", "m.bin"], "--mode rms"),
     ],
-    ids=["bogus", "log-base", "stop-weight-gradient"],
+    ids=["bogus", "log-base", "stop-weight-gradient", "encode-mode", "train-mode"],
 )
 def test_unknown_flag_is_a_usage_error(capsys, known, unknown):
     assert main([*known, *unknown.split()]) == 1
@@ -283,6 +285,19 @@ def test_readme_recipe_table_pairs_each_spec_key_with_its_train_flag():
     assert rows == {**{key: flag for key, flag, _ in RECIPE_SETTINGS}, "train_fraction": "--train-fraction"}
 
 
+def test_every_flag_the_readme_names_is_a_flag_of_some_command():
+    # A flag removed from the parser must leave the docs too. The Install section's pip line names pip's flags.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    install = re.search(r"^## Install\n.*?(?=^## )", readme, re.M | re.S).group(0)
+    pip_line = next(line for line in install.splitlines() if line.startswith("pip install "))
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme.replace(pip_line, "")))
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for p in (parser, *sub.choices.values()) for flag in p._option_string_actions}
+    assert {"--jobs", "--train-fraction", "--help"} <= named
+    assert sorted(named - accepted) == []
+
+
 def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
     # Includes the IWL at beta 1.5 and epsilon 1e-6.
     report = tmp_path / "gc.csv"
@@ -384,12 +399,12 @@ def test_encode_single_record_and_no_equalize(tmp_path, data_dir):
 
 
 def test_encode_images_are_the_rows_train_featurizes(tmp_path, data_dir):
-    # encode and train read the image, window and mode flags into one EncoderSpec, so each image is a network input.
-    flags = ["--height", "5", "--width", "12", "--skip", "3", "--take", "70", "--mode", "l2"]
+    # encode and train read the image and window flags into one EncoderSpec, so each image is a network input.
+    flags = ["--height", "5", "--width", "12", "--skip", "3", "--take", "70"]
     out = tmp_path / "img"
     assert main(["encode", "--data", str(data_dir), "--out", str(out), "--format", "raw", *flags]) == 0
     encoder = _train_config_from_args(build_parser().parse_args(["train", "--data", "d", "--out", "m", *flags])).encode
-    assert encoder == EncoderSpec(height=5, width=12, skip=3, take=70, magnitude_mode="l2")
+    assert encoder == EncoderSpec(height=5, width=12, skip=3, take=70)
     d = load_csv(data_dir)
     images = np.stack([read_image_raw(out / f"{r.record_id}.f64") for r in d.records])
     assert images.reshape(len(d), -1).tobytes() == featurize_dataset(d, encoder).tobytes()
@@ -591,6 +606,9 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
         header["encoder"]["raw_take"] = None
     elif damage == "unknown_magnitude_mode":
         header["encoder"]["magnitude_mode"] = "l3"
+    elif damage == "l2_magnitude_mode":
+        # The per-channel RMS is the one magnitude statistic; "l2" names none.
+        header["encoder"]["magnitude_mode"] = "l2"
     elif damage == "extra_class_name":
         # eval compares class names, so the names must also match the model's outputs.
         header["class_names"].append("class_3")
@@ -605,7 +623,7 @@ def _damage_model(raw: bytes, damage: str) -> bytes:
     [
         "truncated", "trailing_bytes", "corrupt_header", "missing_header_key", "missing_encoder_field",
         "float_encoder_field", "string_encoder_field", "null_encoder_field", "unknown_magnitude_mode",
-        "extra_encoder_field", "extra_class_name",
+        "l2_magnitude_mode", "extra_encoder_field", "extra_class_name",
     ],
 )
 def test_eval_rejects_damaged_model(tmp_path, data_dir, model_file, capsys, damage):

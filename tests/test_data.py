@@ -45,6 +45,14 @@ def test_record_rejects_nonpositive_sample_rate():
         make_record(np.zeros((2, 4)), sample_rate=0.0)
 
 
+@pytest.mark.parametrize("rate", [-500.0, np.nan, np.inf, True, "500", None], ids=repr)
+def test_record_sample_rate_must_be_a_finite_positive_number(rate):
+    # Else a nan, inf or bool rate builds a record, and "500" is a bare TypeError.
+    with pytest.raises(MalformedRecord, match="'bad': sample rate .* is not a finite positive number"):
+        make_record(np.zeros((2, 4)), sample_rate=rate, record_id="bad")
+    assert make_record(np.zeros((2, 4)), sample_rate=np.int64(250)).sample_rate == 250
+
+
 def test_record_reports_first_nonfinite_coordinate():
     x = np.zeros((3, 7))
     x[2, 5] = np.nan
@@ -182,6 +190,19 @@ def test_load_csv_nonfinite_value_is_located(tmp_path):
     with pytest.raises(NonFiniteSample) as err:
         load_csv(tmp_path)
     assert err.value.row == 1 and err.value.col == 1
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_load_csv_names_the_record_whose_sample_rate_is_not_finite(tmp_path, rate):
+    # Else two nan rates, which compare unequal, fail as "all records must share ... sample rate".
+    _write_dataset_dir(
+        tmp_path,
+        {"a.csv": [[1.0], [2.0]], "b.csv": [[1.0], [2.0]]},
+        [f"a.csv,a,0,{rate}", f"b.csv,b,1,{rate}"],
+        classes=["x", "y"],
+    )
+    with pytest.raises(MalformedRecord, match=f"record 'a': sample rate {rate} is not a finite positive number"):
+        load_csv(tmp_path)
 
 
 def test_load_csv_label_out_of_range(tmp_path):

@@ -21,7 +21,7 @@ from ecgbalance.equalizer import (
     write_image_raw,
     write_stats_csv,
 )
-from ecgbalance.errors import EmptyDataset, EncodeError, SpecError, WindowOutOfRange
+from ecgbalance.errors import ConfigError, EmptyDataset, EncodeError, SpecError, WindowOutOfRange
 from ecgbalance.trainer import BLOCK_RECORDS, featurize, featurize_dataset
 
 from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset, traced_peak
@@ -162,17 +162,6 @@ def test_factors_sum_permutation_and_antimonotone(rng):
                         assert k[a] <= k[b]
 
 
-def test_factors_l2_mode_is_length_sensitive():
-    # Same RMS pair, doubled length: RMS factors stay put, L2 factors move.
-    short = make_record(np.vstack([np.ones(8), 2.0 * np.ones(8)]))
-    long = make_record(np.vstack([np.ones(32), 2.0 * np.ones(32)]))
-    assert np.array_equal(cme_factors(short), cme_factors(long))
-    k_short = cme_factors(short, mode="l2")
-    k_long = cme_factors(long, mode="l2")
-    assert not np.array_equal(k_short, k_long)
-    assert k_long[0] > k_short[0]
-
-
 def test_factors_depend_on_the_record_units():
     # A softmax over absolute RMS: toward 1/C as the record shrinks, toward
     # one-hot on the quietest channel as it grows.
@@ -187,10 +176,12 @@ def test_factors_depend_on_the_record_units():
     assert scaled[1e-9][quiet] < scaled[1.0][quiet] < scaled[5.0][quiet] < scaled[1e4][quiet]
 
 
-def test_factors_unknown_mode():
+@pytest.mark.parametrize("mode", ["power", "l2", "RMS"])
+def test_factors_unknown_mode(mode):
+    # RMS is the one magnitude statistic; the keyword refuses the rest by EncoderSpec's rule.
     r = make_record(np.ones((2, 4)))
-    with pytest.raises(SpecError):
-        cme_factors(r, mode="power")
+    with pytest.raises(ConfigError, match="unknown magnitude mode"):
+        cme_factors(r, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +307,11 @@ def test_pipeline_channel_permutation_permutes_rows():
     assert np.array_equal(b, a[perm])
 
 
-def reference_image(channels, height, width, skip, take, mode, equalize):
+def reference_image(channels, height, width, skip, take, equalize):
     """One record, one channel at a time, through np.interp."""
     x = channels[:, skip : skip + take]
     if equalize:
-        sq = x * x
-        g = np.sqrt(np.mean(sq, axis=1)) if mode == "rms" else np.sqrt(np.sum(sq, axis=1))
+        g = np.sqrt(np.mean(x * x, axis=1))
         weights = np.exp(-g - (-g).max())
         x = x * (weights / math.fsum(weights.tolist()))[:, None]
     n_channels, length = x.shape
@@ -339,7 +329,7 @@ def test_featurize_matches_per_record_reference():
     rng = np.random.default_rng(41)
     shapes = {"c1": 0, "h=c": 0, "w1": 0, "w=take": 0, "ragged": 0, "multi-block": 0, "long": 0}
     for i in range(320):
-        # i % 5 picks the corner case, i % 2 the mode, i % 3 ragged lengths;
+        # i % 5 picks the corner case, i % 3 ragged lengths;
         # every 35th geometry has a take beyond numpy's 8192-element summation
         # blocks and every 25th spans several of featurize's blocks.
         c = 1 if i % 5 == 0 else int(rng.integers(2, 9))
@@ -349,7 +339,6 @@ def test_featurize_matches_per_record_reference():
         lengths = skip + take + rng.integers(0, 4 if i % 3 else 1, size=n)
         height = c if i % 5 == 1 else int(rng.integers(c, 2 * c + 3))
         width = {2: 1, 3: take}.get(i % 5, int(rng.integers(1, 2 * take + 2)))
-        mode = ("rms", "l2")[i % 2]
         records = tuple(
             EcgRecord(
                 channels=rng.normal(size=(c, int(m))) * np.exp(rng.normal(0.0, 3.0, size=(c, 1))),
@@ -360,14 +349,14 @@ def test_featurize_matches_per_record_reference():
             for j, m in enumerate(lengths)
         )
         d = Dataset(records=records, class_names=("a", "b"))
-        enc = EncoderSpec(kind="cme", height=height, width=width, skip=skip, take=take, magnitude_mode=mode)
+        enc = EncoderSpec(kind="cme", height=height, width=width, skip=skip, take=take)
         for equalize in (True, False):
             expected = np.stack(
-                [reference_image(r.channels, height, width, skip, take, mode, equalize) for r in records]
+                [reference_image(r.channels, height, width, skip, take, equalize) for r in records]
             )
             got = featurize_records(records, enc, equalize=equalize)
             assert np.array_equal(got, expected), (i, equalize)
-        flat = np.stack([reference_image(r.channels, height, width, skip, take, mode, True).ravel() for r in records])
+        flat = np.stack([reference_image(r.channels, height, width, skip, take, True).ravel() for r in records])
         assert np.array_equal(featurize_dataset(d, enc), flat)
         raw_enc = EncoderSpec(kind="raw", raw_take=skip + take)
         windows = np.stack([r.channels[:, : skip + take] for r in records])

@@ -20,6 +20,7 @@ from ecgbalance import (
     ldam_margins,
     longtail_counts,
     make_loss,
+    resample,
     resample_positions,
     split_positions,
 )
@@ -32,15 +33,19 @@ MODEL = init_model(3, 2, RAW, rng=np.random.default_rng(0), hidden=(2,), class_n
 STACK = [TrainConfig(epochs=1, batch_size=2, hidden=(2,), encode=RAW)]
 SYNTH = SynthSpec(length=8, per_class_counts=(3, 3), channel_gain=(1.0,))
 
-# Bad values of each kind: bool, float, string, None, negative and out of range, as each rule defines them.
+# Bad values of each kind: bool, float, string, None, negative and out of range, as each rule defines them. A
+# ragged nesting, which numpy cannot read as one array, is a bad label, position or count-vector shape.
 FIELDS = [True, 2.5, "1", None]  # for a field that holds an int, or an object of one type
 NUMBERS = [True, "1", None, [1.0]]  # for a field that holds an int or float
 SEEDS = [True, 1.5, "1", None, -1]
 NONNEGATIVE = "seeds? must be a nonnegative integer, got "  # the seed rule's message, after the seed's name
-LABELS = [[0, 1, True, 0], [0.0, 1.0, 1.7, 0.2], ["0", "1", "0", "1"], [0, 1, -1, 0], [0, 1, 5, 0], [[0, 1], [1, 0]]]
-POSITIONS = [[0, True], [0.0], ["0"], [-1], [100], [[0]]]
+LABELS = [
+    [0, 1, True, 0], [0.0, 1.0, 1.7, 0.2], ["0", "1", "0", "1"], [0, 1, -1, 0], [0, 1, 5, 0], [[0, 1], [1, 0]],
+    [[0, 1], [0]],
+]
+POSITIONS = [[0, True], [0.0], ["0"], [-1], [100], [[0]], [[0], [1, 2]]]
 COUNTS = [[True, 2], [3.7, 2], ["3", "2"], [-1, 2], [None, 2]]
-SHAPES = [[5], [[1, 2], [3, 4]], 5]
+SHAPES = [[5], [[1, 2], [3, 4]], [[1, 2], [3]], 5]
 
 # (rule, entry point, call with the bad value, the error it raises, what its message names, bad values)
 SITES = [
@@ -85,13 +90,14 @@ SITES = [
         for name, call, error in [
             ("longtail_counts", lambda v: longtail_counts(v, 0.5), DimensionError),
             ("resample_positions", lambda v: resample_positions([0], v, 0), DimensionError),
+            ("resample", lambda v: resample(tiny_dataset(), v, 0), DimensionError),
             ("effective_number_weights", lambda v: effective_number_weights(0.9, v), DimensionError),
             ("ldam_margins", lambda v: ldam_margins(0.2, v), DimensionError),
             ("make_loss", lambda v: make_loss(LossConfig("cb"), class_counts=v), ConfigError),
         ]
     ),
     # A per_class_counts that is not a tuple or list breaks SynthSpec's field type rule.
-    ("count shape", "SynthSpec", lambda v: SynthSpec(per_class_counts=v), SpecError, "1-D vector", SHAPES[:2]),
+    ("count shape", "SynthSpec", lambda v: SynthSpec(per_class_counts=v), SpecError, "1-D vector", SHAPES[:-1]),
 ]
 
 CASES = [

@@ -544,7 +544,7 @@ def test_encoder_spec_rejects_a_mistyped_field(field, value):
         EncoderSpec(**{"kind": "raw", field: value})
 
 
-@pytest.mark.parametrize("mode", ["x", "l3", "RMS"])
+@pytest.mark.parametrize("mode", ["x", "l3", "RMS", "l2"])
 def test_encoder_spec_rejects_an_unknown_magnitude_mode(mode):
     # Else a model file could carry it, and eval would fail only after loading its dataset.
     with pytest.raises(ConfigError, match="unknown magnitude mode"):
