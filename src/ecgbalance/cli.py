@@ -30,7 +30,6 @@ from .equalizer import (
     ENCODE_KINDS,
     EncoderSpec,
     channel_stats,
-    featurize_records,
     write_image_csv,
     write_image_raw,
     write_stats_csv,
@@ -49,14 +48,7 @@ from .experiment import (
 )
 from .imbalance import longtail_counts, resample, write_histogram_csv
 from .losses import LOSS_KINDS, LossConfig, gradient_check
-from .trainer import (
-    BLOCK_RECORDS,
-    TrainConfig,
-    evaluate,
-    load_model,
-    save_model,
-    train,
-)
+from .trainer import TrainConfig, evaluate, featurize_blocks, load_model, save_model, train
 
 
 class _UsageError(Exception):
@@ -160,21 +152,19 @@ def _cmd_encode(args) -> int:
     d = _load_dataset(args)
     out = Path(args.out)
     make_output_dir(out)
-    records = d.records
+    positions = range(len(d))
     if args.record is not None:
-        records = tuple(r for r in records if r.record_id == args.record)
-        if not records:
+        positions = [i for i, r in enumerate(d) if r.record_id == args.record]
+        if not positions:
             raise _UsageError(f"record {args.record!r} not found in {args.data}")
-    encoder = _recipe_from_args(args, TrainConfig()).encode
-    for start in range(0, len(records), BLOCK_RECORDS):
-        block = records[start : start + BLOCK_RECORDS]
-        images = featurize_records(block, encoder, equalize=not args.no_equalize)
-        for r, img in zip(block, images):
+    encoder = _recipe_from_args(args, TrainConfig(encode=EncoderSpec("image" if args.no_equalize else "cme"))).encode
+    for _, block, _, rows in featurize_blocks(d.take, positions, {0: encoder}):
+        for r, img in zip(block, rows.reshape(len(block), encoder.height, encoder.width)):
             if args.format in ("csv", "both"):
                 write_image_csv(img, out / f"{r.record_id}.csv")
             if args.format in ("raw", "both"):
                 write_image_raw(img, out / f"{r.record_id}.f64")
-    print(f"encoded {len(records)} records at {encoder.height}x{encoder.width} into {out}")
+    print(f"encoded {len(positions)} records at {encoder.height}x{encoder.width} into {out}")
     return 0
 
 
@@ -309,7 +299,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--record", default=None, help="encode only this record id")
     _add_recipe_flags(p, [key for key in RECIPE_FIELDS if key.startswith(("image.", "window."))])
-    p.add_argument("--no-equalize", action="store_true", help="skip channel magnitude equalization")
+    p.add_argument("--no-equalize", action="store_true", help="encode kind image: skip channel magnitude equalization")
     p.add_argument("--format", choices=("csv", "raw", "both"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_encode)

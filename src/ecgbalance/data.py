@@ -129,6 +129,9 @@ class EcgRecord:
     record_id: str = ""
 
     def __post_init__(self):
+        # A record id names the record's file, so it is a str: an int one ended write_csv_dataset in a TypeError.
+        fail = functools.partial(MalformedRecord, self.record_id)
+        _check_fields({"record_id": isinstance(self.record_id, str)}, fail, "record")
         arr = _frozen(self.channels)
         object.__setattr__(self, "channels", arr)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -6,11 +6,12 @@ over the negated channel RMS values, so quiet channels are boosted
 relative to loud ones while the factors stay positive and sum to one. The
 scaled record is then interpolated onto a fixed-size image grid so a
 classifier sees a uniform input shape regardless of record length or
-channel count. An :class:`EncoderSpec` picks that image or the raw window
-as the network's input, and :func:`featurize_records` is the one
-implementation of both, run on whatever records its caller passes, a block
-at a time in :func:`ecgbalance.trainer.featurize`; :func:`cme_factors` and
-:func:`encode_image` are its CME steps applied to a single record.
+channel count. An :class:`EncoderSpec`'s kind picks the network's input:
+that image (``cme``), the same image without the factors (``image``), or
+the raw window (``raw``). :func:`featurize_records` is the one
+implementation of all three, run on whatever records its caller passes, a
+block at a time in :func:`ecgbalance.trainer.featurize`; :func:`cme_factors`
+and :func:`encode_image` are its CME steps applied to a single record.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import numpy as np
 from .data import Dataset, EcgRecord, _check_fields, _frozen, csv_text, read_input, window_records, write_output
 from .errors import ConfigError, DimensionError, EmptyDataset, EncodeError, SpecError
 
-ENCODE_KINDS = ("cme", "raw")
+ENCODE_KINDS = ("cme", "image", "raw")
 
 
 @dataclass(frozen=True)
 class EncoderSpec:
     """How a record becomes the network's input, flattened. Kind "cme": window (skip, take), equalize channel RMS,
-    encode to a (height, width) image. Kind "raw": window (0, raw_take). ``magnitude_mode`` is always "rms"."""
+    encode to a (height, width) image. Kind "image": the same without equalizing. Kind "raw": window (0, raw_take).
+    ``magnitude_mode`` is always "rms"."""
 
     kind: str = "cme"
     height: int = 128
@@ -164,12 +166,12 @@ def _encode(windows: np.ndarray, height: int, width: int, record_id: str) -> np.
     return pixels
 
 
-def featurize_records(records: Sequence[EcgRecord], encoder: EncoderSpec, equalize: bool = True) -> np.ndarray:
+def featurize_records(records: Sequence[EcgRecord], encoder: EncoderSpec) -> np.ndarray:
     """Every record as ``encoder`` gives it to the network, before flattening.
 
     Kind "raw" gives the (n, C, raw_take) windows. Kind "cme" gives
-    window -> factors -> scale -> encode: (n, height, width); ``equalize``
-    False skips the factors. The temporaries are a few times the size of the
+    window -> factors -> scale -> encode: (n, height, width); kind "image"
+    skips the factors. The temporaries are a few times the size of the
     records' windows, so callers pass a block of records, not a dataset.
     ``records`` must be nonempty and share a channel count.
 
@@ -184,7 +186,7 @@ def featurize_records(records: Sequence[EcgRecord], encoder: EncoderSpec, equali
     if encoder.kind == "raw":
         return window_records(records, 0, encoder.raw_take)
     windows = window_records(records, encoder.skip, encoder.take)
-    if equalize:
+    if encoder.kind == "cme":
         windows *= _factors(windows)[:, :, None]
     return _encode(windows, encoder.height, encoder.width, records[0].record_id)
 

@@ -7,9 +7,11 @@ shuffling, and batch order are pure functions of the config, so two runs
 with the same inputs produce bit-identical parameter trajectories.
 
 Records enter the network flattened, as their
-:class:`~ecgbalance.equalizer.EncoderSpec` gives them (the CME image or
-the raw window), so a trained model carries everything needed to
-featurize new records at evaluation time.
+:class:`~ecgbalance.equalizer.EncoderSpec` gives them (the CME image, the
+image without CME, or the raw window), so a trained model carries
+everything needed to featurize new records at evaluation time. Every
+record, for training, evaluation, the experiment or ``encode``'s image
+files, is featurized by :func:`featurize_blocks`, one block at a time.
 
 Training runs on a stack: models that differ only in their loss share the
 feature matrix, the initial weights and the batch order, so their
@@ -307,22 +309,24 @@ def featurize_dataset(d: Dataset, encoder: EncoderSpec) -> np.ndarray:
 BLOCK_RECORDS = 16
 
 
-def featurize(build, positions: np.ndarray, encoders: dict) -> dict:
-    """One feature matrix per key of ``encoders``, row r for the record at ``positions[r]``.
-
-    ``build(positions)`` returns those records as a Dataset. They are built
-    and featurized (:func:`featurize_dataset`) ``BLOCK_RECORDS`` at a time,
-    so no more than one block of them is alive at once. An encoder gives
-    every block rows of one width. No positions give empty (0, 0) matrices.
-    """
-    features = {key: np.empty((0, 0)) for key in encoders}
-    for start in range(0, positions.size, BLOCK_RECORDS):
+def featurize_blocks(build, positions: Sequence[int], encoders: dict):
+    """Builds the records at ``positions`` as Datasets by ``build(positions)``, ``BLOCK_RECORDS`` at a time, and
+    yields (start, block, key, rows) for the block from ``positions[start]`` on and each key of ``encoders``: its
+    :func:`featurize_dataset` rows. The next block is built only then, so at most one block is alive at once."""
+    for start in range(0, len(positions), BLOCK_RECORDS):
         block = build(positions[start : start + BLOCK_RECORDS])
         for key, encoder in encoders.items():
-            x = featurize_dataset(block, encoder)
-            if start == 0:
-                features[key] = np.empty((positions.size, x.shape[1]))
-            features[key][start : start + len(block)] = x
+            yield start, block, key, featurize_dataset(block, encoder)
+
+
+def featurize(build, positions: np.ndarray, encoders: dict) -> dict:
+    """One feature matrix per key of ``encoders``, row r for the record at ``positions[r]``, filled from
+    :func:`featurize_blocks`. An encoder gives every block rows of one width; no positions give (0, 0) matrices."""
+    features = {key: np.empty((0, 0)) for key in encoders}
+    for start, block, key, x in featurize_blocks(build, positions, encoders):
+        if start == 0:
+            features[key] = np.empty((positions.size, x.shape[1]))
+        features[key][start : start + len(block)] = x
     return features
 
 

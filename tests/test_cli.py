@@ -22,6 +22,7 @@ from ecgbalance import (
     load_csv,
     load_model,
     read_image_raw,
+    save_model,
     write_csv_dataset,
 )
 from ecgbalance.cli import _loss_config_from_args, _train_config_from_args, build_parser, main
@@ -1006,6 +1007,19 @@ def test_train_raw_encoder(tmp_path, data_dir):
     args = ["train", "--data", str(data_dir), "--out", str(model_path), "--encode", "raw"] + TRAIN_FLAGS
     assert main(args) == 0
     assert load_model(model_path).input_dim == 2 * 80
+
+
+def test_train_image_encoder_saves_and_loads_its_kind(tmp_path, data_dir):
+    # Kind image is CME's image without the factors; a model trained on it says so in its header.
+    model_path = tmp_path / "model.bin"
+    args = ["train", "--data", str(data_dir), "--out", str(model_path), "--encode", "image"] + TRAIN_FLAGS
+    assert main(args) == 0
+    assert b'"kind":"image"' in model_path.read_bytes()
+    model = load_model(model_path)
+    assert model.encoder == EncoderSpec("image", height=4, width=10, skip=0, take=80, raw_take=80)
+    save_model(model, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == model_path.read_bytes()
+    assert main(["eval", "--model", str(model_path), "--data", str(data_dir)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -350,12 +351,12 @@ def test_featurize_matches_per_record_reference():
         )
         d = Dataset(records=records, class_names=("a", "b"))
         enc = EncoderSpec(kind="cme", height=height, width=width, skip=skip, take=take)
-        for equalize in (True, False):
+        for kind, equalize in (("cme", True), ("image", False)):
             expected = np.stack(
                 [reference_image(r.channels, height, width, skip, take, equalize) for r in records]
             )
-            got = featurize_records(records, enc, equalize=equalize)
-            assert np.array_equal(got, expected), (i, equalize)
+            got = featurize_records(records, dataclasses.replace(enc, kind=kind))
+            assert np.array_equal(got, expected), (i, kind)
         flat = np.stack([reference_image(r.channels, height, width, skip, take, True).ravel() for r in records])
         assert np.array_equal(featurize_dataset(d, enc), flat)
         raw_enc = EncoderSpec(kind="raw", raw_take=skip + take)
@@ -383,20 +384,19 @@ def test_featurize_records_checks_every_block():
     # Neighbouring samples 1.7e308 apart overflow the time interpolation.
     huge = make_record(np.tile([1.7e308, -1.7e308], (2, 20)), record_id="huge")
     cases = [
-        (loud, True, SpecError, "scale factors must be finite"),
-        (short, True, WindowOutOfRange, "'short' of length 30"),
-        (huge, False, EncodeError, "non-finite pixels"),
+        (loud, "cme", SpecError, "scale factors must be finite"),
+        (short, "cme", WindowOutOfRange, "'short' of length 30"),
+        (huge, "image", EncodeError, "non-finite pixels"),
     ]
-    enc = EncoderSpec(height=2, width=8, skip=0, take=40)
-    for bad, equalize, error, message in cases:
-        with pytest.raises(error, match=message):
-            featurize_records(good + [bad], enc, equalize=equalize)
     # featurize meets each bad record in its last block, past the first BLOCK_RECORDS.
     assert len(good) > 4 * BLOCK_RECORDS
-    for bad, _, error, message in cases[:2]:
+    for bad, kind, error, message in cases:
+        enc = EncoderSpec(kind, height=2, width=8, skip=0, take=40)
+        with pytest.raises(error, match=message):
+            featurize_records(good + [bad], enc)
         d = Dataset(records=(*good, bad), class_names=("a", "b"))
         with pytest.raises(error, match=message):
-            featurize(d.take, np.arange(len(d)), {"cme": enc})
+            featurize(d.take, np.arange(len(d)), {kind: enc})
 
 
 def test_featurize_temporaries_stay_below_the_huge_page_threshold():

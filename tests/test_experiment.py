@@ -44,7 +44,7 @@ from ecgbalance.experiment import (
     parse_kv_file,
     synth_spec_from_mapping,
 )
-from ecgbalance.trainer import BLOCK_RECORDS, featurize_dataset, init_model
+from ecgbalance.trainer import BLOCK_RECORDS, featurize_dataset, init_model, score, train_stack
 
 from conftest import traced_peak
 
@@ -522,6 +522,30 @@ def test_run_experiment_synthesizes_only_the_kept_records(tmp_path, monkeypatch)
             for (model, x_test, test_labels), _ in scores[s * cells_per_stack : (s + 1) * cells_per_stack]:
                 assert x_test.tobytes() == featurize_dataset(d_test, model.encoder).tobytes()
                 assert test_labels.tolist() == d_test.labels().tolist()
+
+
+def test_an_image_row_is_a_stack_trained_on_image_features(tmp_path):
+    # encode = cme, image isolates the CME factors: the image row is CME's pipeline without them, run end to end.
+    text = TINY_SPEC.replace("encode = cme, raw", "encode = cme, image").replace("loss = iwl, ce", "loss = iwl")
+    path = write_spec(tmp_path, text.replace("beta = 0.1, 0.9", "beta = 0.9").replace("alpha = none, 0.5", "alpha = none"))
+    out = tmp_path / "results.csv"
+    assert cli.main(["experiment", "--spec", str(path), "--out", str(out)]) == 0
+    spec = parse_experiment_spec(path)
+    rows = run_experiment(spec)
+    write_results_csv(rows, tmp_path / "api.csv")
+    assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+    assert [r.cell.encode for r in rows] == ["cme", "image"]
+    image = dataclasses.replace(spec.train.encode, kind="image")
+    for seed, scores in zip(spec.seeds, rows[1].per_seed):
+        d = generate_synthetic(dataclasses.replace(spec.synth, seed=seed))
+        train_pos, test_pos = split_positions(d.labels(), d.num_classes, SplitSpec(spec.train_fraction, seed))
+        d_train, d_test = d.take(train_pos), d.take(np.sort(test_pos))
+        x = featurize_dataset(d_train, image)
+        assert not np.array_equal(x, featurize_dataset(d_train, spec.train.encode))
+        cfg = dataclasses.replace(spec.train, encode=image, seed=seed, loss=LossConfig("iwl", 0.9))
+        [(model, _)] = train_stack(x, d_train.labels(), [cfg], d.class_names)
+        metrics = score(model, featurize_dataset(d_test, image), d_test.labels())
+        assert scores == (metrics.accuracy, metrics.macro_f1)
 
 
 def test_an_alpha_with_no_train_records_is_a_config_error(tmp_path):

@@ -24,7 +24,7 @@ from ecgbalance import (
     resample_positions,
     split_positions,
 )
-from ecgbalance.errors import ConfigError, DimensionError, SpecError, UnknownClass
+from ecgbalance.errors import ConfigError, DimensionError, MalformedRecord, SpecError, UnknownClass
 from ecgbalance.trainer import init_model, metrics_from_confusion, score, train_stack
 
 RAW = EncoderSpec(kind="raw", raw_take=3)
@@ -54,6 +54,8 @@ SITES = [
     ("field types", "ExperimentSpec", lambda v: ExperimentSpec(data_dir="ds", train=v), SpecError, "'train'", FIELDS),
     ("field types", "LossConfig", lambda v: LossConfig(beta=v), ConfigError, r"\['beta'\]", NUMBERS),
     ("field types", "TrainConfig", lambda v: TrainConfig(epochs=v), ConfigError, r"\['epochs'\]", FIELDS),
+    ("field types", "EcgRecord", lambda v: EcgRecord(np.ones((1, 4)), 500.0, 0, record_id=v), MalformedRecord,
+     r"\['record_id'\]", [5, True, 2.5, None, b"r1"]),
     ("seed", "SplitSpec", lambda v: SplitSpec(0.5, seed=v), SpecError, NONNEGATIVE, SEEDS),
     ("seed", "SynthSpec", lambda v: SynthSpec(seed=v), SpecError, NONNEGATIVE, SEEDS),
     ("seed", "ExperimentSpec", lambda v: ExperimentSpec(data_dir="ds", seeds=(v,)), SpecError, NONNEGATIVE, SEEDS),

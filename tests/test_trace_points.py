@@ -9,6 +9,8 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
+
 from conftest import tiny_dataset
 
 from ecgbalance import (
@@ -25,11 +27,13 @@ from ecgbalance import (
     generate_synthetic,
     longtail_counts,
     parse_experiment_spec,
+    read_image_raw,
     resample,
     split,
     train,
     trainer,
     window_record,
+    write_csv_dataset,
 )
 
 # (module, name) pairs the tracer wraps to compute the benchmark's per-layer metrics.
@@ -82,6 +86,34 @@ def test_train_and_evaluate_featurize_through_the_module_global(monkeypatch):
         assert len(matrices) == 2
         for x in matrices:
             assert x.tobytes() == whole.reshape(len(d), -1).tobytes()
+
+
+def test_encode_featurizes_through_the_module_global(monkeypatch, tmp_path):
+    calls = []
+    original = trainer.featurize_dataset
+
+    def wrapper(*args, **kwargs):
+        calls.append((len(args[0]), args[1].kind))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "featurize_dataset", wrapper)
+    d = tiny_dataset(per_class=11)
+    block = trainer.BLOCK_RECORDS
+    assert len(d) > 2 * block and len(d) % block
+    write_csv_dataset(d, tmp_path / "data")
+    enc = ENCODERS[0]
+    flags = ["--height", str(enc.height), "--width", str(enc.width), "--skip", str(enc.skip), "--take", str(enc.take)]
+    for kind, extra in (("cme", []), ("image", ["--no-equalize"])):
+        calls.clear()
+        out = tmp_path / kind
+        assert cli.main(["encode", "--data", str(tmp_path / "data"), "--out", str(out), "--format", "raw", *flags,
+                         *extra]) == 0
+        # Blocks of BLOCK_RECORDS records in order, the last one shorter, each featurized with the encode kind,
+        # whose images are bit for bit those of one call on every record.
+        assert calls == [(min(block, len(d) - start), kind) for start in range(0, len(d), block)]
+        whole = featurize_records(d.records, dataclasses.replace(enc, kind=kind))
+        images = np.stack([read_image_raw(out / f"{r.record_id}.f64") for r in d.records])
+        assert images.tobytes() == whole.tobytes()
 
 
 def test_per_call_entry_points_take_dataset_records():
