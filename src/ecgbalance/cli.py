@@ -150,13 +150,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_encode(args) -> int:
     d = _load_dataset(args)
-    out = Path(args.out)
-    make_output_dir(out)
     positions = range(len(d))
     if args.record is not None:
         positions = [i for i, r in enumerate(d) if r.record_id == args.record]
         if not positions:
             raise _UsageError(f"record {args.record!r} not found in {args.data}")
+    out = Path(args.out)
+    make_output_dir(out)
     encoder = _recipe_from_args(args, TrainConfig(encode=EncoderSpec("image" if args.no_equalize else "cme"))).encode
     for _, block, _, rows in featurize_blocks(d.take, positions, {0: encoder}):
         for r, img in zip(block, rows.reshape(len(block), encoder.height, encoder.width)):
@@ -169,14 +169,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    if args.alpha is None and not args.no_resample:
-        raise _UsageError("resample: --alpha is required (or pass --no-resample)")
     d = _load_dataset(args)
     before = d.class_counts()
-    if args.no_resample:
-        out_d = d
-    else:
-        out_d = resample(d, longtail_counts(before, args.alpha), args.seed)
+    out_d = resample(d, longtail_counts(before, args.alpha), args.seed)
     out = Path(args.out)
     write_csv_dataset(out_d, out)
     write_histogram_csv(d.class_names, before, out_d.class_counts(), out / "histogram.csv")
@@ -307,8 +302,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("resample", help="impose a long-tail class profile")
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--alpha", type=float, default=None, help="imbalance factor in (0, 1]")
-    p.add_argument("--no-resample", action="store_true", help="keep the original distribution")
+    p.add_argument("--alpha", type=float, required=True, help="imbalance factor in (0, 1]; 1 keeps every record")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_resample)

@@ -195,12 +195,6 @@ class Dataset:
             raise EmptyDataset("dataset has no records")
         return self.records[0].num_channels
 
-    @property
-    def sample_rate(self) -> float:
-        if not self.records:
-            raise EmptyDataset("dataset has no records")
-        return self.records[0].sample_rate
-
     def labels(self) -> np.ndarray:
         """Labels in record order."""
         return np.array([r.label for r in self.records], dtype=np.int64)
@@ -400,7 +394,9 @@ class SynthSpec:
 
     There is one class per ``per_class_counts`` entry and one channel per
     ``channel_gain`` entry. Each class gets a distinct quasi-periodic
-    waveform (its own fundamental frequency and pulse sharpness). The
+    waveform: class ``m`` has fundamental frequency ``2 + m`` Hz and its own
+    pulse sharpness. Nine classes take the canonical CPSC2018 names, any
+    other count ``class_<i>`` (see :meth:`dataset_class_names`). The
     waveform is a pure function of the class, channel count, and length; the
     seed only drives additive noise and the record order, each from its own
     child stream (see :func:`generate_synthetic`). ``amplitude`` is the
@@ -415,24 +411,18 @@ class SynthSpec:
     seed: int = 0
     sample_rate: float = CANONICAL_SAMPLE_RATE
     amplitude: float = 5.0
-    class_names: Optional[tuple[str, ...]] = None
-    base_frequency: float = 2.0
-    frequency_spacing: float = 1.0
 
     def __post_init__(self):
         # Numbers are ints or floats, never bools, and list fields tuples or lists: else each fails far from here.
-        reals = ("noise_sd", "amplitude", "sample_rate", "base_frequency", "frequency_spacing")
+        reals = ("noise_sd", "amplitude", "sample_rate")
         fits = {name: _is_number(getattr(self, name)) for name in reals} | {
             "per_class_counts": isinstance(self.per_class_counts, (tuple, list)),
             "channel_gain": isinstance(self.channel_gain, (tuple, list)) and all(map(_is_number, self.channel_gain)),
-            "class_names": isinstance(self.class_names, (tuple, list, type(None))),
         }
         _check_fields(fits, SpecError, "synth")
         counts = _check_counts(self.per_class_counts, SpecError, shape_error=SpecError, what="per-class counts")
         object.__setattr__(self, "per_class_counts", tuple(counts.tolist()))
         object.__setattr__(self, "channel_gain", tuple(float(g) for g in self.channel_gain))
-        if self.class_names is not None:
-            object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
         if self.n_channels < 1 or not _is_integer(self.length) or self.length < 2:
             raise SpecError("need at least one channel and an integer length of at least two samples")
         for name in (*reals, "channel_gain"):
@@ -445,8 +435,6 @@ class SynthSpec:
         _check_integer(self.seed, SpecError)
         if self.amplitude <= 0 or self.sample_rate <= 0:
             raise SpecError("amplitude and sample_rate must be positive")
-        if self.class_names is not None and len(self.class_names) != self.n_classes:
-            raise SpecError(f"class_names has {len(self.class_names)} names for {self.n_classes} classes")
 
     @property
     def n_classes(self) -> int:
@@ -457,9 +445,7 @@ class SynthSpec:
         return len(self.channel_gain)
 
     def dataset_class_names(self) -> tuple[str, ...]:
-        """``class_names``, else the canonical names for nine classes, else ``class_<i>``."""
-        if self.class_names is not None:
-            return self.class_names
+        """The canonical names for nine classes, else ``class_<i>``."""
         if self.n_classes == len(CANONICAL_CLASS_NAMES):
             return CANONICAL_CLASS_NAMES
         return tuple(f"class_{i}" for i in range(self.n_classes))
@@ -476,7 +462,7 @@ def _class_waveform(spec: SynthSpec, m: int) -> np.ndarray:
     # Overflow is caught by the finiteness check below, not warned about.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = np.arange(spec.length, dtype=np.float64) / spec.sample_rate
-        f0 = spec.base_frequency + spec.frequency_spacing * m
+        f0 = 2.0 + 1.0 * m
         sharpness = 2.0 + 1.5 * (m % 4)
         mix = 0.25 + 0.05 * m
         rows = np.empty((spec.n_channels, spec.length), dtype=np.float64)

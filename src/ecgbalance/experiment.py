@@ -37,7 +37,6 @@ from .data import (
     SynthSpec,
     _check_fields,
     _check_integer,
-    _is_number,
     csv_text,
     generate_synthetic,
     load_csv,
@@ -46,9 +45,8 @@ from .data import (
     synth_labels,
     write_output,
 )
-from .equalizer import ENCODE_KINDS
 from .errors import ConfigError, SpecError
-from .imbalance import longtail_counts, resample_positions
+from .imbalance import _check_alpha, longtail_counts, resample_positions
 from .losses import LossConfig, canonical_loss_name
 from .trainer import TrainConfig, featurize, score, train_stack
 
@@ -131,10 +129,8 @@ _SYNTH_SCALARS = {
     "seed": _parse_int,
     "sample_rate": _parse_float,
     "amplitude": _parse_float,
-    "base_frequency": _parse_float,
-    "frequency_spacing": _parse_float,
 }
-SYNTH_KEYS = ("classes", "counts", "head_count", "channels", "channel_gain", "class_names", *_SYNTH_SCALARS)
+SYNTH_KEYS = ("classes", "counts", "head_count", "channels", "channel_gain", *_SYNTH_SCALARS)
 
 
 # The training recipe: spec key -> (the part of TrainConfig it sets, field name, parser, help). Each key is
@@ -202,17 +198,17 @@ class ExperimentSpec:
         if not all(isinstance(name, str) for name in self.losses):
             raise SpecError(f"losses must be names, got {self.losses}")
         object.__setattr__(self, "losses", tuple(canonical_loss_name(name) for name in self.losses))
-        for beta in self.betas:  # by LossConfig's rule, whether or not an iwl cell reads it
+        # Each beta by LossConfig's rule, whether or not an iwl cell reads it, and each encode by EncoderSpec's.
+        checks = [("beta", self.train.loss, "beta", beta) for beta in self.betas]
+        checks += [("encode", self.train.encode, "kind", enc) for enc in self.encodes]
+        for axis, part, name, value in checks:
             try:
-                dataclasses.replace(self.train.loss, beta=beta)
+                dataclasses.replace(part, **{name: value})
             except ConfigError as exc:
-                raise SpecError(f"beta {beta!r}: {exc}") from None
-        for enc in self.encodes:
-            if enc not in ENCODE_KINDS:
-                raise SpecError(f"unknown encode {enc!r}; expected {' or '.join(ENCODE_KINDS)}")
-        for a in self.alphas:
-            if a is not None and not (_is_number(a) and 0.0 < a <= 1.0):
-                raise SpecError(f"alpha must be none or a number in (0, 1], got {a!r}")
+                raise SpecError(f"{axis} {value!r}: {exc}") from None
+        for alpha in self.alphas:  # none keeps the source distribution
+            if alpha is not None:
+                _check_alpha(alpha)
         # Last, so that every value is checked and hashable.
         for axis, _ in _GRID_KEYS.values():
             values = tuple(getattr(self, axis))
@@ -315,8 +311,7 @@ def synth_spec_from_mapping(mapping: dict[str, str], prefix: str = "") -> SynthS
         gains = defaults.channel_gain[:1] * (defaults.n_channels if channels is None else channels)
     elif channels is not None and channels != len(gains):
         raise SpecError(f"key {prefix}channels = {channels} disagrees with {len(gains)} gains in {prefix}channel_gain")
-    names = get("class_names", lambda key, raw: tuple(_split_list(raw)) or None)
-    return SynthSpec(per_class_counts=counts, channel_gain=gains, class_names=names, **fields)
+    return SynthSpec(per_class_counts=counts, channel_gain=gains, **fields)
 
 
 def grid_cells(spec: ExperimentSpec) -> list[CellKey]:

@@ -17,11 +17,16 @@ from .data import Dataset, _check_counts, _check_integer, _check_labels, _is_num
 from .errors import DimensionError, EmptyDataset, SpecError
 
 
+def _check_alpha(alpha) -> None:
+    """Raise SpecError unless ``alpha`` is an imbalance factor: a number (never a ``bool``) in (0, 1]."""
+    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
+        raise SpecError(f"alpha must be a number in (0, 1], got {alpha!r}")
+
+
 def longtail_counts(class_counts, alpha: float) -> np.ndarray:
     """Exponential long-tail target counts, indexed by class, for the given class histogram."""
     counts = _check_counts(class_counts, SpecError)
-    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
-        raise SpecError(f"alpha must be a number in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     if counts.sum() == 0:
         raise EmptyDataset("every class is empty")
     order = np.argsort(-counts, kind="stable")

@@ -215,10 +215,6 @@ class BatchLoss:
     cfg: LossConfig
     class_counts: Optional[np.ndarray] = None
 
-    @property
-    def name(self) -> str:
-        return self.cfg.kind
-
     def per_record(self, logits2d, labels) -> tuple[np.ndarray, np.ndarray]:
         return _core(logits2d, labels, self.cfg, self.class_counts)
 

@@ -92,7 +92,7 @@ CLI_OPTIONS = {
         "--data": None, "--manifest": None, "--record": None, "--height": 128, "--width": 128, "--skip": 500,
         "--take": 2500, "--no-equalize": False, "--format": "csv", "--out": None,
     },
-    "resample": {"--data": None, "--manifest": None, "--alpha": None, "--no-resample": False, "--seed": 0, "--out": None},
+    "resample": {"--data": None, "--manifest": None, "--alpha": None, "--seed": 0, "--out": None},
     "gradcheck": {
         "--loss": "all", "--trials": 100, "--seed": 0, "--threshold": 0.0001, "--classes": 9, "--beta": 0.3,
         "--epsilon": 1e-12, "--gamma": 2.0, "--cb-beta": 0.999, "--ldam-mu": 0.2, "--ldam-s": 20.0, "--out": None,
@@ -299,6 +299,36 @@ def test_every_flag_the_readme_names_is_a_flag_of_some_command():
     assert sorted(named - accepted) == []
 
 
+def test_readme_names_exactly_the_spec_keys_the_parsers_accept():
+    # A key removed from a parser must leave the docs too, and a key added must reach them.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Experiment spec files\n.*?(?=^## )", readme, re.M | re.S).group(0)
+
+    def listed(lead: str) -> set:
+        """The backticked keys in the parenthesis after ``lead``."""
+        body = re.search(r"\s+".join(lead.split()) + r"\s+\(([^)]*)\)", section).group(1)
+        return set(re.findall(r"`([\w.]+)`", body))
+
+    synthetic = listed("synthetic dataset")
+    assert set(re.findall(r"^(\w+) = ", section, re.M)) == set(_GRID_KEYS)
+    assert listed("shared training recipe") | synthetic | {"data.dir"} == set(_SCALAR_KEYS)
+    # A synth spec file takes the synthetic keys without "data.", and its seed.
+    assert "`data.dir`" in section and "`seed`" in section
+    assert {key.removeprefix("data.") for key in synthetic} | {"seed"} == set(SYNTH_KEYS)
+    # Anywhere else, a data key README names is accepted, but for the one it names as refused.
+    assert set(re.findall(r"`(data\.\w+)`", readme)) - set(_SCALAR_KEYS) == {"data.seed"}
+
+
+@pytest.mark.parametrize("key", ["base_frequency", "frequency_spacing", "class_names"])
+def test_a_spec_file_naming_a_removed_synthetic_key_exits_2(tmp_path, capsys, key):
+    spec = tmp_path / "spec.txt"
+    for command, text, name in [("synth", SYNTH_SPEC, key), ("experiment", EXPERIMENT_SPEC, "data." + key)]:
+        spec.write_text(_with_value(text, name, "2"))
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown {command} keys: ['{name}']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_passes_with_every_loss_flag_set(tmp_path, capsys):
     # Includes the IWL at beta 1.5 and epsilon 1e-6.
     report = tmp_path / "gc.csv"
@@ -399,6 +429,13 @@ def test_encode_single_record_and_no_equalize(tmp_path, data_dir):
     assert [p.name for p in out.iterdir()] == [f"{record_id}.csv"]
 
 
+def test_encode_of_an_unknown_record_creates_no_output_directory(tmp_path, data_dir, capsys):
+    out = tmp_path / "newdir"
+    assert main(["encode", "--data", str(data_dir), "--record", "nope", "--out", str(out)]) == 1
+    assert "record 'nope' not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_images_are_the_rows_train_featurizes(tmp_path, data_dir):
     # encode and train read the image and window flags into one EncoderSpec, so each image is a network input.
     flags = ["--height", "5", "--width", "12", "--skip", "3", "--take", "70"]
@@ -469,10 +506,12 @@ def test_resample_alpha(tmp_path, data_dir):
     assert len(hist) == 4
 
 
-def test_resample_passthrough(tmp_path, data_dir):
+def test_resample_alpha_one_keeps_every_record(tmp_path, data_dir):
     out = tmp_path / "same"
-    assert main(["resample", "--data", str(data_dir), "--no-resample", "--out", str(out)]) == 0
-    assert load_csv(out).class_counts().tolist() == [5, 5, 5]
+    assert main(["resample", "--data", str(data_dir), "--alpha", "1", "--out", str(out)]) == 0
+    kept = load_csv(out)
+    assert kept.class_counts().tolist() == [5, 5, 5]
+    assert sorted(r.record_id for r in kept) == sorted(r.record_id for r in load_csv(data_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +761,7 @@ def test_manifest_entries_that_cannot_name_a_file_exit_2(tmp_path, data_dir, cap
         writer.writeheader()
         writer.writerows(rows)
     out = tmp_path / "out"
-    argv = {"resample": ["--no-resample", "--out", str(out)], "encode": ["--out", str(out)], "analyze": []}[command]
+    argv = {"resample": ["--alpha", "1", "--out", str(out)], "encode": ["--out", str(out)], "analyze": []}[command]
     assert main([command, "--data", str(data), *argv]) == 2
     err = capsys.readouterr().err
     assert re.search(message, err) and "Traceback" not in err, err
@@ -776,7 +815,7 @@ def test_class_names_holding_a_comma_or_quote_round_trip_through_every_csv(tmp_p
 
 @pytest.mark.parametrize(
     "line",
-    ["noise_sd = nan", "sample_rate = inf", "base_frequency = inf", "channel_gain = 1e308, 1"],
+    ["noise_sd = nan", "sample_rate = inf", "amplitude = inf", "channel_gain = 1e308, 1"],
 )
 def test_synth_rejects_non_finite_parameters_without_numpy_warnings(tmp_path, capsys, line):
     spec = tmp_path / "synth.txt"

@@ -221,6 +221,29 @@ def test_load_csv_missing_manifest(tmp_path):
         load_csv(tmp_path)
 
 
+@pytest.mark.parametrize("labels, n_names", [((0, 3, 1), 4), ((0, 0), 2)], ids=["largest-label", "at-least-two"])
+def test_load_csv_without_classes_txt_names_classes_up_to_the_largest_label(tmp_path, labels, n_names):
+    rows = {f"r{i}.csv": [[1.0], [2.0]] for i in range(len(labels))}
+    _write_dataset_dir(tmp_path, rows, [f"r{i}.csv,r{i},{label},500.0" for i, label in enumerate(labels)])
+    assert load_csv(tmp_path).class_names == tuple(f"class_{i}" for i in range(n_names))
+
+
+def test_load_csv_empty_record_file_is_malformed(tmp_path):
+    _write_dataset_dir(tmp_path, {}, ["r.csv,r,0,500.0"], classes=["a", "b"])
+    (tmp_path / "r.csv").write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's loadtxt warns that the input holds no data
+        with pytest.raises(MalformedRecord, match="record 'r': record file is empty"):
+            load_csv(tmp_path)
+
+
+def test_load_csv_manifest_field_over_the_csv_limit_is_malformed(tmp_path):
+    # Python's csv module refuses a field longer than 131,072 characters.
+    _write_dataset_dir(tmp_path, {}, ["r.csv," + "r" * 131_073 + ",0,500.0"], classes=["a", "b"])
+    with pytest.raises(MalformedRecord, match="manifest is not valid CSV"):
+        load_csv(tmp_path)
+
+
 def test_csv_round_trip_is_exact(tmp_path, dataset):
     write_csv_dataset(dataset, tmp_path / "out")
     back = load_csv(tmp_path / "out")
@@ -380,7 +403,6 @@ def test_generator_seed_moves_only_noise_and_order():
         {"seed": -1},
         {"seed": 1.5},
         {"amplitude": float("nan")},
-        {"class_names": ("a", "b")},
     ],
 )
 def test_synth_spec_rejects_an_invalid_recipe_on_construction(fields):
@@ -391,8 +413,7 @@ def test_synth_spec_rejects_an_invalid_recipe_on_construction(fields):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("sample_rate", "500"), ("amplitude", "5"), ("noise_sd", None), ("noise_sd", True), ("base_frequency", "2"),
-        ("frequency_spacing", [1.0]), ("class_names", 5), ("class_names", "ab"), ("per_class_counts", 5),
+        ("sample_rate", "500"), ("amplitude", "5"), ("noise_sd", None), ("noise_sd", True), ("per_class_counts", 5),
         ("channel_gain", 1.0), ("channel_gain", (True, 1.0)), ("channel_gain", ("1.0",)),
     ],
 )
@@ -512,8 +533,6 @@ def test_generator_rejects_negative_seed():
         ("noise_sd", float("inf")),
         ("amplitude", float("inf")),
         ("sample_rate", float("inf")),
-        ("base_frequency", float("inf")),
-        ("frequency_spacing", float("nan")),
         ("channel_gain", (1.0, float("inf"))),
         ("channel_gain", (float("nan"), 1.0)),
     ],

@@ -22,7 +22,7 @@ from ecgbalance.equalizer import (
     write_image_raw,
     write_stats_csv,
 )
-from ecgbalance.errors import ConfigError, EmptyDataset, EncodeError, SpecError, WindowOutOfRange
+from ecgbalance.errors import ConfigError, DimensionError, EmptyDataset, EncodeError, SpecError, WindowOutOfRange
 from ecgbalance.trainer import BLOCK_RECORDS, featurize, featurize_dataset
 
 from conftest import dataset_from_arrays, make_record, random_record, tiny_dataset, traced_peak
@@ -109,6 +109,15 @@ def test_stats_csv_lists_every_channel(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("channel,rms,mean_power,scale_")
     assert len(lines) == 1 + d.num_channels
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-over"])
+def test_stats_csv_needs_one_name_per_class(tmp_path, extra):
+    d = tiny_dataset()
+    names = (*d.class_names, "extra")[: d.num_classes + extra]
+    with pytest.raises(DimensionError, match=f"stats cover {d.num_classes} classes, got {len(names)} names"):
+        write_stats_csv(channel_stats(d), names, tmp_path / "stats.csv")
+    assert not (tmp_path / "stats.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +451,13 @@ def test_image_raw_truncation_detected(tmp_path):
     path = tmp_path / "bad.f64"
     path.write_bytes(struct.pack("<QQ", 2, 3) + b"\x00" * 10)
     with pytest.raises(EncodeError):
+        read_image_raw(path)
+
+
+def test_image_raw_shorter_than_its_header_is_an_encode_error(tmp_path):
+    path = tmp_path / "short.f64"
+    path.write_bytes(struct.pack("<QQ", 2, 3)[:15])
+    with pytest.raises(EncodeError, match="too short to hold a raw image header"):
         read_image_raw(path)
 
 

@@ -160,9 +160,8 @@ def test_spec_key_set_is_unchanged():
         "epochs", "learning_rate", "batch_size", "hidden", "train_fraction",
         "image.height", "image.width", "window.skip", "window.take", "raw.take",
         "iwl.epsilon", "focal.gamma", "cb.beta", "ldam.mu", "ldam.s",
-        "data.dir", "data.classes", "data.class_names", "data.counts", "data.head_count", "data.channels",
+        "data.dir", "data.classes", "data.counts", "data.head_count", "data.channels",
         "data.length", "data.sample_rate", "data.noise_sd", "data.amplitude", "data.channel_gain",
-        "data.base_frequency", "data.frequency_spacing",
     }
     assert set(_GRID_KEYS) | set(_SCALAR_KEYS) == keys
     assert len(_GRID_KEYS) + len(_SCALAR_KEYS) == len(keys)
@@ -288,6 +287,26 @@ def test_spec_rejects_a_grid_value_of_the_wrong_type_or_a_repeat(fields, key):
         ExperimentSpec(**{"data_dir": "ds", **fields})
 
 
+@pytest.mark.parametrize(
+    "axis, value",
+    [
+        ("alphas", 1.5), ("alphas", 0.0), ("alphas", -0.5), ("alphas", True), ("alphas", "0.5"),
+        ("alphas", float("nan")), ("alphas", 1), ("alphas", np.float64(0.01)),
+        ("encodes", "fft"), ("encodes", 5), ("encodes", "CME"), ("encodes", "image"), ("encodes", "raw"),
+    ],
+)
+def test_spec_checks_alpha_and_encode_by_the_rules_their_stages_apply(axis, value):
+    # One rule each: the spec accepts a value exactly when longtail_counts or EncoderSpec does, else names it.
+    stage = {"alphas": lambda: longtail_counts((4, 2), value), "encodes": lambda: EncoderSpec(kind=value)}[axis]
+    try:
+        stage()
+    except (ConfigError, SpecError):
+        with pytest.raises(SpecError, match=re.escape(repr(value))):
+            ExperimentSpec(data_dir="ds", **{axis: (value,)})
+    else:
+        assert getattr(ExperimentSpec(data_dir="ds", **{axis: (value,)}), axis) == (value,)
+
+
 def test_spec_takes_a_path_for_data_dir():
     assert ExperimentSpec(data_dir=Path("ds")).data_dir == Path("ds")
 
@@ -342,9 +361,9 @@ def test_synth_mapping_size_key_must_agree_with_its_list(mapping, key):
 
 
 def test_synth_mapping_prefix():
-    spec = synth_spec_from_mapping({"data.classes": "2", "data.class_names": "x, y"}, prefix="data.")
-    assert spec.n_classes == 2
-    assert spec.class_names == ("x", "y")
+    spec = synth_spec_from_mapping({"data.classes": "2", "data.noise_sd": "0.5"}, prefix="data.")
+    assert spec.n_classes == 2 and spec.noise_sd == 0.5
+    assert spec.dataset_class_names() == ("class_0", "class_1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,13 @@ def test_batch_labels_validated():
     loss = make_loss(LossConfig(kind="cross_entropy"))
     with pytest.raises(DimensionError):
         loss.per_record(np.zeros((2, 3)), np.array([0, 3]))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (1, 1, 3)], ids=["scalar", "one-row-flat", "3-D"])
+def test_loss_core_needs_one_row_of_logits_per_record(shape):
+    loss = make_loss(LossConfig(kind="cross_entropy"))
+    with pytest.raises(DimensionError, match=rf"logits must be one row per record, got shape {re.escape(str(shape))}"):
+        loss.per_record(np.zeros(shape), [0])
 
 
 @pytest.mark.parametrize("kind", ["ldam", "class_balanced", "cb_focal"])

@@ -124,7 +124,7 @@ def test_per_call_entry_points_take_dataset_records():
         if enc.kind == "cme":
             windows = [window_record(r, enc.skip, enc.take) for r in d.records[:5]]
         else:
-            windows = [window_record(r, 0, enc.raw_take or r.length) for r in d.records[:5]]
+            windows = [window_record(r, 0, enc.raw_take) for r in d.records[:5]]
         for w in windows:
             assert cme_factors(w, mode=enc.magnitude_mode).shape == (2,)
             assert encode_image(w, enc.height, enc.width).shape == (enc.height, enc.width)

@@ -671,3 +671,11 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_bytes(b"PNG\x00definitely not a model")
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+def test_load_rejects_a_file_shorter_than_its_header(tmp_path):
+    # The magic, then seven of the eight bytes that give the header's length.
+    path = tmp_path / "model.bin"
+    path.write_bytes(trainer._MODEL_MAGIC + bytes(7))
+    with pytest.raises(ConfigError, match="too short to hold a model header"):
+        load_model(path)
